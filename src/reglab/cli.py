@@ -14,9 +14,8 @@ Experiments (``--experiment``):
 
 Configuration comes from a flat key = value file with optional [sections]
 (sections are organizational only; keys are flat), overridden by flags
-(flag wins).  ``REGLAB_THREADS`` caps sweep parallelism.  Exit codes:
-0 all checks passed, 1 some check failed, 2 bad configuration,
-3 numerical failure, 4 blow-up.
+(flag wins).  Exit codes: 0 all checks passed, 1 some check failed,
+2 bad configuration, 3 numerical failure, 4 blow-up.
 """
 
 from __future__ import annotations
@@ -26,29 +25,27 @@ import configparser
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    DuhamelProbe,
     SobolevIndex,
     ScalingParams,
     appendix_inequality_checks,
-    duhamel_fifth_derivative_rate,
+    consistency_report,
     hs_norm,
     illposedness_exponent_report,
     scaling_transform,
     synthetic_slice_check,
     third_derivative_holder_scan,
 )
-from .errors import BlowUpError, ConfigError, RegLabError
+from .errors import BlowUpError, ConfigError, RegLabError, StepSizeError
 from .evolution import make_odd_bump, solve
 from .grids import Grid1D, GridFunction
 from .kernels import c_alpha, fifth_derivative_at_zero, odd_power_probe
-from .numerics import gaussian_moment
+from .numerics import gaussian_moment, step_count
 from .ode import NonlinearityParams, holder_defect, integrate_perturbed
 from .trajio import save_trajectory, write_report
 
@@ -101,6 +98,10 @@ class ExperimentConfig:
             raise ConfigError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
         if self.domain_l <= 0 or self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("domain_l, dt and t_final must be positive")
+        try:
+            step_count(self.t_final, self.dt)
+        except StepSizeError as err:
+            raise ConfigError(str(err)) from None
         if self.amplitude <= 0 or self.support_radius <= 0:
             raise ConfigError("amplitude and support_radius must be positive")
         if self.snapshot_every < 1:
@@ -171,26 +172,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def worker_count() -> int:
-    raw = os.environ.get("REGLAB_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"REGLAB_THREADS must be an integer, got '{raw}'")
-    return min(4, os.cpu_count() or 1)
-
-
-def map_items(fn, items):
-    """Order-preserving map, threaded when REGLAB_THREADS allows."""
-    n = worker_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _check(name, measured, expected, tolerance, provenance, passed=None):
     if passed is None:
         passed = bool(abs(measured - expected) <= tolerance)
@@ -231,7 +212,7 @@ def run_verify_kernel(cfg: ExperimentConfig) -> dict:
         expect = -c_alpha(alpha) * sigma ** (-2.0 + alpha / 2.0)
         return sigma, val.real, expect, abs(val.real - expect) / abs(expect)
 
-    rows = map_items(one, sigmas)
+    rows = [one(sigma) for sigma in sigmas]
     worst = max(r[3] for r in rows)
     report["checks"].append(_check(
         "fifth_derivative_closed_form_max_rel_err", worst, 0.0, 1e-8 * scale,
@@ -378,11 +359,10 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 def run_third_derivative_scan(cfg: ExperimentConfig) -> dict:
     report = _report_skeleton(cfg)
     y_max = 0.25 * cfg.support_radius
-    quarter = max(1, int(round(cfg.t_final / cfg.dt)) // 4)
-    traj = _standard_solve(cfg, snapshot_every=quarter)
+    n_steps = step_count(cfg.t_final, cfg.dt)
+    traj = _standard_solve(cfg, snapshot_every=max(1, n_steps // 4))
     scan = third_derivative_holder_scan(traj, cfg.t_final, [0.9], y_max=y_max)
-    control_traj = _standard_solve(
-        cfg, lam=0.0, snapshot_every=max(1, int(round(cfg.t_final / cfg.dt))))
+    control_traj = _standard_solve(cfg, lam=0.0, snapshot_every=n_steps)
     control = third_derivative_holder_scan(control_traj, cfg.t_final, [0.9], y_max=y_max)
     # smallness of t is unquantified by the theory: report the sweep
     sweep_rows = []
@@ -418,13 +398,13 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
     report = _report_skeleton(cfg)
     traj = _standard_solve(cfg, snapshot_every=1)
     taus = cfg.t_final + np.geomspace(1e-4, 3e-3, 8)
-    probe = DuhamelProbe(traj=traj, t=cfg.t_final, tau_ladder=taus)
-    rate = duhamel_fifth_derivative_rate(probe)
-    expected_slope = -(2.0 - cfg.alpha) / 2.0
     scale = cfg.tolerance_scale
+    record = consistency_report(traj, cfg.t_final, taus, tolerance=0.1 * scale,
+                                y_max=0.25 * cfg.support_radius)
+    scan, rate = record.scan, record.rate
     report["checks"].append(_check(
-        "divergence_law_exponent", rate.law_exponent, expected_slope, 0.1 * scale,
-        "paper-eq",
+        "divergence_law_exponent", rate.law_exponent, -(2.0 - cfg.alpha) / 2.0,
+        0.1 * scale, "paper-eq", passed=record.rate_ok,
     ))
     sigmas = 4.0 * np.geomspace(1e-4, 3e-3, 5)
     synth = synthetic_slice_check(cfg.alpha, rate.eta0, sigmas)
@@ -432,14 +412,9 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
         "synthetic_slice_closed_form_max_rel_err", synth, 0.0, 1e-6 * scale,
         "derived-oracle", passed=synth <= 1e-6 * scale,
     ))
-    scan = third_derivative_holder_scan(
-        traj, cfg.t_final, [0.9], y_max=0.25 * cfg.support_radius
-    )
-    consistent = (abs(scan.increment_fit.slope - cfg.alpha) <= 0.1 * scale
-                  and abs(rate.law_exponent - expected_slope) <= 0.1 * scale)
     report["checks"].append(_check(
         "scan_rate_consistency", scan.increment_fit.slope, cfg.alpha, 0.1 * scale,
-        "derived-oracle", passed=consistent,
+        "derived-oracle", passed=record.combined_pass,
     ))
     report["raw_fit_slope"] = rate.raw_fit.slope
     report["empirical_a"] = rate.empirical_a

@@ -26,10 +26,19 @@ from .errors import (
     ResolutionError,
 )
 from .evolution import Trajectory, eta_track
-from .grids import GridFunction, spectral_derivative, trig_interpolate
+from .grids import (
+    Grid1D,
+    GridFunction,
+    TrigInterpolant,
+    derivative_multiplier,
+    dyadic_ladder,
+    forward_transform,
+    laplacian_symbol,
+    spectral_derivative,
+    trig_interpolate,
+)
 from .kernels import KernelProbe, c_alpha, fifth_derivative_at_zero
-from .numerics import RegressionFit, loglog_fit
-from .ode import _dyadic_ladder
+from .numerics import RegressionFit, central_difference, loglog_fit, trapezoid_weights
 
 __all__ = [
     "HolderIndex",
@@ -117,12 +126,9 @@ def hs_norm(u: GridFunction, idx: SobolevIndex) -> float:
     """
     if u.ndim != 1:
         raise DomainError("hs_norm expects a 1D grid function")
-    from .grids import forward_transform
-
     g = u.grids[0]
     coeffs = forward_transform(u).coefficients
-    xi_sq = g.wavenumbers**2
-    total = np.sum((1.0 + xi_sq) ** idx.s * np.abs(coeffs) ** 2)
+    total = np.sum((1.0 + laplacian_symbol(g)) ** idx.s * np.abs(coeffs) ** 2)
     return float(np.sqrt(2.0 * g.half_length * total))
 
 
@@ -162,7 +168,7 @@ def third_derivative_holder_scan(
     if y_max is None:
         y_max = g.half_length / 16.0
     try:
-        idx, ys = _dyadic_ladder(g, y_max)
+        idx, ys = dyadic_ladder(g, y_max)
     except DegenerateInput as err:
         raise ResolutionError(str(err)) from None
     q = np.abs(d3[j0 + idx] - d3[j0])
@@ -215,15 +221,9 @@ def duhamel_integral_of_series(times, series, grids, tau: float) -> np.ndarray:
     stored times; each term applies the Fourier heat multiplier.  Linear in
     the series by construction.
     """
-    xi_sq = grids[0].wavenumbers ** 2 if len(grids) == 1 else (
-        grids[0].wavenumbers[:, None] ** 2 + grids[1].wavenumbers[None, :] ** 2
-    )
+    xi_sq = laplacian_symbol(grids)
     acc = np.zeros_like(series[0], dtype=np.complex128)
-    weights = np.zeros(len(times))
-    dt = np.diff(times)
-    weights[:-1] += 0.5 * dt
-    weights[1:] += 0.5 * dt
-    for w, t_s, f_s in zip(weights, times, series):
+    for w, t_s, f_s in zip(trapezoid_weights(times), times, series):
         acc += w * np.fft.fftn(f_s) * np.exp(-(tau - t_s) * xi_sq)
     return np.fft.ifftn(acc)
 
@@ -332,14 +332,6 @@ class DuhamelRateReport:
     spectral_max_rel_diff: float
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    weights = np.zeros(len(times))
-    dtimes = np.diff(times)
-    weights[:-1] += 0.5 * dtimes
-    weights[1:] += 0.5 * dtimes
-    return weights
-
-
 def duhamel_fifth_derivative_rate(probe: DuhamelProbe, rel_tol: float = 1e-7) -> DuhamelRateReport:
     """Measure the rate at which d^5_y NH(t, tau)|_{y=0} grows as tau -> t.
 
@@ -366,13 +358,9 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe, rel_tol: float = 1e-7) ->
         )
     alpha = traj.params.alpha
     grid = traj.y_grid
-    xi = grid.wavenumbers
-    n = grid.n_points
+    xi_sq = laplacian_symbol(grid)
     # (i xi)^5 with the (-1)^k phase placing the evaluation point at x = 0
-    mult5 = (1j * xi) ** 5 * np.where(grid.frequencies % 2 == 0, 1.0, -1.0) / n
-    mult5[n // 2] = 0.0
-
-    from .grids import TrigInterpolant
+    mult5 = derivative_multiplier(grid, 5) * grid.phase() / grid.n_points
 
     interpolants = {}
 
@@ -391,7 +379,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe, rel_tol: float = 1e-7) ->
         stride = max(1, int(gap / 4.0 / max_gap)) if max_gap > 0 else 1
         sub = list(range(0, n_stored - 1, stride)) + [n_stored - 1]
         sub_times = times[sub]
-        weights = _trapezoid_weights(sub_times)
+        weights = trapezoid_weights(sub_times)
         total = 0.0 + 0.0j
         for w, t_s, i in zip(weights, sub_times, sub):
             sigma = 4.0 * (tau - t_s)
@@ -399,7 +387,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe, rel_tol: float = 1e-7) ->
         values.append(total)
         spec = np.sum(
             weights[:, None] * nonlin_hats[sub]
-            * np.exp(-(tau - sub_times)[:, None] * xi[None, :] ** 2)
+            * np.exp(-(tau - sub_times)[:, None] * xi_sq[None, :])
             * mult5[None, :]
         )
         spectral.append(complex(spec))
@@ -579,12 +567,9 @@ def appendix_inequality_checks(seed_count: int, seed: int = 2026) -> InequalityR
                                   1.0 + 1e-12, max_a <= 1.0 + 1e-12))
 
     # (b) gradient of the nonlinearity vs finite differences
-    from .grids import Grid1D
-
     grid = Grid1D(256, np.pi)
     n_fields = max(8, seed_count // 64)
     worst_b = 0.0
-    h = 1e-3
     for _ in range(n_fields):
         alpha = float(rng.uniform(0.1, 1.9))
         lam = complex(rng.standard_normal(), rng.standard_normal())
@@ -607,8 +592,7 @@ def appendix_inequality_checks(seed_count: int, seed: int = 2026) -> InequalityR
             v = trig_interpolate(u, x)
             return lam * np.abs(v) ** alpha * v
 
-        fd = (-f_of(pts + 2 * h) + 8 * f_of(pts + h)
-              - 8 * f_of(pts - h) + f_of(pts - 2 * h)) / (12 * h)
+        fd = central_difference(f_of, pts)
         rel = np.max(np.abs(formula - fd) / np.abs(formula))
         worst_b = max(worst_b, float(rel))
     checks.append(InequalityCheck("nonlinearity_gradient_formula",

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, DomainError, ResolutionError
-from .grids import Grid1D, GridFunction, odd_part, spectral_derivative
+from .grids import (
+    Grid1D,
+    GridFunction,
+    dyadic_ladder,
+    laplacian_symbol,
+    odd_part,
+    spectral_derivative,
+)
+from .numerics import loglog_fit, step_count
 from .ode import NonlinearityParams, exact_flow
 
 __all__ = [
@@ -106,24 +114,23 @@ def sample_initial_data(data: InitialData, grid) -> GridFunction:
     return GridFunction((gx, gy), np.asarray(values, dtype=np.complex128))
 
 
-def _laplacian_symbol(grids) -> np.ndarray:
-    if len(grids) == 1:
-        return grids[0].wavenumbers ** 2
-    gx, gy = grids
-    return gx.wavenumbers[:, None] ** 2 + gy.wavenumbers[None, :] ** 2
-
-
 def _linear_multiplier(params: NonlinearityParams, grids, dt: float) -> np.ndarray:
-    return np.exp(-dt * np.exp(1j * params.theta) * _laplacian_symbol(grids))
+    return np.exp(-dt * np.exp(1j * params.theta) * laplacian_symbol(grids))
+
+
+def _strang(params: NonlinearityParams, vals: np.ndarray, mult: np.ndarray,
+            dt: float) -> np.ndarray:
+    """Exact nonlinear half step, linear step by ``mult``, nonlinear half step."""
+    vals = exact_flow(params, vals, 0.5 * dt)
+    vals = np.fft.ifftn(np.fft.fftn(vals) * mult)
+    return exact_flow(params, vals, 0.5 * dt)
 
 
 def step(params: NonlinearityParams, u: GridFunction, dt: float) -> GridFunction:
     """One Strang step: exact nonlinear half, exact linear, nonlinear half."""
     if not (dt > 0):
         raise DomainError(f"dt must be positive, got {dt}")
-    vals = exact_flow(params, u.values, 0.5 * dt)
-    vals = np.fft.ifftn(np.fft.fftn(vals) * _linear_multiplier(params, u.grids, dt))
-    vals = exact_flow(params, vals, 0.5 * dt)
+    vals = _strang(params, u.values, _linear_multiplier(params, u.grids, dt), dt)
     return GridFunction(u.grid, vals, allow_nonfinite=True)
 
 
@@ -177,6 +184,7 @@ def solve(
 ) -> Trajectory:
     """March the splitting scheme to time T, recording snapshots.
 
+    T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
     Records t = 0, every ``snapshot_every``-th step, and the final step.
     Raises :class:`BlowUpError` (with the truncated trajectory attached)
     when the sup norm exceeds ``blowup_factor`` times its initial value or a
@@ -184,6 +192,7 @@ def solve(
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
+    n_steps = step_count(T, dt)
     if snapshot_every < 1:
         raise DomainError("snapshot_every must be >= 1")
     grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)
@@ -202,7 +211,6 @@ def solve(
     if peak0 == 0.0:
         raise DomainError("initial data is identically zero")
 
-    n_steps = int(round(T / dt))
     times = [0.0]
     snaps = [vals.copy()]
     mult = _linear_multiplier(params, grids, dt)
@@ -212,11 +220,8 @@ def solve(
         snaps.append(v.copy())
 
     for k in range(1, n_steps + 1):
-        prev = vals
         try:
-            vals = exact_flow(params, prev, 0.5 * dt)
-            vals = np.fft.ifftn(np.fft.fftn(vals) * mult)
-            vals = exact_flow(params, vals, 0.5 * dt)
+            vals = _strang(params, vals, mult, dt)
         except BlowUpError as err:
             t_blow = min((k - 1) * dt + err.time, k * dt)
             traj = Trajectory(params, grid, np.array(times), np.array(snaps), dt,
@@ -288,8 +293,6 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = No
     C = 1/2 * sup |d^2_y u| measured spectrally, and fits the decay exponent
     of the remainder on a dyadic ladder (expected >= alpha + 2).
     """
-    from .numerics import loglog_fit
-
     i = traj.index_of_time(t)
     u = traj.snapshot(i)
     alpha = traj.params.alpha
@@ -297,29 +300,23 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = No
     y = y_grid.points
     eta = _dy_at_zero(traj, i)
 
-    lead = np.abs(np.multiply.outer(np.atleast_1d(eta), y)) ** alpha * np.multiply.outer(
-        np.atleast_1d(eta), y
-    )
-    lead = lead.reshape(u.values.shape)
+    linear_part = np.multiply.outer(np.atleast_1d(eta), y).reshape(u.values.shape)
+    lead = np.abs(linear_part) ** alpha * linear_part
     nonlin = np.abs(u.values) ** alpha * u.values
     w_tilde = nonlin - lead
 
     d2 = spectral_derivative(u, order=2, axis=-1)
     bound_c = 0.5 * float(np.max(np.abs(d2.values)))
-    linear_part = np.multiply.outer(np.atleast_1d(eta), y).reshape(u.values.shape)
     w_lin = u.values - linear_part
     j0 = y_grid.zero_index
-    mask = np.zeros_like(y, dtype=bool)
-    mask[:] = True
+    mask = np.ones_like(y, dtype=bool)
     mask[j0] = False
     ratios = np.abs(w_lin[..., mask]) / (bound_c * y[mask] ** 2 + 1e-300)
     bound_max_ratio = float(np.max(ratios))
 
     if y_max is None:
         y_max = y_grid.half_length / 16.0
-    from .ode import _dyadic_ladder
-
-    idx, ys = _dyadic_ladder(y_grid, y_max)
+    idx, ys = dyadic_ladder(y_grid, y_max)
     w_slice = np.abs(w_tilde[..., j0 + idx])
     if w_slice.ndim > 1:
         w_slice = np.max(w_slice, axis=tuple(range(w_slice.ndim - 1)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeMismatch
+from .errors import DegenerateInput, DomainError, SizeMismatch
 
 __all__ = [
     "Grid1D",
@@ -26,11 +26,14 @@ __all__ = [
     "Spectrum",
     "forward_transform",
     "inverse_transform",
+    "laplacian_symbol",
+    "derivative_multiplier",
     "spectral_derivative",
     "TrigInterpolant",
     "trig_interpolate",
     "reflect_y",
     "odd_part",
+    "dyadic_ladder",
 ]
 
 
@@ -178,7 +181,17 @@ def inverse_transform(spectrum: Spectrum) -> GridFunction:
     return GridFunction(grid=spectrum.grid, values=values, allow_nonfinite=True)
 
 
-def _derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
+def laplacian_symbol(grid) -> np.ndarray:
+    """|xi|^2 on a 1D grid or a pair of grids, in FFT order."""
+    grids = _grids_tuple(grid)
+    if len(grids) == 1:
+        return grids[0].wavenumbers ** 2
+    gx, gy = grids
+    return gx.wavenumbers[:, None] ** 2 + gy.wavenumbers[None, :] ** 2
+
+
+def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
+    """(i xi)^order in FFT order; odd orders drop the Nyquist mode."""
     xi = grid.wavenumbers
     mult = (1j * xi) ** order
     if order % 2 == 1:
@@ -196,7 +209,7 @@ def spectral_derivative(u: GridFunction, order: int = 1, axis: int = -1) -> Grid
     coeffs = np.fft.fft(u.values, axis=axis)
     shape = [1] * len(grids)
     shape[axis] = g.n_points
-    coeffs *= _derivative_multiplier(g, order).reshape(shape)
+    coeffs *= derivative_multiplier(g, order).reshape(shape)
     values = np.fft.ifft(coeffs, axis=axis)
     return GridFunction(grid=u.grid, values=values, allow_nonfinite=True)
 
@@ -243,3 +256,22 @@ def reflect_y(values: np.ndarray) -> np.ndarray:
 
 def odd_part(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values - reflect_y(values))
+
+
+def dyadic_ladder(grid: Grid1D, y_max: float, min_points: int = 4):
+    """Grid-aligned dyadic offsets y_k = y_max * 2^-k with y_k >= 4*spacing."""
+    spacing = grid.spacing
+    j0 = grid.zero_index
+    idx, ys = [], []
+    y_k = y_max
+    while y_k >= 4.0 * spacing - 1e-12 * spacing:
+        j = int(round(y_k / spacing))
+        if j >= 1 and j0 + j < grid.n_points and (not idx or j != idx[-1]):
+            idx.append(j)
+            ys.append(j * spacing)
+        y_k *= 0.5
+    if len(idx) < min_points:
+        raise DegenerateInput(
+            f"dyadic ladder from y_max={y_max} has {len(idx)} usable points (< {min_points})"
+        )
+    return np.array(idx), np.array(ys)

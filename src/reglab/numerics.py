@@ -1,4 +1,4 @@
-"""Scalar numeric services: adaptive quadrature, Gaussian moments, log-log fits.
+"""Scalar numeric services: quadrature, time stepping, Gaussian moments, log-log fits.
 
 The quadrature is a Gauss-Kronrod 7-15 pair with deterministic recursive
 bisection; complex-valued integrands are supported directly.  The depth cap
@@ -13,11 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError, NonConvergence
+from .errors import DegenerateInput, DomainError, NonConvergence, StepSizeError
 
 __all__ = [
     "RegressionFit",
     "adaptive_quadrature",
+    "trapezoid_weights",
+    "central_difference",
+    "step_count",
     "gamma_fn",
     "gaussian_moment",
     "loglog_fit",
@@ -101,6 +104,33 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
         stack.append((mid, hi, 0.5 * tol, depth + 1))
         stack.append((lo, mid, 0.5 * tol, depth + 1))
     return total
+
+
+def trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """Weights w with sum(w * f(times)) the trapezoid integral over ``times``."""
+    weights = np.zeros(len(times))
+    dtimes = np.diff(times)
+    weights[:-1] += 0.5 * dtimes
+    weights[1:] += 0.5 * dtimes
+    return weights
+
+
+def central_difference(func, y: np.ndarray, step: float = 1e-3) -> np.ndarray:
+    """Fourth-order central difference of a callable along y."""
+    return (
+        -func(y + 2 * step) + 8.0 * func(y + step)
+        - 8.0 * func(y - step) + func(y - 2 * step)
+    ) / (12.0 * step)
+
+
+def step_count(T: float, dt: float) -> int:
+    """Steps of size dt that reach T; :class:`StepSizeError` unless T/dt is
+    within 1e-9*n of a positive integer n (a horizon is never rounded)."""
+    ratio = T / dt
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * n:
+        raise StepSizeError(f"T = {T} is not a positive integer multiple of dt = {dt}")
+    return n
 
 
 def gamma_fn(x: float) -> float:

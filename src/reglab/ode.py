@@ -26,8 +26,8 @@ from .errors import (
     DomainError,
     StepSizeError,
 )
-from .grids import Grid1D
-from .numerics import RegressionFit, loglog_fit
+from .grids import Grid1D, dyadic_ladder
+from .numerics import RegressionFit, central_difference, loglog_fit, step_count
 
 __all__ = [
     "NonlinearityParams",
@@ -154,14 +154,6 @@ def _conj_factor(w: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def _fd_derivative(func, y: np.ndarray, step: float = 1e-3) -> np.ndarray:
-    """Fourth-order central difference of a callable along y."""
-    return (
-        -func(y + 2 * step) + 8.0 * func(y + step)
-        - 8.0 * func(y - step) + func(y - 2 * step)
-    ) / (12.0 * step)
-
-
 @dataclass
 class OdeRun:
     """Space-indexed family of scalar ODE solutions plus the derivative track.
@@ -215,11 +207,13 @@ def integrate_perturbed(
     be None for the unforced problem.  Analytic derivatives ``phi0_prime``
     and ``h_y`` are used when given, otherwise fourth-order central
     differences of the callables.  The y = 0 column of w is pinned to zero.
+    T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
     """
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
     if not (0 < dt <= 1e-3 * T):
         raise StepSizeError(f"require 0 < dt <= 1e-3*T = {1e-3 * T:.3g}, got {dt}")
+    n_steps = step_count(T, dt)
 
     y = grid.points
     j0 = grid.zero_index
@@ -233,7 +227,7 @@ def integrate_perturbed(
     if phi0_prime is not None:
         v = np.asarray(phi0_prime(y), dtype=np.complex128).copy()
     else:
-        v = _fd_derivative(phi0, y).astype(np.complex128)
+        v = central_difference(phi0, y).astype(np.complex128)
     z0 = complex(v[j0])
 
     if h_forcing is not None:
@@ -252,7 +246,7 @@ def integrate_perturbed(
             return 0.0
         if h_y is not None:
             return np.asarray(h_y(t, y), dtype=np.complex128)
-        return _fd_derivative(lambda q: np.asarray(h_forcing(t, q)), y)
+        return central_difference(lambda q: np.asarray(h_forcing(t, q)), y)
 
     half = 0.5 * alpha + 1.0  # (alpha + 2)/2
 
@@ -273,7 +267,6 @@ def integrate_perturbed(
         vn = vc + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         return wn, vn
 
-    n_steps = int(round(T / dt))
     times = dt * np.arange(n_steps + 1)
     ws = np.empty((n_steps + 1, y.size), dtype=np.complex128)
     vs = np.empty_like(ws)
@@ -355,7 +348,7 @@ def representation_check(run: OdeRun, factor: IntegratingFactor) -> float:
                           for t in run.times])
         else:
             f = np.stack([
-                _fd_derivative(lambda q: np.asarray(run.h_forcing(t, q)), y)
+                central_difference(lambda q: np.asarray(run.h_forcing(t, q)), y)
                 for t in run.times
             ]).astype(np.complex128)
 
@@ -364,25 +357,6 @@ def representation_check(run: OdeRun, factor: IntegratingFactor) -> float:
     inner = _cumtrapz(np.exp(-factor.A) * g, run.times)
     model = expA * run.v[0][None, :] + expA * inner
     return float(np.max(np.abs(run.v - model)))
-
-
-def _dyadic_ladder(grid: Grid1D, y_max: float, min_points: int = 4):
-    """Grid-aligned dyadic offsets y_k = y_max * 2^-k with y_k >= 4*spacing."""
-    spacing = grid.spacing
-    j0 = grid.zero_index
-    idx, ys = [], []
-    y_k = y_max
-    while y_k >= 4.0 * spacing - 1e-12 * spacing:
-        j = int(round(y_k / spacing))
-        if j >= 1 and j0 + j < grid.n_points and (not idx or j != idx[-1]):
-            idx.append(j)
-            ys.append(j * spacing)
-        y_k *= 0.5
-    if len(idx) < min_points:
-        raise DegenerateInput(
-            f"dyadic ladder from y_max={y_max} has {len(idx)} usable points (< {min_points})"
-        )
-    return np.array(idx), np.array(ys)
 
 
 @dataclass
@@ -415,7 +389,7 @@ def holder_defect(run: OdeRun, t: float, exponents, y_max: float = 0.5) -> Holde
         raise DomainError("exponents must lie in (0, 1]")
 
     j0 = run.grid.zero_index
-    idx, ys = _dyadic_ladder(run.grid, y_max)
+    idx, ys = dyadic_ladder(run.grid, y_max)
     q = np.abs(run.v[it, j0 + idx] - run.v[it, j0])
     increment_fit = loglog_fit(ys, q)
     fits = {e: loglog_fit(ys, q / ys**e) for e in exponents}

@@ -34,7 +34,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, IoError, VersionError
+from .errors import DomainError, FormatError, IoError, VersionError
 from .evolution import SCHEME_STRANG, Trajectory
 from .grids import Grid1D
 from .ode import NonlinearityParams, OdeRun
@@ -69,10 +69,6 @@ def _atomic_write(path: str, payload: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise IoError(f"cannot write {path}: {err}") from err
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
 
 
 def _header_and_payload(obj) -> tuple[bytes, dict]:
@@ -138,7 +134,8 @@ def save_trajectory(obj, path) -> None:
     path = os.fspath(path)
     payload, meta = _header_and_payload(obj)
     _atomic_write(path, payload)
-    _atomic_write_text(path + ".json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path + ".json",
+                  (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 class _Reader:
@@ -159,7 +156,9 @@ class _Reader:
 
 
 def load_trajectory(path):
-    """Load a file written by :func:`save_trajectory` (bit-exact round trip)."""
+    """Load a file written by :func:`save_trajectory` (bit-exact round trip).
+
+    Raises FormatError or VersionError on a corrupt file, IoError if unreadable."""
     path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
@@ -179,24 +178,32 @@ def load_trajectory(path):
     kind, ndim, n_channels = r.unpack("<III", "dimensions")
     if ndim not in (1, 2):
         raise FormatError(f"invalid ndim {ndim}", offset=r.offset)
+    if (kind, n_channels) not in ((_KIND_TRAJECTORY, 1), (_KIND_ODE_RUN, 2)) \
+            or (kind == _KIND_ODE_RUN and ndim != 1):
+        raise FormatError(
+            f"inconsistent kind {kind}, ndim {ndim}, n_channels {n_channels}", offset=8
+        )
     n_points = r.unpack(f"<{ndim}I", "grid sizes")
     half_len = r.unpack(f"<{ndim}d", "grid lengths")
     dt, alpha, lam_re, lam_im, theta = r.unpack("<5d", "parameters")
     scheme_code, flags = r.unpack("<II", "scheme/flags")
+    if scheme_code not in _SCHEMES_INV:
+        raise FormatError(f"unknown scheme code {scheme_code}", offset=r.offset - 8)
     blowup, z0_re, z0_im = r.unpack("<3d", "blow-up/z0")
     (n_times,) = r.unpack("<Q", "n_times")
+    try:
+        grids = tuple(Grid1D(int(n), float(L)) for n, L in zip(n_points, half_len))
+        params = NonlinearityParams(alpha=alpha, lam=complex(lam_re, lam_im), theta=theta)
+    except DomainError as err:
+        raise FormatError(f"invalid header: {err}", offset=20) from None
 
     times = np.frombuffer(r.take(8 * n_times, "times"), dtype="<f8").copy()
-    space = int(np.prod(n_points))
-    count = n_times * n_channels * space
+    count = n_times * n_channels * math.prod(n_points)
     snaps = np.frombuffer(
         r.take(16 * count, "snapshots"), dtype="<c16"
     ).copy().reshape(n_times, n_channels, *n_points)
     if r.offset != len(blob):
         raise FormatError("trailing bytes after snapshots", offset=r.offset)
-
-    grids = tuple(Grid1D(int(n), float(L)) for n, L in zip(n_points, half_len))
-    params = NonlinearityParams(alpha=alpha, lam=complex(lam_re, lam_im), theta=theta)
 
     if kind == _KIND_TRAJECTORY:
         return Trajectory(
@@ -205,24 +212,22 @@ def load_trajectory(path):
             times=times,
             values=snaps[:, 0, ...],
             dt=dt,
-            scheme=_SCHEMES_INV.get(scheme_code, SCHEME_STRANG),
+            scheme=_SCHEMES_INV[scheme_code],
             blowup_time=None if math.isnan(blowup) else blowup,
             odd_projection=bool(flags & _FLAG_ODD_PROJECTION),
         )
-    if kind == _KIND_ODE_RUN:
-        return OdeRun(
-            params=params,
-            grid=grids[0],
-            times=times,
-            w=snaps[:, 0, ...],
-            v=snaps[:, 1, ...],
-            z0=complex(z0_re, z0_im),
-            phi0=None,
-            h_forcing=None,
-            dt=dt,
-            had_forcing=bool(flags & _FLAG_FORCING),
-        )
-    raise FormatError(f"unknown kind {kind}", offset=8)
+    return OdeRun(
+        params=params,
+        grid=grids[0],
+        times=times,
+        w=snaps[:, 0, ...],
+        v=snaps[:, 1, ...],
+        z0=complex(z0_re, z0_im),
+        phi0=None,
+        h_forcing=None,
+        dt=dt,
+        had_forcing=bool(flags & _FLAG_FORCING),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +261,13 @@ def write_report(report: dict, out_dir, name: str) -> str:
     validate_report(report)
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(os.fspath(out_dir), f"{name}.json")
-    _atomic_write_text(
-        json_path,
-        json.dumps(report, indent=2, sort_keys=True, separators=(",", ": ")) + "\n",
-    )
+    text = json.dumps(report, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+    _atomic_write(json_path, text.encode("utf-8"))
     for table_name, table in report.get("tables", {}).items():
         rows = [",".join(str(c) for c in table["columns"])]
         for row in table["rows"]:
             rows.append(",".join(repr(c) if isinstance(c, float) else str(c)
                                  for c in row))
         csv_path = os.path.join(os.fspath(out_dir), f"{name}.{table_name}.csv")
-        _atomic_write_text(csv_path, "\n".join(rows) + "\n")
+        _atomic_write(csv_path, ("\n".join(rows) + "\n").encode("utf-8"))
     return json_path

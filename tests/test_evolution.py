@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reglab.errors import BlowUpError, DomainError, ResolutionError
+from reglab.errors import BlowUpError, DomainError, ResolutionError, StepSizeError
 from reglab.evolution import (
     eta_track,
     make_odd_bump,
@@ -114,6 +114,27 @@ class TestStep:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("lam, theta", [
+        (1.0, 0.0), (1.0, np.pi / 4), (1j, np.pi / 2),
+    ], ids=["heat", "cgl", "nls"])
+    def test_solve_is_repeated_step(self, lam, theta):
+        params = heat_params(alpha=0.5, lam=lam, theta=theta)
+        g = Grid1D(256, 4.0)
+        bump = make_odd_bump(1, 16.0, 2.0)
+        dt, n = 2e-5, 20
+        traj = solve(params, bump, g, T=n * dt, dt=dt, odd_projection=False)
+        u = sample_initial_data(bump, g)
+        for _ in range(n):
+            u = step(params, u, dt)
+        assert traj.values[-1].tobytes() == u.values.tobytes()
+
+    def test_non_integral_horizon_rejected(self):
+        params = heat_params()
+        g = Grid1D(256, 4.0)
+        bump = make_odd_bump(1, 1.0, 1.0)
+        with pytest.raises(StepSizeError):
+            solve(params, bump, g, T=1.04e-3, dt=1e-4)
+
     def test_linear_heat_matches_exact(self):
         params = heat_params(lam=0.0)
         g = Grid1D(512, 4.0)

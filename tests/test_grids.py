@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from reglab.errors import DomainError, SizeMismatch
+from reglab.errors import DegenerateInput, DomainError, SizeMismatch
 from reglab.grids import (
     Grid1D,
     GridFunction,
+    derivative_multiplier,
+    dyadic_ladder,
     forward_transform,
     inverse_transform,
+    laplacian_symbol,
     odd_part,
     reflect_y,
     spectral_derivative,
@@ -158,3 +161,27 @@ class TestSpectralOps:
         # x = -L is its own reflection pair on the torus, so skip index 0
         assert np.max(np.abs(odd[1:] - x[1:] ** 3)) <= 1e-14
         assert odd[0] == 0.0
+
+
+class TestSharedHelpers:
+    def test_laplacian_symbol_1d_and_2d(self):
+        gx, gy = Grid1D(8, 1.0), Grid1D(16, 2.0)
+        assert np.array_equal(laplacian_symbol(gy), gy.wavenumbers**2)
+        assert np.array_equal(laplacian_symbol((gy,)), gy.wavenumbers**2)
+        sym = laplacian_symbol((gx, gy))
+        assert sym.shape == (8, 16)
+        assert sym[3, 5] == gx.wavenumbers[3] ** 2 + gy.wavenumbers[5] ** 2
+
+    def test_derivative_multiplier_drops_odd_nyquist(self):
+        g = Grid1D(16, 1.0)
+        assert derivative_multiplier(g, 5)[8] == 0.0
+        assert derivative_multiplier(g, 2)[8] == -g.wavenumbers[8] ** 2
+        assert derivative_multiplier(g, 3)[1] == (1j * g.wavenumbers[1]) ** 3
+
+    def test_dyadic_ladder_is_grid_aligned_and_halving(self):
+        g = Grid1D(1024, 4.0)
+        idx, ys = dyadic_ladder(g, 0.5)
+        assert np.array_equal(ys, idx * g.spacing)
+        assert np.array_equal(idx, [64, 32, 16, 8, 4])
+        with pytest.raises(DegenerateInput):
+            dyadic_ladder(g, 0.05)

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from reglab.errors import DegenerateInput, DomainError, NonConvergence
-from reglab.numerics import adaptive_quadrature, gamma_fn, gaussian_moment, loglog_fit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reglab.errors import DegenerateInput, DomainError, NonConvergence, StepSizeError
+from reglab.numerics import (
+    adaptive_quadrature,
+    central_difference,
+    gamma_fn,
+    gaussian_moment,
+    loglog_fit,
+    step_count,
+    trapezoid_weights,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -140,3 +151,44 @@ class TestLoglogFit:
         fit = loglog_fit([1.0, 2.0, 4.0], [3.0, 3.0, 3.0])
         assert abs(fit.slope) <= 1e-14
         assert fit.r_squared == 1.0
+
+
+class TestTimeStepping:
+    @settings(deadline=None, database=None)
+    @given(
+        st.floats(-100.0, 100.0),
+        st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=40),
+        st.floats(-10.0, 10.0),
+        st.floats(-10.0, 10.0),
+    )
+    def test_trapezoid_weights_exact_on_affine(self, t0, steps, a, b):
+        times = t0 + np.concatenate([[0.0], np.cumsum(steps)])
+        weights = trapezoid_weights(times)
+        span = times[-1] - times[0]
+        n = len(times)
+        assert abs(np.sum(weights) - span) <= 1e-13 * n * (np.max(np.abs(times)) + span)
+        exact = a * span + b * (0.5 * span * (times[-1] + times[0]))
+        scale = np.sum(weights * (abs(a) + abs(b) * np.abs(times)))
+        # a subnormal product rounds by up to one absolute ulp, which the
+        # weights then scale
+        underflow = (span + 2 * n) * np.finfo(float).smallest_subnormal
+        assert abs(weights @ (a + b * times) - exact) <= 1e-13 * n * scale + underflow
+
+    def test_central_difference_exact_on_quartics(self):
+        y = np.linspace(-1.0, 1.0, 9)
+        d = central_difference(lambda q: 3.0 * q**4 - q**3 + 2.0, y, step=0.125)
+        assert np.max(np.abs(d - (12.0 * y**3 - 3.0 * y**2))) <= 1e-12
+
+    def test_step_count_integral_ratios(self):
+        assert step_count(0.02, 2e-5) == 1000
+        assert step_count(0.02, 2.5e-5) == 800
+        assert step_count(4e-4, 2e-5) == 20
+        assert step_count(1.0, 1.0) == 1
+
+    @pytest.mark.parametrize("T, dt", [
+        (1.04e-3, 1e-4), (0.01, 3e-4), (1e-5, 1e-4), (float("inf"), 1e-3),
+        (float("nan"), 1e-3),
+    ])
+    def test_step_count_rejects_non_integral(self, T, dt):
+        with pytest.raises(StepSizeError):
+            step_count(T, dt)

@@ -200,6 +200,13 @@ class TestIntegratePerturbed:
             integrate_perturbed(params, lambda y: y.astype(complex), None,
                                 T=0.1, grid=self.grid(64), dt=1e-3)
 
+    def test_non_integral_horizon_rejected(self):
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        with pytest.raises(StepSizeError):
+            integrate_perturbed(params, lambda y: y.astype(complex), None,
+                                T=0.01, grid=self.grid(64), dt=3e-6,
+                                monitor_error=False)
+
     def test_zero_column_pinned(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         grid = self.grid(64)

@@ -3,11 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reglab.errors import FormatError, IoError, VersionError
 from reglab.evolution import Trajectory, make_odd_bump, solve
 from reglab.grids import Grid1D
-from reglab.ode import NonlinearityParams, integrate_perturbed
+from reglab.ode import NonlinearityParams, OdeRun, integrate_perturbed
 from reglab.trajio import (
     FORMAT_VERSION,
     load_trajectory,
@@ -35,6 +37,30 @@ def make_ode_run():
         phi0_prime=lambda y: np.ones_like(y, dtype=complex),
         monitor_error=False,
     )
+
+
+def tiny_files():
+    """A small 1D and 2D trajectory and an ODE run, each with its ndim."""
+    params = NonlinearityParams(alpha=0.5, lam=1.0 - 0.5j, theta=0.3)
+    rng = np.random.default_rng(5)
+    g8, g16 = Grid1D(8, 1.0), Grid1D(16, 2.0)
+    traj_1d = Trajectory(params, g8, np.array([0.0, 0.1, 0.2]),
+                         rng.standard_normal((3, 8)) + 0j, dt=0.1)
+    traj_2d = Trajectory(params, (g8, g16), np.array([0.0, 0.1]),
+                         rng.standard_normal((2, 8, 16)) + 0j, dt=0.1,
+                         blowup_time=0.15)
+    run = OdeRun(params, g8, np.array([0.0, 0.1]), rng.standard_normal((2, 8)) + 0j,
+                 rng.standard_normal((2, 8)) + 0j, z0=1.0, dt=0.1)
+    return [(traj_1d, 1), (traj_2d, 2), (run, 1)]
+
+
+def header_length(ndim):
+    return 20 + 12 * ndim + 40 + 8 + 24 + 8
+
+
+def header_offset(ndim, field):
+    """Byte offset of a header field after the per-axis grid block."""
+    return 20 + 12 * ndim + {"alpha": 8, "scheme": 40}[field]
 
 
 class TestRoundTrip:
@@ -151,6 +177,44 @@ class TestCorruption:
         with pytest.raises(FormatError) as err:
             load_trajectory(path)
         assert "snapshots" in str(err.value)
+
+    @pytest.mark.parametrize("which, at, patch", [
+        (0, header_offset(1, "alpha"), struct.pack("<d", 5.0)),
+        (0, 8, struct.pack("<I", 1)),  # an ODE-run kind over one channel
+        (1, 20, struct.pack("<2I", 2**32 - 1, 2**32 - 1)),
+        (0, header_offset(1, "scheme"), struct.pack("<I", 7)),
+    ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_2d_grid", "unknown_scheme"])
+    def test_bad_header_field_is_format_error(self, tmp_path, which, at, patch):
+        path = tmp_path / "run.rglb"
+        save_trajectory(tiny_files()[which][0], path)
+        blob = bytearray(path.read_bytes())
+        blob[at:at + len(patch)] = patch
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["traj_1d", "traj_2d", "ode_run"])
+    @settings(deadline=None, database=None, max_examples=500,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_header_corruption_fuzz(self, tmp_path, which, data):
+        # a changed byte or a truncation anywhere in the header either loads
+        # or raises one of the documented errors
+        obj, ndim = tiny_files()[which]
+        path = tmp_path / "fuzz.rglb"
+        save_trajectory(obj, path)
+        blob = bytearray(path.read_bytes())
+        n_header = header_length(ndim)
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, n_header), label="length")]
+        else:
+            at = data.draw(st.integers(0, n_header - 1), label="position")
+            blob[at] = data.draw(st.integers(0, 255), label="value")
+        path.write_bytes(bytes(blob))
+        try:
+            load_trajectory(path)
+        except (FormatError, VersionError, IoError):
+            pass
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
