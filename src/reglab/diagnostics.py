@@ -195,7 +195,6 @@ class DuhamelProbe:
     traj: Trajectory
     t: float
     tau_ladder: np.ndarray
-    x_prime_window: float = 0.0
 
     def __post_init__(self):
         self.tau_ladder = np.asarray(self.tau_ladder, dtype=float)
@@ -481,10 +480,6 @@ class ScalingVerdict:
     verdict: str       # "applies" | "does not apply" | "inconclusive"
     scaling_gap: float  # N - 2s - 4/alpha, positive iff exponent negative
     dimension_condition: bool  # N > 11 + 4/alpha
-
-    @property
-    def mechanism_applies(self) -> bool:
-        return self.verdict == "applies"
 
 
 def illposedness_exponent_report(alpha: float, N: int, s: float) -> ScalingVerdict:

@@ -1,15 +1,31 @@
 import json
+import re
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reglab.cli import ExperimentConfig, build_config, main, make_parser
+from reglab.cli import EXPERIMENTS, ExperimentConfig, build_config, main, make_parser
 from reglab.errors import ConfigError
 from reglab.trajio import load_trajectory, validate_report
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(args):
     return main(args)
+
+
+def readme_commands():
+    """The ``reglab ...`` lines of README's "Command line" block, joined at
+    backslash continuations."""
+    text = README.read_text()
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("reglab ")]
 
 
 class TestConfigHandling:
@@ -55,6 +71,26 @@ class TestConfigHandling:
         args = make_parser().parse_args(["--config", str(cfg_file)])
         with pytest.raises(ConfigError):
             build_config(args)
+
+    def test_one_flag_per_config_field(self):
+        dests = {a.dest for a in make_parser()._actions} - {"help"}
+        assert dests == {f.name for f in fields(ExperimentConfig)} | {"config"}
+        assert len(fields(ExperimentConfig)) == 17
+
+    def test_config_value_takes_field_type(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("experiment = verify-kernel\ngrid_n = 1e3\n")
+        args = make_parser().parse_args(["--config", str(cfg_file)])
+        with pytest.raises(ConfigError, match="grid_n"):
+            build_config(args)
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[2])
+    def test_readme_command_parses_and_validates(self, argv):
+        cfg = build_config(make_parser().parse_args(argv[1:]))
+        assert cfg.experiment == argv[2]
+
+    def test_readme_lists_every_experiment(self):
+        assert sorted(argv[2] for argv in readme_commands()) == sorted(EXPERIMENTS)
 
     def test_validation_catches_bad_grid(self):
         cfg = ExperimentConfig(experiment="verify-kernel", grid_n=100)
@@ -145,6 +181,30 @@ class TestExperiments:
         byname = {c["name"]: c for c in report["checks"]}
         assert byname["defect_exponent_unforced"]["passed"]
         assert byname["linear_control_exponent"]["passed"]
+
+    def test_ode_defect_alpha_above_one(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli([
+            "--experiment", "ode-defect", "--alpha", "1.5",
+            "--grid-n", "512", "--t-final", "0.05", "--dt", "5e-5",
+            "--out-dir", str(out),
+        ])
+        assert code == 0
+        report = json.loads((out / "ode-defect.json").read_text())
+        byname = {c["name"]: c for c in report["checks"]}
+        for name in ("defect_exponent_unforced", "defect_exponent_smooth_forcing"):
+            assert abs(byname[name]["measured"] - 1.5) <= 0.05
+
+    def test_ode_defect_coarse_step_exits_2_and_writes_nothing(self, tmp_path):
+        # the RK4 track needs dt <= t_final/1000; a coarser dt is rejected,
+        # never replaced by a finer one behind the report's back
+        out = tmp_path / "out"
+        code = run_cli([
+            "--experiment", "ode-defect", "--grid-n", "256", "--dt", "1e-4",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
 
     def test_inequality_suite(self, tmp_path):
         out = tmp_path / "out"

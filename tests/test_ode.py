@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reglab.errors import BlowUpError, DegenerateInput, DomainError, StepSizeError
 from reglab.grids import Grid1D
 from reglab.ode import (
     NonlinearityParams,
     exact_first_derivative,
+    exact_flow,
     exact_second_derivative,
     exact_solution,
     holder_defect,
@@ -109,6 +112,29 @@ class TestExactSolution:
     def test_zero_initial_value(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         assert exact_solution(params, 0.0, 3.0) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 1.95),
+        lam_re=st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)),
+        lam_im=st.floats(-2.0, 2.0),
+        values=st.lists(st.complex_numbers(min_magnitude=1e-6, max_magnitude=10.0),
+                        min_size=1, max_size=8),
+        s_frac=st.floats(0.0, 0.45),
+        t_frac=st.floats(0.0, 0.45),
+    )
+    def test_semigroup_law(self, alpha, lam_re, lam_im, values, s_frac, t_frac):
+        # flow(flow(v, s), t) == flow(v, s + t); for Re lam > 0 both times are
+        # fractions of the blow-up time 1/(alpha Re lam max|v|^alpha), so
+        # s + t stays below it
+        params = NonlinearityParams(alpha=alpha, lam=complex(lam_re, lam_im))
+        v = np.array(values, dtype=complex)
+        horizon = 1.0
+        if lam_re > 0:
+            horizon = 1.0 / (alpha * lam_re * np.max(np.abs(v)) ** alpha)
+        s, t = s_frac * horizon, t_frac * horizon
+        composed = exact_flow(params, exact_flow(params, v, s), t)
+        np.testing.assert_allclose(composed, exact_flow(params, v, s + t), rtol=1e-10)
 
 
 class TestExactDerivatives:
