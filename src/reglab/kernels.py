@@ -55,10 +55,13 @@ class KernelProbe:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if self.m < 0:
             raise DomainError(f"growth exponent m must be >= 0, got {self.m}")
-        # sampling sanity check of the declared growth bound
-        base = max(1.0, float(np.max(np.abs(_eval(self.psi, [-1.0, 1.0])))))
-        for radius in (10.0, 100.0):
-            peak = float(np.max(np.abs(_eval(self.psi, [-radius, radius]))))
+        # sampling sanity check of the declared growth bound, in one call of psi
+        radii = (1.0, 10.0, 100.0)
+        points = np.outer(radii, [-1.0, 1.0]).ravel()
+        vals = np.broadcast_to(_eval(self.psi, points), points.shape)
+        peaks = np.max(np.abs(vals).reshape(len(radii), 2), axis=1)
+        base = max(1.0, float(peaks[0]))
+        for radius, peak in zip(radii[1:], peaks[1:]):
             if peak > _GROWTH_SLACK * base * (1.0 + radius**self.m):
                 raise DomainError(
                     f"psi violates declared growth bound m={self.m} at |x|={radius}"

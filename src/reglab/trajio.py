@@ -21,16 +21,18 @@ File layout (all little-endian):
 
 Snapshot payloads are written with numpy's little-endian complex128 codec,
 so a save/load round trip is bit-exact.  A JSON sidecar (<path>.json)
-duplicates the metadata for humans.  Writes are atomic
-(write-temp-then-rename).
+duplicates the metadata for humans.  Writes are atomic: a uniquely named
+temp file in the target's directory is fsynced, then renamed over it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -60,14 +62,21 @@ _FLAG_FORCING = 4
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = None
     try:
-        with open(tmp, "wb") as fh:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".tmp.",
+                                   dir=os.path.dirname(path) or ".")
+        with os.fdopen(fd, "wb") as fh:
+            os.umask(umask := os.umask(0o022))  # read the umask
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give, not 0600
             fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as err:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise IoError(f"cannot write {path}: {err}") from err
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reglab.errors import DegenerateInput, DomainError, SizeMismatch
 from reglab.grids import (
     Grid1D,
     GridFunction,
+    TrigInterpolant,
     derivative_multiplier,
     dyadic_ladder,
     forward_transform,
@@ -15,6 +18,22 @@ from reglab.grids import (
     spectral_derivative,
     trig_interpolate,
 )
+
+
+def dense_interpolant(u, points):
+    """Reference: the full exp(i x xi_k) basis, one column per mode.
+
+    The Nyquist column is cos(xi_{n/2} x), as in :class:`TrigInterpolant`.
+    Points are reduced into (-2L, 2L) first; fmod is exact and the sum is
+    2L-periodic, so this is the same function, while at |x| ~ 100 L the
+    rounding of x * xi_k alone would move the basis by ~1e-12.
+    """
+    g = u.grids[0]
+    flat = np.fmod(np.asarray(points, dtype=np.float64).reshape(-1), 2.0 * g.half_length)
+    basis = np.exp(1j * np.outer(flat, g.wavenumbers))
+    nyquist = g.n_points // 2
+    basis[:, nyquist] = np.cos(np.pi * nyquist / g.half_length * flat)
+    return basis @ forward_transform(u).coefficients
 
 
 class TestGrid1D:
@@ -103,6 +122,21 @@ class TestTransforms:
         back = inverse_transform(forward_transform(u))
         assert np.max(np.abs(back.values - vals)) <= 1e-12 * np.max(np.abs(vals))
 
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(
+        log_sizes=st.lists(st.integers(3, 8), min_size=1, max_size=2),
+        half_length=st.floats(0.25, 16.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, log_sizes, half_length, seed):
+        rng = np.random.default_rng(seed)
+        grids = tuple(Grid1D(2**k, half_length) for k in log_sizes)
+        shape = tuple(g.n_points for g in grids)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = GridFunction(grids if len(grids) == 2 else grids[0], vals)
+        back = inverse_transform(forward_transform(u))
+        assert np.max(np.abs(back.values - vals)) <= 1e-13 * np.max(np.abs(vals))
+
     def test_coefficient_bounds(self):
         g = Grid1D(8, 1.0)
         s = forward_transform(GridFunction(g, np.ones(8)))
@@ -146,6 +180,41 @@ class TestSpectralOps:
         a = trig_interpolate(u, np.array([0.3]))
         b = trig_interpolate(u, np.array([0.3 + 2.0]))
         assert abs(a - b) <= 1e-12
+
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(
+        log_n=st.integers(3, 11),
+        half_length=st.floats(0.5, 8.0),
+        batch=st.sampled_from([1, 15, 1024]),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_interpolant_matches_dense_basis(self, log_n, half_length, batch, real, seed):
+        rng = np.random.default_rng(seed)
+        g = Grid1D(2**log_n, half_length)
+        vals = rng.standard_normal(g.n_points)
+        if not real:
+            vals = vals + 1j * rng.standard_normal(g.n_points)
+        u = GridFunction(g, vals)
+        interp = TrigInterpolant(u)
+        # off the nodes: a node plus a fraction of the spacing, |x| <= 100 L
+        nodes = rng.integers(-100 * g.n_points // 2, 100 * g.n_points // 2, batch)
+        pts = (nodes + rng.uniform(0.01, 0.99, batch)) * g.spacing
+        out = interp(pts)
+        size = np.sum(np.abs(interp.coefficients))
+        assert out.shape == pts.shape
+        assert np.max(np.abs(out - dense_interpolant(u, pts))) <= 1e-12 * size
+        if real:
+            assert np.max(np.abs(out.imag)) <= 1e-13 * size
+
+    def test_interpolant_keeps_point_shape(self):
+        g = Grid1D(16, 1.0)
+        u = GridFunction(g, np.sin(np.pi * g.points))
+        pts = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+        out = TrigInterpolant(u)(pts)
+        assert out.shape == (3, 4)
+        assert np.max(np.abs(out - np.sin(np.pi * pts))) <= 1e-13
+        assert np.shape(TrigInterpolant(u)(0.25)) == ()
 
     def test_reflect_and_odd_part(self):
         g = Grid1D(16, 1.0)

@@ -42,6 +42,26 @@ class TestKernelProbe:
             KernelProbe(psi=lambda y: y**4, sigma=1.0, m=0.0)
         KernelProbe(psi=lambda y: y**4, sigma=1.0, m=4.0)
 
+    def test_growth_breach_only_at_largest_radius(self):
+        psi = lambda y: np.where(np.abs(y) > 50.0, 1e9, 1.0)
+        with pytest.raises(DomainError, match=r"\|x\|=100\.0"):
+            KernelProbe(psi=psi, sigma=1.0, m=0.0)
+        steep = lambda y: y**4
+        with pytest.raises(DomainError, match=r"m=1\.0 at \|x\|=10\.0"):
+            KernelProbe(psi=steep, sigma=1.0, m=1.0)
+
+    def test_growth_check_calls_psi_once(self):
+        calls = []
+
+        def psi(y):
+            calls.append(np.array(y))
+            return y
+
+        KernelProbe(psi=psi, sigma=1.0, m=1.0)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == [-100.0, -10.0, -1.0, 1.0, 10.0, 100.0]
+        KernelProbe(psi=lambda y: 2.0, sigma=1.0, m=0.0)  # constant psi still works
+
 
 class TestGaussianSmooth:
     def test_unit_mass(self):

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from reglab.errors import DegenerateInput, DomainError, NonConvergence, StepSizeError
 from reglab.numerics import (
+    _GAUSS_W,
+    _KRONROD_W,
+    _NODES,
+    _eval_vector,
     adaptive_quadrature,
     central_difference,
     gamma_fn,
@@ -18,6 +22,57 @@ from reglab.numerics import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def depth_first_gk15(f, a, b, rel_tol=1e-10, max_depth=40):
+    """Reference: recursive depth-first GK15 bisection, one call of f per panel.
+
+    Same panel rule and verdicts as :func:`adaptive_quadrature`; returns the
+    total (accepted panels summed left to right) and the deepest level reached.
+    """
+
+    def panel(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        fx = _eval_vector(f, mid + half * _NODES)
+        kronrod = half * np.sum(_KRONROD_W * fx)
+        return complex(kronrod), abs(kronrod - half * np.sum(_GAUSS_W * fx))
+
+    coarse, _ = panel(a, b)
+    scale = 1.0 + abs(coarse)
+
+    def bisect(lo, hi, tol, depth):
+        value, err = panel(lo, hi)
+        if err <= tol or err <= 1e-16 * scale:
+            return [value], depth
+        if depth >= max_depth:
+            raise NonConvergence(f"unresolved on [{lo}, {hi}] at depth {depth}")
+        mid = 0.5 * (lo + hi)
+        left, d_left = bisect(lo, mid, 0.5 * tol, depth + 1)
+        right, d_right = bisect(mid, hi, 0.5 * tol, depth + 1)
+        return left + right, max(d_left, d_right)
+
+    values, deepest = bisect(a, b, rel_tol * scale, 0)
+    total = 0.0 + 0.0j
+    for value in values:
+        total += value
+    return total, deepest
+
+
+def kinked(y):
+    return np.abs(y) ** 0.5 * y * np.exp(-y**2)
+
+
+REFERENCE_CASES = {
+    "gaussian": (lambda y: np.exp(-y**2), -10.0, 10.0, 1e-12),
+    "constant": (lambda y: 1.0, 0.0, 1.0, 1e-10),
+    "cubed_moment": (lambda y: np.exp(-y**2) * np.abs(y) ** 3, -12.0, 12.0, 1e-12),
+    "complex": (lambda y: np.exp(1j * y), 0.0, np.pi, 1e-12),
+    "scalar_only": (lambda y: math.exp(-y * y), -10.0, 10.0, 1e-10),
+    "power_0.5": (lambda y: np.exp(-y**2) * np.abs(y) ** 0.5, -12.0, 12.0, 1e-10),
+    "power_6.5": (lambda y: np.exp(-y**2) * np.abs(y) ** 6.5, -12.0, 12.0, 1e-10),
+    "kinked_wide": (kinked, -2.0, 5.0, 1e-10),
+    "kinked_offset": (kinked, -1.0, 3.0, 1e-12),
+}
 
 
 class TestAdaptiveQuadrature:
@@ -69,6 +124,50 @@ class TestAdaptiveQuadrature:
             val = adaptive_quadrature(f, -12.0, 12.0, 1e-10)
             expect = gaussian_moment(beta)
             assert abs(val - expect) <= 1e-10 * (1.0 + abs(expect))
+
+
+class TestLevelBatching:
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_matches_depth_first_reference(self, case):
+        f, a, b, tol = REFERENCE_CASES[case]
+        expect, _ = depth_first_gk15(f, a, b, tol)
+        val = adaptive_quadrature(f, a, b, tol)
+        assert abs(val - expect) <= 1e-14 * abs(expect)
+
+    def test_singularity_fails_under_both(self):
+        f = lambda y: np.abs(y) ** -0.999
+        with pytest.raises(NonConvergence):
+            depth_first_gk15(f, 0.0, 1.0, 1e-10, max_depth=25)
+        with pytest.raises(NonConvergence):
+            adaptive_quadrature(f, 0.0, 1.0, 1e-10, max_depth=25)
+
+    def test_one_integrand_call_per_level(self):
+        calls = []
+
+        def gaussian(y):
+            calls.append(y.size)
+            return np.exp(-y**2)
+
+        val = adaptive_quadrature(gaussian, -12.0, 12.0, 1e-12)
+        _, deepest = depth_first_gk15(lambda y: np.exp(-y**2), -12.0, 12.0, 1e-12)
+        assert abs(val - SQRT_PI) <= 1e-12 * SQRT_PI
+        assert deepest >= 3
+        assert len(calls) <= deepest + 1
+        assert sum(calls) % 15 == 0 and sum(calls) > 15 * len(calls)
+
+    def test_never_converging_integrand_stays_bounded(self):
+        # NaN everywhere: no interval is ever accepted, so every level is
+        # full; the work must stay near max_depth batches, not 2^max_depth
+        points = []
+
+        def nowhere(y):
+            points.append(y.size)
+            return np.full(y.shape, np.nan)
+
+        with pytest.raises(NonConvergence):
+            adaptive_quadrature(nowhere, 0.0, 1.0)
+        assert sum(points) <= 41 * 1024 * 15
+        assert max(points) <= 1024 * 15
 
 
 class TestGammaAndMoments:

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -132,6 +133,59 @@ class TestRoundTrip:
         assert meta["n_points"] == [256]
         assert meta["alpha"] == 0.5
         assert meta["format_version"] == FORMAT_VERSION
+
+    @settings(deadline=None, database=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        shape=st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=2),
+        n_times=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_shapes_bit_exact(self, tmp_path, shape, n_times, seed):
+        rng = np.random.default_rng(seed)
+        grids = tuple(Grid1D(n, float(rng.uniform(0.5, 8.0))) for n in shape)
+        values = rng.standard_normal((n_times, *shape)) + 1j * rng.standard_normal((n_times, *shape))
+        times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
+        params = NonlinearityParams(alpha=float(rng.uniform(0.1, 1.9)), lam=1.0 - 0.5j, theta=0.3)
+        traj = Trajectory(params, grids if len(grids) == 2 else grids[0], times, values,
+                          dt=0.01)
+        path = tmp_path / "random.rglb"
+        save_trajectory(traj, path)
+        back = load_trajectory(path)
+        assert back.values.shape == values.shape
+        assert back.values.tobytes() == values.tobytes()
+        assert back.times.tobytes() == times.tobytes()
+        assert back.grids == grids
+        assert back.params == params
+
+    def test_stale_temp_name_does_not_block_save(self, tmp_path):
+        # a directory where the old fixed temp name <path>.tmp.<pid> would go
+        path = tmp_path / "run.rglb"
+        os.mkdir(f"{path}.tmp.{os.getpid()}")
+        traj = make_trajectory()
+        save_trajectory(traj, path)
+        assert load_trajectory(path).values.tobytes() == traj.values.tobytes()
+
+    def test_write_is_fsynced_before_rename(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd))[1])
+        monkeypatch.setattr(os, "replace",
+                            lambda src, dst: (events.append("replace"), real_replace(src, dst))[1])
+        save_trajectory(make_trajectory(), tmp_path / "run.rglb")
+        assert events == ["fsync", "replace"] * 2
+
+    def test_new_files_follow_umask(self, tmp_path):
+        save_trajectory(make_trajectory(), tmp_path / "run.rglb")
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert (tmp_path / "run.rglb").stat().st_mode == plain.stat().st_mode
+
+    def test_failed_write_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            save_trajectory(make_trajectory(), tmp_path / "missing" / "run.rglb")
+        with pytest.raises(IoError):
+            save_trajectory(make_trajectory(), tmp_path)
 
     def test_no_temp_files_left(self, tmp_path):
         save_trajectory(make_trajectory(), tmp_path / "run.rglb")
