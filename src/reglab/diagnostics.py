@@ -14,6 +14,7 @@ infinity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,14 +26,14 @@ from .errors import (
     InsufficientSnapshots,
     ResolutionError,
 )
-from .evolution import Trajectory, eta_track
+from .evolution import Trajectory, dy_at_zero
 from .grids import (
     Grid1D,
     GridFunction,
     TrigInterpolant,
     derivative_multiplier,
-    dyadic_ladder,
     forward_transform,
+    ladder_increments,
     laplacian_symbol,
     spectral_derivative,
     trig_interpolate,
@@ -164,22 +165,12 @@ def third_derivative_holder_scan(
     u = traj.snapshot(i)
     d3 = spectral_derivative(u, order=3, axis=-1).values
     g = traj.y_grid
-    j0 = g.zero_index
     if y_max is None:
         y_max = g.half_length / 16.0
     try:
-        idx, ys = dyadic_ladder(g, y_max)
+        ys, q, increment_fit, window_fits = ladder_increments(g, d3, y_max, beta_list)
     except DegenerateInput as err:
         raise ResolutionError(str(err)) from None
-    q = np.abs(d3[j0 + idx] - d3[j0])
-    increment_fit = loglog_fit(ys, q)
-
-    # seminorm proxy at window scale w: q(w)/w^beta ~ w^(alpha - beta), so a
-    # negative slope for beta > alpha is the discrete divergence signature
-    window_fits = {}
-    for beta in np.atleast_1d(beta_list):
-        beta = float(beta)
-        window_fits[beta] = loglog_fit(ys, q / ys**beta)
     return ScanReport(t=float(traj.times[i]), ys=ys, increments=q,
                       increment_fit=increment_fit, window_fits=window_fits)
 
@@ -208,9 +199,19 @@ class DuhamelProbe:
         self.tau_ladder = np.sort(self.tau_ladder)[::-1].copy()
 
 
-def _snapshot_times_upto(traj: Trajectory, t: float):
+def _snapshots_upto(traj: Trajectory, t: float, gap: float):
+    """Times, snapshots and widest spacing up to t; :class:`InsufficientSnapshots`
+    unless there are at least 2 of them, spaced at most gap/4 apart."""
     i = traj.index_of_time(t)
-    return traj.times[: i + 1], traj.values[: i + 1]
+    times = traj.times[: i + 1]
+    if times.size < 2:
+        raise InsufficientSnapshots("need at least 2 snapshots up to t")
+    max_gap = float(np.max(np.diff(times)))
+    if max_gap > gap / 4.0 + 1e-15:
+        raise InsufficientSnapshots(
+            f"snapshot spacing {max_gap:.3g} exceeds (tau - t)/4 = {gap / 4.0:.3g}"
+        )
+    return times, traj.values[: i + 1], max_gap
 
 
 def duhamel_integral_of_series(times, series, grids, tau: float) -> np.ndarray:
@@ -234,14 +235,7 @@ def duhamel_integral(probe: DuhamelProbe, tau: float | None = None) -> GridFunct
         tau = float(probe.tau_ladder[0])
     if tau <= probe.t:
         raise DomainError("tau must exceed t")
-    times, snaps = _snapshot_times_upto(traj, probe.t)
-    if times.size < 2:
-        raise InsufficientSnapshots("need at least 2 snapshots up to t")
-    max_gap = float(np.max(np.diff(times)))
-    if max_gap > (tau - probe.t) / 4.0 + 1e-15:
-        raise InsufficientSnapshots(
-            f"snapshot spacing {max_gap:.3g} exceeds (tau - t)/4 = {(tau - probe.t) / 4:.3g}"
-        )
+    times, snaps, _ = _snapshots_upto(traj, probe.t, tau - probe.t)
     alpha = traj.params.alpha
     series = np.abs(snaps) ** alpha * snaps
     values = duhamel_integral_of_series(times, series, traj.grids, tau)
@@ -349,24 +343,14 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe, rel_tol: float = 1e-7) ->
     gaps = probe.tau_ladder - probe.t
     if np.max(gaps) / np.min(gaps) < 29.9:
         raise DegenerateInput("tau - t must span at least ~1.5 decades")
-    times, snaps = _snapshot_times_upto(traj, probe.t)
-    max_gap = float(np.max(np.diff(times)))
-    if max_gap > np.min(gaps) / 4.0 + 1e-15:
-        raise InsufficientSnapshots(
-            f"snapshot spacing {max_gap:.3g} exceeds (tau - t)/4 for the smallest gap"
-        )
+    times, snaps, max_gap = _snapshots_upto(traj, probe.t, float(np.min(gaps)))
     alpha = traj.params.alpha
     grid = traj.y_grid
     xi_sq = laplacian_symbol(grid)
     # (i xi)^5 with the (-1)^k phase placing the evaluation point at x = 0
     mult5 = derivative_multiplier(grid, 5) * grid.phase() / grid.n_points
 
-    interpolants = {}
-
-    def interpolant_at(i):
-        if i not in interpolants:
-            interpolants[i] = TrigInterpolant(traj.snapshot(i))
-        return interpolants[i]
+    interpolant_at = functools.cache(lambda i: TrigInterpolant(traj.snapshot(i)))
 
     nonlin_hats = np.stack([np.fft.fft(np.abs(s) ** alpha * s) for s in snaps])
 
@@ -375,7 +359,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe, rel_tol: float = 1e-7) ->
     spectral = []
     for tau, gap in zip(probe.tau_ladder, gaps):
         # subsample so spacing <= gap/4, always keeping the final slice s = t
-        stride = max(1, int(gap / 4.0 / max_gap)) if max_gap > 0 else 1
+        stride = max(1, int(gap / 4.0 / max_gap))
         sub = list(range(0, n_stored - 1, stride)) + [n_stored - 1]
         sub_times = times[sub]
         weights = trapezoid_weights(sub_times)
@@ -397,7 +381,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe, rel_tol: float = 1e-7) ->
     beta_hat, amp_hat = _fit_divergence_law(gaps, mags, probe.t)
     emp_a, emp_A = _fit_empirical_constants(gaps, mags, (2.0 - alpha) / 2.0)
 
-    eta0 = eta_track(traj).eta0
+    eta0 = complex(dy_at_zero(traj, 0))
     predicted = (
         2.0 / (2.0 - alpha) * c_alpha(alpha) * 4.0 ** (alpha / 2.0 - 2.0)
         * abs(eta0) ** (alpha + 1.0)
@@ -444,8 +428,8 @@ class ScalingParams:
     N: int = 1
 
     def __post_init__(self):
-        if not (self.mu >= 1.0):
-            raise DomainError(f"mu must be >= 1, got {self.mu}")
+        if not (self.mu >= 1.0 and float(self.mu).is_integer()):
+            raise DomainError(f"mu must be an integer >= 1, got {self.mu}")
         if not (self.alpha > 0):
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.N < 1:
@@ -453,19 +437,19 @@ class ScalingParams:
 
 
 def scaling_transform(phi: GridFunction, params: ScalingParams) -> GridFunction:
-    """Dilation phi^mu(x) = mu^(2/alpha) phi(mu x), resampled spectrally.
+    """Dilation phi^mu(x) = mu^(2/alpha) phi(mu x) by exact sample lookup.
 
-    For dyadic mu on a power-of-two grid the resampling reduces to exact
-    sample lookups, so the sup-norm factor mu^(2/alpha) is exact to roundoff.
+    For integer mu, mu*x_j is the node x_k with k = mu*j - (mu-1)*n/2, so the
+    sup-norm factor mu^(2/alpha) is exact to roundoff.
     """
     if phi.ndim != 1:
         raise DomainError("scaling_transform expects a 1D grid function")
     g = phi.grids[0]
-    stretched = params.mu * g.points
-    vals = trig_interpolate(phi, stretched)
+    n, mu = g.n_points, int(params.mu)
+    k = mu * np.arange(n) - (mu - 1) * (n // 2)
     # the dilation of a profile supported in the fundamental domain vanishes
     # where mu*x leaves [-L, L); without this cut the torus would tile images
-    vals[(stretched < -g.half_length) | (stretched >= g.half_length)] = 0.0
+    vals = np.where((k >= 0) & (k < n), phi.values[k.clip(0, n - 1)], 0.0)
     return GridFunction(g, params.mu ** (2.0 / params.alpha) * vals)
 
 

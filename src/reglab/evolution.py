@@ -40,6 +40,7 @@ __all__ = [
     "step",
     "solve",
     "eta_track",
+    "dy_at_zero",
     "remainder_decomposition",
 ]
 
@@ -255,7 +256,8 @@ class EtaTrack:
     eta0: complex
 
 
-def _dy_at_zero(traj: Trajectory, i: int):
+def dy_at_zero(traj: Trajectory, i: int):
+    """Spectral d/dy of snapshot i on the y = 0 slice (one value per x' in 2D)."""
     du = spectral_derivative(traj.snapshot(i), order=1, axis=-1)
     j0 = traj.y_grid.zero_index
     return du.values[..., j0]
@@ -263,7 +265,7 @@ def _dy_at_zero(traj: Trajectory, i: int):
 
 def eta_track(traj: Trajectory) -> EtaTrack:
     """Spectral d/dy of every snapshot, restricted to the y = 0 slice."""
-    eta = np.array([_dy_at_zero(traj, i) for i in range(len(traj.times))])
+    eta = np.array([dy_at_zero(traj, i) for i in range(len(traj.times))])
     if eta.ndim == 1:
         eta0 = complex(eta[0])
     else:
@@ -298,7 +300,7 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = No
     alpha = traj.params.alpha
     y_grid = traj.y_grid
     y = y_grid.points
-    eta = _dy_at_zero(traj, i)
+    eta = dy_at_zero(traj, i)
 
     linear_part = np.multiply.outer(np.atleast_1d(eta), y).reshape(u.values.shape)
     lead = np.abs(linear_part) ** alpha * linear_part

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, SizeMismatch
+from .numerics import loglog_fit
 
 __all__ = [
     "Grid1D",
@@ -34,6 +35,7 @@ __all__ = [
     "reflect_y",
     "odd_part",
     "dyadic_ladder",
+    "ladder_increments",
 ]
 
 
@@ -289,3 +291,13 @@ def dyadic_ladder(grid: Grid1D, y_max: float, min_points: int = 4):
             f"dyadic ladder from y_max={y_max} has {len(idx)} usable points (< {min_points})"
         )
     return np.array(idx), np.array(ys)
+
+
+def ladder_increments(grid: Grid1D, column, y_max: float, exponents):
+    """(ys, q, log-log fit of q, {e: log-log fit of q/y^e}) for the increments
+    q_k = |column(y_k) - column(0)| on the dyadic ladder of y offsets."""
+    j0 = grid.zero_index
+    idx, ys = dyadic_ladder(grid, y_max)
+    q = np.abs(column[j0 + idx] - column[j0])
+    fits = {e: loglog_fit(ys, q / ys**e) for e in map(float, np.atleast_1d(exponents))}
+    return ys, q, loglog_fit(ys, q), fits

@@ -37,11 +37,6 @@ _TRUNCATION_RADIUS = 12.0  # exp(-144) < 1e-62, far below every tolerance
 _GROWTH_SLACK = 100.0
 
 
-def _eval(psi, x):
-    vals = np.asarray(psi(np.asarray(x, dtype=float)), dtype=np.complex128)
-    return vals
-
-
 @dataclass(frozen=True)
 class KernelProbe:
     """A sampled function psi with growth bound |psi(x)| <= C (1 + |x|^m)."""
@@ -58,7 +53,7 @@ class KernelProbe:
         # sampling sanity check of the declared growth bound, in one call of psi
         radii = (1.0, 10.0, 100.0)
         points = np.outer(radii, [-1.0, 1.0]).ravel()
-        vals = np.broadcast_to(_eval(self.psi, points), points.shape)
+        vals = np.broadcast_to(self.psi(points), points.shape)
         peaks = np.max(np.abs(vals).reshape(len(radii), 2), axis=1)
         base = max(1.0, float(peaks[0]))
         for radius, peak in zip(radii[1:], peaks[1:]):
@@ -83,7 +78,7 @@ def gaussian_smooth(probe: KernelProbe, x: float, rel_tol: float = 1e-10) -> com
     width = _TRUNCATION_RADIUS * math.sqrt(sigma)
 
     def integrand(y):
-        return np.exp(-((x - y) ** 2) / sigma) * _eval(probe.psi, y)
+        return np.exp(-((x - y) ** 2) / sigma) * probe.psi(y)
 
     val = adaptive_quadrature(integrand, x - width, x + width, rel_tol)
     return val / math.sqrt(math.pi * sigma)
@@ -96,7 +91,7 @@ def fifth_derivative_at_zero(probe: KernelProbe, rel_tol: float = 1e-10) -> comp
 
     def integrand(y):
         poly = 15.0 - 20.0 * y**2 + 4.0 * y**4
-        return np.exp(-(y**2)) * poly * (y * root) * _eval(probe.psi, y * root)
+        return np.exp(-(y**2)) * poly * (y * root) * probe.psi(y * root)
 
     val = adaptive_quadrature(integrand, -_TRUNCATION_RADIUS, _TRUNCATION_RADIUS, rel_tol)
     return 8.0 / math.sqrt(math.pi) * sigma**-3 * val

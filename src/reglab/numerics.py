@@ -49,17 +49,6 @@ _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-def _eval_vector(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, tolerating scalar-only and constant callables."""
-    try:
-        vals = np.asarray(f(x), dtype=np.complex128)
-    except (TypeError, ValueError):
-        return np.array([complex(f(t)) for t in x], dtype=np.complex128)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape).astype(np.complex128)
-    return vals
-
-
 # Most open intervals per call of f.  Normal levels fit whole; a wider level is
 # taken from the left in batches, which bounds memory if f never converges.
 _BATCH = 1024
@@ -68,6 +57,9 @@ _BATCH = 1024
 def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
                         max_depth: int = 40) -> complex:
     """Integrate a (possibly complex-valued) function over [a, b].
+
+    f must be vectorized: it takes the 1-D node array and returns an array
+    broadcastable to it, taken as complex128; whatever f raises propagates.
 
     Deterministic bisection: an interval is split until the local
     Kronrod-Gauss discrepancy is below its share of the tolerance, down to
@@ -90,7 +82,8 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
         lo, hi, depth = (np.array(col) for col in zip(*batch))
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         nodes = mid[:, None] + half[:, None] * _NODES
-        fx = _eval_vector(f, nodes.reshape(-1)).reshape(nodes.shape)
+        fx = np.empty(nodes.shape, np.complex128)
+        fx.reshape(-1)[:] = f(nodes.reshape(-1))  # a view; broadcasts a constant
         kronrod = half * np.sum(_KRONROD_W * fx, axis=1)
         err = np.abs(kronrod - half * np.sum(_GAUSS_W * fx, axis=1))
         if scale is None:  # level 0, the whole interval, sets the scale

@@ -14,8 +14,6 @@ is defined as 0 at w = 0 (its modulus is |w|^alpha -> 0).
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +24,8 @@ from .errors import (
     DomainError,
     StepSizeError,
 )
-from .grids import Grid1D, dyadic_ladder
-from .numerics import RegressionFit, central_difference, loglog_fit, step_count
+from .grids import Grid1D, ladder_increments
+from .numerics import RegressionFit, central_difference, step_count
 
 __all__ = [
     "NonlinearityParams",
@@ -67,28 +65,32 @@ class NonlinearityParams:
         object.__setattr__(self, "theta", float(self.theta))
 
 
+def _flow_factor(params: NonlinearityParams, mag_a, t: float):
+    """(base, w(t)/w(0)) = (1 - alpha t Re(lam) |w|^alpha, base^(-lam/(alpha Re lam))),
+    or (1, exp(i t Im(lam) |w|^alpha)) for Re lam = 0; :class:`BlowUpError`
+    once t reaches the blow-up time of the largest |w|^alpha."""
+    lam, alpha = params.lam, params.alpha
+    if lam.real == 0.0:
+        return 1.0, np.exp(1j * t * mag_a * lam.imag)
+    base = 1.0 - alpha * t * lam.real * mag_a
+    if lam.real > 0 and np.min(base) <= 0.0:
+        critical = 1.0 / (alpha * float(np.max(mag_a)) * lam.real)
+        raise BlowUpError(
+            f"blow-up at t = {critical:.6g} reached before t = {t}", time=critical
+        )
+    return base, np.exp(-lam / (alpha * lam.real) * np.log(base))
+
+
 def exact_flow(params: NonlinearityParams, values, t: float):
     """Exact time-t flow of w' = lam*|w|^alpha*w from arbitrary complex data.
 
     Vectorized over ``values``.  For Re lam > 0 raises :class:`BlowUpError`
     as soon as t reaches the blow-up time of the largest sample.
     """
-    lam, alpha = params.lam, params.alpha
     v = np.asarray(values, dtype=np.complex128)
-    if t == 0.0 or lam == 0:
+    if t == 0.0 or params.lam == 0:
         return v.copy()
-    mag_a = np.abs(v) ** alpha
-    if lam.real == 0.0:
-        return v * np.exp(1j * t * mag_a * lam.imag)
-    base = 1.0 - alpha * t * lam.real * mag_a
-    if lam.real > 0 and np.min(base) <= 0.0:
-        peak = float(np.max(mag_a))
-        critical = 1.0 / (alpha * peak * lam.real)
-        raise BlowUpError(
-            f"blow-up at t = {critical:.6g} reached before t = {t}", time=critical
-        )
-    exponent = -lam / (alpha * lam.real)
-    return v * np.exp(exponent * np.log(base))
+    return v * _flow_factor(params, np.abs(v) ** params.alpha, t)[1]
 
 
 def exact_solution(params: NonlinearityParams, phi_value: complex, t: float) -> complex:
@@ -98,51 +100,27 @@ def exact_solution(params: NonlinearityParams, phi_value: complex, t: float) -> 
     return complex(exact_flow(params, np.asarray(phi_value), t))
 
 
-def _check_deriv_args(params, x, t, need_nonzero_x):
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if need_nonzero_x and x == 0.0:
-        raise DomainError("second derivative is undefined at x = 0")
-
-
 def exact_first_derivative(params: NonlinearityParams, x: float, t: float) -> complex:
     """d/dx of the exact solution with initial data phi(x) = x."""
-    _check_deriv_args(params, x, t, need_nonzero_x=False)
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
     lam, alpha = params.lam, params.alpha
     mag_a = abs(x) ** alpha
-    if lam.real == 0.0:
-        return (1.0 + 1j * alpha * t * mag_a * lam.imag) * cmath.exp(
-            1j * t * mag_a * lam.imag
-        )
-    base = 1.0 - alpha * t * lam.real * mag_a
-    if base <= 0.0:
-        critical = 1.0 / (alpha * mag_a * lam.real)
-        raise BlowUpError(f"blow-up at t = {critical:.6g}", time=critical)
-    exponent = -(lam + alpha * lam.real) / (alpha * lam.real)
-    return (1.0 + 1j * alpha * t * mag_a * lam.imag) * cmath.exp(
-        exponent * math.log(base)
-    )
+    base, factor = _flow_factor(params, mag_a, t)
+    return complex((1.0 + 1j * alpha * t * mag_a * lam.imag) * factor / base)
 
 
 def exact_second_derivative(params: NonlinearityParams, x: float, t: float) -> complex:
     """d^2/dx^2 of the exact solution with initial data phi(x) = x (x != 0)."""
-    _check_deriv_args(params, x, t, need_nonzero_x=True)
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    if x == 0.0:
+        raise DomainError("second derivative is undefined at x = 0")
     lam, alpha = params.lam, params.alpha
     mag_a = abs(x) ** alpha
-    front = alpha * t * mag_a / x
-    if lam.real == 0.0:
-        return (
-            1j * front * lam.imag
-            * (1.0 + alpha + 1j * alpha * t * mag_a * lam.imag)
-            * cmath.exp(1j * t * mag_a * lam.imag)
-        )
-    base = 1.0 - alpha * t * lam.real * mag_a
-    if base <= 0.0:
-        critical = 1.0 / (alpha * mag_a * lam.real)
-        raise BlowUpError(f"blow-up at t = {critical:.6g}", time=critical)
-    exponent = -(lam + 2.0 * alpha * lam.real) / (alpha * lam.real)
+    base, factor = _flow_factor(params, mag_a, t)
     bracket = lam + alpha * lam.real + 1j * alpha * lam.imag * (1.0 + lam * t * mag_a)
-    return front * cmath.exp(exponent * math.log(base)) * bracket
+    return complex(alpha * t * mag_a / x * factor / base**2 * bracket)
 
 
 def _conj_factor(w: np.ndarray, alpha: float) -> np.ndarray:
@@ -388,11 +366,7 @@ def holder_defect(run: OdeRun, t: float, exponents, y_max: float = 0.5) -> Holde
     if any(not (0.0 < e <= 1.0) for e in exponents):
         raise DomainError("exponents must lie in (0, 1]")
 
-    j0 = run.grid.zero_index
-    idx, ys = dyadic_ladder(run.grid, y_max)
-    q = np.abs(run.v[it, j0 + idx] - run.v[it, j0])
-    increment_fit = loglog_fit(ys, q)
-    fits = {e: loglog_fit(ys, q / ys**e) for e in exponents}
+    ys, q, increment_fit, fits = ladder_increments(run.grid, run.v[it], y_max, exponents)
     alpha = run.params.alpha
     return HolderDefectReport(
         t=float(run.times[it]),

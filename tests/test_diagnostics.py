@@ -9,6 +9,7 @@ from reglab.diagnostics import (
     ScalingParams,
     SobolevIndex,
     appendix_inequality_checks,
+    duhamel_fifth_derivative_rate,
     duhamel_integral,
     duhamel_integral_of_series,
     holder_seminorm,
@@ -196,6 +197,13 @@ class TestDuhamelIntegral:
         probe = DuhamelProbe(traj=traj, t=0.01, tau_ladder=[0.0101])
         with pytest.raises(InsufficientSnapshots):
             duhamel_integral(probe)
+        # a cutoff at the first stored time leaves a single snapshot
+        traj, _, _ = self.single_mode_trajectory()
+        probe = DuhamelProbe(traj=traj, t=0.0, tau_ladder=np.geomspace(1e-4, 3e-3, 6))
+        with pytest.raises(InsufficientSnapshots):
+            duhamel_integral(probe)
+        with pytest.raises(InsufficientSnapshots):
+            duhamel_fifth_derivative_rate(probe)
 
     def test_linearity_of_series_operator(self):
         rng = np.random.default_rng(12)
@@ -256,7 +264,7 @@ class TestScalingTransform:
         g = Grid1D(256, 4.0)
         u = GridFunction(g, np.exp(-g.points**2).astype(complex))
         out = scaling_transform(u, ScalingParams(mu=1.0, alpha=1.0, s=1.0))
-        assert np.max(np.abs(out.values - u.values)) <= 1e-12
+        np.testing.assert_array_equal(out.values, u.values)
 
     def test_sup_norm_factor_exact(self):
         g = Grid1D(1024, 4.0)
@@ -290,6 +298,12 @@ class TestScalingTransform:
     def test_mu_below_one_rejected(self):
         with pytest.raises(DomainError):
             ScalingParams(mu=0.5, alpha=1.0, s=1.0)
+
+    def test_non_integer_mu_rejected(self):
+        # mu*x_j is a grid node only for integer mu
+        for mu in (1.5, 2.25, float("inf")):
+            with pytest.raises(DomainError):
+                ScalingParams(mu=mu, alpha=1.0, s=1.0)
 
 
 class TestIllposednessReport:

@@ -21,3 +21,47 @@ def test_no_function_local_imports():
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     offenders.append(f"{path.name}:{node.lineno} in {func.name}")
     assert offenders == []
+
+
+def _module_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _defined_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return names
+
+
+def test_public_names_resolve():
+    # every name in a module's __all__ is defined there, and every name the
+    # package root re-exports from such a module is listed in its __all__
+    exported = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = _module_all(tree)
+        if names is None:
+            continue
+        exported[path.stem] = names
+        assert names <= _defined_names(tree), (path.name, names - _defined_names(tree))
+    assert exported
+    root = ast.parse((SRC / "__init__.py").read_text())
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in root.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in exported
+        for alias in node.names
+        if alias.name not in exported[node.module]
+    ]
+    assert unlisted == []

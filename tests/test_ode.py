@@ -136,6 +136,20 @@ class TestExactSolution:
         composed = exact_flow(params, exact_flow(params, v, s), t)
         np.testing.assert_allclose(composed, exact_flow(params, v, s + t), rtol=1e-10)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 1.95),
+        lam_im=st.floats(-2.0, 2.0),
+        values=st.lists(st.complex_numbers(min_magnitude=1e-6, max_magnitude=10.0),
+                        min_size=1, max_size=8),
+        t=st.floats(0.0, 10.0),
+    )
+    def test_modulus_conserved_for_imaginary_lambda(self, alpha, lam_im, values, t):
+        # Re lam = 0: the flow only rotates the phase, so |w(t)| = |w(0)|
+        params = NonlinearityParams(alpha=alpha, lam=complex(0.0, lam_im))
+        v = np.array(values, dtype=complex)
+        np.testing.assert_allclose(np.abs(exact_flow(params, v, t)), np.abs(v), rtol=1e-14)
+
 
 class TestExactDerivatives:
     def test_time_zero(self):
