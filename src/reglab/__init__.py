@@ -77,7 +77,6 @@ from .diagnostics import (
     appendix_inequality_checks,
     consistency_report,
     duhamel_fifth_derivative_rate,
-    duhamel_integral,
     holder_seminorm,
     hs_norm,
     illposedness_exponent_report,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import time
@@ -230,19 +231,25 @@ def run_verify_kernel(cfg: ExperimentConfig) -> dict:
 
 
 def run_ode_defect(cfg: ExperimentConfig) -> dict:
+    if cfg.domain_l != ExperimentConfig.domain_l:
+        # criterion 04 pins y on [-1, 1)
+        raise ConfigError(f"ode-defect samples y on [-1, 1) and takes no --domain-l "
+                          f"(got {cfg.domain_l})")
     report = _report_skeleton(cfg)
     grid = Grid1D(cfg.grid_n, 1.0)
     T = cfg.t_final
     alpha = cfg.alpha
     scale = cfg.tolerance_scale
     smooth = (lambda t, y: t * y**3, lambda t, y: 3.0 * t * y**2)
+    step_times = cfg.dt * np.arange(step_count(T, cfg.dt) + 1)
 
     def defect_reports(params, h, h_y, times):
-        # the run (two [time, space] tracks) is dropped once its reports exist
+        # keep only the rows holder_defect reads: the stride is the gcd of their step indices
+        every = math.gcd(*(int(np.argmin(np.abs(step_times - t))) for t in times))
         run = integrate_perturbed(
             params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=cfg.dt,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
-            monitor_error=False,
+            monitor_error=False, snapshot_every=every,
         )
         return [holder_defect(run, t, []) for t in times]
 
@@ -388,6 +395,7 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
         "derived-oracle", passed=record.combined_pass,
     ))
     report["raw_fit_slope"] = rate.raw_fit.slope
+    report["law_fit_at_edge"] = rate.law_fit_at_edge
     report["empirical_a"] = rate.empirical_a
     report["empirical_A"] = rate.empirical_A
     report["predicted_amplitude"] = rate.predicted_amplitude

@@ -217,44 +217,55 @@ def spectral_derivative(u: GridFunction, order: int = 1, axis: int = -1) -> Grid
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """Rows w^0, ..., w^(count-1) for each w, by one cumulative product."""
-    table = np.repeat(w[:, None], count, axis=1)
-    table[:, 0] = 1.0
-    return np.cumprod(table, axis=1, out=table)
+    """w^0, ..., w^(count-1) on a new last axis, by one cumulative product."""
+    table = np.repeat(w[..., None], count, axis=-1)
+    table[..., 0] = 1.0
+    return np.cumprod(table, axis=-1, out=table)
 
 
 class TrigInterpolant:
-    """Trigonometric interpolant of a 1D grid function with cached coefficients.
+    """Trigonometric interpolant of a 1D grid function u, or of each row of an (R, n)
+    array on a grid, ``TrigInterpolant(grid, rows)``, called on points (R, ...).
 
     Periodic in 2L, exact at grid nodes up to FFT roundoff.  The Nyquist mode
     is evaluated as cos(xi_{n/2} x), which agrees with exp(i xi_{-n/2} x) at
     the nodes and keeps real data real off the nodes.
 
     The other modes are z^(-n/2) sum_j d_j z^j, z = exp(i pi x/L), d_j = c_{j-n/2} kept
-    as a (B, n/B) table, B = 2^ceil(log2(n)/2): a call builds z^b (b < B) and (z^B)^a
-    (a < n/B) by cumulative products.  fmod first reduces x exactly into (-2L, 2L).
+    per row as a (B, n/B) table, B = 2^ceil(log2(n)/2): a call builds z^b (b < B) and
+    (z^B)^a (a < n/B) by cumulative products, one batched matmul for all rows.
+    fmod first reduces x exactly into (-2L, 2L).
     """
 
-    def __init__(self, u: GridFunction):
-        if u.ndim != 1:
-            raise DomainError("TrigInterpolant supports 1D grid functions only")
-        self.grid = g = u.grids[0]
+    def __init__(self, u: GridFunction | Grid1D, rows=None):
+        if rows is None:
+            if u.ndim != 1:
+                raise DomainError("TrigInterpolant supports 1D grid functions only")
+            u, rows = u.grids[0], u.values[None, :]
+        self.grid = g = u
+        rows = np.asarray(rows, dtype=np.complex128)
+        if rows.ndim != 2 or rows.shape[1] != g.n_points:
+            raise SizeMismatch(f"rows shape {rows.shape} != (R, {g.n_points})")
         n = int(g.n_points)
-        self.coefficients = forward_transform(u).coefficients
+        self.coefficients = np.fft.fft(rows) / n * g.phase()  # forward_transform of each row
         self._block = 1 << -(-(n.bit_length() - 1) // 2)
-        shifted = np.roll(self.coefficients, n // 2)  # shifted[j] = c_{j - n/2}
-        self._nyquist, shifted[0] = shifted[0], 0.0  # the Nyquist mode goes as a cosine
-        self._table = shifted.reshape(n // self._block, self._block).T
+        shifted = np.roll(self.coefficients, n // 2, axis=1)  # shifted[:, j] = c_{j - n/2}
+        self._nyquist = shifted[:, :1].copy()  # the Nyquist mode goes as a cosine
+        shifted[:, 0] = 0.0
+        self._table = shifted.reshape(len(rows), n // self._block, self._block).transpose(0, 2, 1)
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
+        n_rows = len(self._table)
+        if n_rows > 1 and pts.shape[:1] != (n_rows,):
+            raise SizeMismatch(f"points shape {pts.shape} does not lead with {n_rows} rows")
         length = self.grid.half_length
-        x = np.fmod(pts.reshape(-1), 2.0 * length)
+        x = np.fmod(pts.reshape(n_rows, -1), 2.0 * length)
         z = np.exp(1j * (np.pi / length) * x)
         low = _powers(z, self._block)  # z^b
-        high = _powers(low[:, -1] * z, self._table.shape[1])  # z^(a*B)
-        half = high[:, self.grid.n_points // 2 // self._block]  # z^(n/2)
-        vals = np.sum(high * (low @ self._table), axis=1) * np.conj(half) + self._nyquist * half.real
+        high = _powers(low[..., -1] * z, self._table.shape[2])  # z^(a*B)
+        half = high[..., self.grid.n_points // 2 // self._block]  # z^(n/2)
+        vals = np.sum(high * (low @ self._table), axis=-1) * np.conj(half) + self._nyquist * half.real
         return vals.reshape(pts.shape)
 
 

@@ -11,11 +11,12 @@ For the odd power psi(y) = |y|^alpha * y this evaluates in closed form to
 ``-c_alpha(alpha) * sigma^(-2 + alpha/2)``, which is what drives the
 smoothing-time divergence measured elsewhere.  Probes are callables with a
 declared polynomial growth bound so they can be sampled at y*sqrt(sigma)
-for widely varying sigma.
+for widely varying sigma.  A fixed graded Gauss rule takes many sigma at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ __all__ = [
     "KernelProbe",
     "gaussian_smooth",
     "fifth_derivative_at_zero",
+    "graded_fifth_derivatives",
     "c_alpha",
     "odd_power_scaling_check",
     "odd_power_probe",
@@ -35,6 +37,20 @@ __all__ = [
 
 _TRUNCATION_RADIUS = 12.0  # exp(-144) < 1e-62, far below every tolerance
 _GROWTH_SLACK = 100.0
+
+
+@functools.cache
+def _graded_rule():
+    """Composite Gauss-Legendre on [0, _TRUNCATION_RADIUS], 12 nodes on each of 16 panels:
+    5 graded by 0.15 toward the kink at y = 0 below y = 1, 11 of unit width above.  The
+    weights carry the odd kernel 8 pi^(-1/2) e^(-y^2) (15 - 20 y^2 + 4 y^4) y.  Built on
+    first use, so a run without Duhamel slices loads neither numpy.polynomial nor LAPACK."""
+    edges = np.r_[0.0, 0.15 ** np.arange(4, 0, -1), 1.0:_TRUNCATION_RADIUS + 1.0]
+    x, w = np.polynomial.legendre.leggauss(12)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+    kernel = 8.0 / math.sqrt(math.pi) * np.exp(-(y**2)) * (15.0 - 20.0 * y**2 + 4.0 * y**4) * y
+    return y, (0.5 * (hi - lo) * w).ravel() * kernel
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,18 @@ def fifth_derivative_at_zero(probe: KernelProbe, rel_tol: float = 1e-10) -> comp
 
     val = adaptive_quadrature(integrand, -_TRUNCATION_RADIUS, _TRUNCATION_RADIUS, rel_tol)
     return 8.0 / math.sqrt(math.pi) * sigma**-3 * val
+
+
+def graded_fifth_derivatives(psi, sigmas) -> np.ndarray:
+    """:func:`fifth_derivative_at_zero` for each sigma by the fixed graded rule, in one
+    call of psi on an (S, 2M) array whose row s holds the points +-y_m r, r = sqrt(sigma_s).
+
+    The kernel is odd, so the value is sigma^-3 r sum_m k_m [psi(y_m r) - psi(-y_m r)]
+    for any psi."""
+    nodes, weights = _graded_rule()
+    roots = np.sqrt(np.asarray(sigmas, dtype=float))
+    plus, minus = np.split(psi(np.outer(roots, np.r_[nodes, -nodes])), 2, axis=1)
+    return roots**-5 * ((plus - minus) @ weights)
 
 
 def c_alpha(alpha: float) -> float:

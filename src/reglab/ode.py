@@ -68,17 +68,19 @@ class NonlinearityParams:
 def _flow_factor(params: NonlinearityParams, mag_a, t: float):
     """(base, w(t)/w(0)) = (1 - alpha t Re(lam) |w|^alpha, base^(-lam/(alpha Re lam))),
     or (1, exp(i t Im(lam) |w|^alpha)) for Re lam = 0; :class:`BlowUpError`
-    once t reaches the blow-up time of the largest |w|^alpha."""
+    once t reaches the blow-up time of the largest |w|^alpha.  log(base) is a
+    log1p, which keeps its digits when |Re lam| is small."""
     lam, alpha = params.lam, params.alpha
     if lam.real == 0.0:
         return 1.0, np.exp(1j * t * mag_a * lam.imag)
-    base = 1.0 - alpha * t * lam.real * mag_a
+    growth = alpha * t * lam.real * mag_a
+    base = 1.0 - growth
     if lam.real > 0 and np.min(base) <= 0.0:
         critical = 1.0 / (alpha * float(np.max(mag_a)) * lam.real)
         raise BlowUpError(
             f"blow-up at t = {critical:.6g} reached before t = {t}", time=critical
         )
-    return base, np.exp(-lam / (alpha * lam.real) * np.log(base))
+    return base, np.exp(-lam / (alpha * lam.real) * np.log1p(-growth))
 
 
 def exact_flow(params: NonlinearityParams, values, t: float):
@@ -177,6 +179,7 @@ def integrate_perturbed(
     h_y=None,
     max_amplitude: float = 1e6,
     monitor_error: bool = True,
+    snapshot_every: int = 1,
 ) -> OdeRun:
     """RK4 integration of the perturbed ODE and its variational equation.
 
@@ -186,12 +189,15 @@ def integrate_perturbed(
     and ``h_y`` are used when given, otherwise fourth-order central
     differences of the callables.  The y = 0 column of w is pinned to zero.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
+    The run keeps t = 0, every ``snapshot_every``-th step and the final step.
     """
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
     if not (0 < dt <= 1e-3 * T):
         raise StepSizeError(f"require 0 < dt <= 1e-3*T = {1e-3 * T:.3g}, got {dt}")
     n_steps = step_count(T, dt)
+    if snapshot_every < 1:
+        raise DomainError("snapshot_every must be >= 1")
 
     y = grid.points
     j0 = grid.zero_index
@@ -246,9 +252,11 @@ def integrate_perturbed(
         return wn, vn
 
     times = dt * np.arange(n_steps + 1)
-    ws = np.empty((n_steps + 1, y.size), dtype=np.complex128)
+    kept = np.unique(np.append(np.arange(0, n_steps + 1, snapshot_every), n_steps))
+    ws = np.empty((kept.size, y.size), dtype=np.complex128)
     vs = np.empty_like(ws)
     ws[0], vs[0] = w, v
+    row = 1  # next row of ws/vs
 
     err_max = 0.0
     for k in range(n_steps):
@@ -263,9 +271,9 @@ def integrate_perturbed(
         peak = float(np.max(np.abs(w)))
         if not np.isfinite(peak) or peak > max_amplitude:
             partial = OdeRun(
-                params=params, grid=grid, times=times[: k + 2],
-                w=np.vstack([ws[: k + 1], w[None, :]]),
-                v=np.vstack([vs[: k + 1], v[None, :]]),
+                params=params, grid=grid, times=np.append(times[kept[:row]], times[k + 1]),
+                w=np.vstack([ws[:row], w[None, :]]),
+                v=np.vstack([vs[:row], v[None, :]]),
                 z0=z0, phi0=phi0, h_forcing=h_forcing, h_y=h_y,
                 error_estimate=err_max, dt=dt,
                 had_forcing=h_forcing is not None,
@@ -274,10 +282,12 @@ def integrate_perturbed(
                 f"amplitude exceeded {max_amplitude:.3g} at t = {times[k + 1]:.6g}",
                 time=float(times[k + 1]), partial=partial,
             )
-        ws[k + 1], vs[k + 1] = w, v
+        if kept[row] == k + 1:
+            ws[row], vs[row] = w, v
+            row += 1
 
     return OdeRun(
-        params=params, grid=grid, times=times, w=ws, v=vs, z0=z0,
+        params=params, grid=grid, times=times[kept], w=ws, v=vs, z0=z0,
         phi0=phi0, h_forcing=h_forcing, h_y=h_y,
         error_estimate=err_max, dt=dt,
         had_forcing=h_forcing is not None,
@@ -311,6 +321,8 @@ def representation_check(run: OdeRun, factor: IntegratingFactor) -> float:
     lam, alpha = run.params.lam, run.params.alpha
     if factor.A.shape != run.w.shape:
         raise DegenerateInput("factor and run have mismatched shapes")
+    if np.any(np.diff(run.times) > 1.5 * run.dt):
+        raise DegenerateInput("the representation check needs every RK4 step (snapshot_every = 1)")
 
     if run.h_forcing is None:
         if run.had_forcing:

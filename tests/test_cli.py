@@ -206,6 +206,16 @@ class TestExperiments:
         assert code == 2
         assert not out.exists()
 
+    def test_ode_defect_rejects_domain_l_and_writes_nothing(self, tmp_path):
+        # y is pinned to [-1, 1), so a --domain-l would be reported but ignored
+        out = tmp_path / "out"
+        code = run_cli([
+            "--experiment", "ode-defect", "--grid-n", "256", "--domain-l", "8",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_inequality_suite(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli([
@@ -231,6 +241,7 @@ class TestExperiments:
         assert byname["synthetic_slice_closed_form_max_rel_err"]["passed"]
         assert byname["scan_rate_consistency"]["passed"]
         assert "raw_fit_slope" in report
+        assert report["law_fit_at_edge"] is False
         assert report["empirical_a"] > 0
         assert (out / "duhamel-rate.rate.csv").exists()
 

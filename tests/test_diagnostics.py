@@ -10,7 +10,6 @@ from reglab.diagnostics import (
     SobolevIndex,
     appendix_inequality_checks,
     duhamel_fifth_derivative_rate,
-    duhamel_integral,
     duhamel_integral_of_series,
     holder_seminorm,
     hs_norm,
@@ -27,8 +26,9 @@ from reglab.errors import (
     ResolutionError,
 )
 from reglab.evolution import Trajectory, make_odd_bump, solve
-from reglab.grids import Grid1D, GridFunction
-from reglab.numerics import adaptive_quadrature
+from reglab.grids import Grid1D, GridFunction, TrigInterpolant
+from reglab.kernels import KernelProbe, fifth_derivative_at_zero
+from reglab.numerics import adaptive_quadrature, trapezoid_weights
 from reglab.ode import NonlinearityParams
 
 
@@ -155,6 +155,14 @@ class TestThirdDerivativeScan:
             third_derivative_holder_scan(traj, 0.02, [0.9], y_max=0.05)
 
 
+def nonlinear_duhamel(traj, t, tau):
+    """NH(t, tau): the smoothed Duhamel integral of |u|^alpha u up to t."""
+    i = traj.index_of_time(t)
+    snaps = traj.values[: i + 1]
+    series = np.abs(snaps) ** traj.params.alpha * snaps
+    return duhamel_integral_of_series(traj.times[: i + 1], series, traj.grids, tau)
+
+
 class TestDuhamelIntegral:
     def single_mode_trajectory(self, alpha=0.5, n=256, L=4.0, T=0.01, n_snaps=101):
         # synthetic linear-heat trajectory of a single Fourier mode
@@ -173,35 +181,31 @@ class TestDuhamelIntegral:
         alpha = 0.5
         traj, A, xi = self.single_mode_trajectory(alpha=alpha)
         t, tau = 0.01, 0.012
-        probe = DuhamelProbe(traj=traj, t=t, tau_ladder=[tau])
-        nh = duhamel_integral(probe)
+        got = nonlinear_duhamel(traj, t, tau)
         # |u|^alpha u of a single mode is A^(1+alpha) e^{-(1+alpha) s xi^2} e^{i xi x}
         coef = A ** (1 + alpha) * np.exp(-tau * xi**2) \
             * (np.exp(alpha * t * xi**2) - 1.0) / (alpha * xi**2) * np.exp(-0.0)
         # rewrite: int_0^t e^{-(1+alpha) s xi^2} e^{-(tau-s) xi^2} ds
         expect = A ** (1 + alpha) * np.exp(-tau * xi**2) \
             * (1.0 - np.exp(-alpha * t * xi**2)) / (alpha * xi**2)
-        got = nh.values
         mode = np.exp(1j * xi * traj.y_grid.points)
         assert np.max(np.abs(got - expect * mode)) <= 1e-8 * abs(expect)
 
     def test_oddness_of_nh(self):
         traj = standard_run(T=0.01, dt=2e-5, snapshot_every=20)
-        probe = DuhamelProbe(traj=traj, t=0.01, tau_ladder=[0.012])
-        nh = duhamel_integral(probe)
+        nh = nonlinear_duhamel(traj, 0.01, 0.012)
         j0 = traj.y_grid.zero_index
-        assert abs(nh.values[j0]) <= 1e-12 * np.max(np.abs(nh.values))
+        assert abs(nh[j0]) <= 1e-12 * np.max(np.abs(nh))
 
     def test_insufficient_snapshots(self):
+        # snapshots 0.0025 apart cannot resolve tau - t = 1e-4
         traj, _, _ = self.single_mode_trajectory(n_snaps=5)
-        probe = DuhamelProbe(traj=traj, t=0.01, tau_ladder=[0.0101])
+        probe = DuhamelProbe(traj=traj, t=0.01, tau_ladder=0.01 + np.geomspace(1e-4, 3e-3, 6))
         with pytest.raises(InsufficientSnapshots):
-            duhamel_integral(probe)
+            duhamel_fifth_derivative_rate(probe)
         # a cutoff at the first stored time leaves a single snapshot
         traj, _, _ = self.single_mode_trajectory()
         probe = DuhamelProbe(traj=traj, t=0.0, tau_ladder=np.geomspace(1e-4, 3e-3, 6))
-        with pytest.raises(InsufficientSnapshots):
-            duhamel_integral(probe)
         with pytest.raises(InsufficientSnapshots):
             duhamel_fifth_derivative_rate(probe)
 
@@ -223,9 +227,7 @@ class TestDuhamelIntegral:
         norms = []
         for T in (0.002, 0.004):
             traj, _, _ = self.single_mode_trajectory(alpha=alpha, T=T, n_snaps=41)
-            probe = DuhamelProbe(traj=traj, t=T, tau_ladder=[T + 0.004])
-            nh = duhamel_integral(probe)
-            norms.append(np.max(np.abs(nh.values)))
+            norms.append(np.max(np.abs(nonlinear_duhamel(traj, T, T + 0.004))))
         assert abs(norms[1] / norms[0] - 2.0) <= 0.05
 
     def test_tau_validation(self):
@@ -242,9 +244,70 @@ class TestDivergenceLawFit:
         for beta in (0.75, 0.25):
             mags = 3.0 * (gaps**-beta - (t + gaps) ** -beta)
             mags *= 1.0 + 0.01 * rng.standard_normal(8)
-            beta_hat, amp = _fit_divergence_law(gaps, mags, t)
+            beta_hat, amp, at_edge = _fit_divergence_law(gaps, mags, t)
             assert abs(beta_hat - beta) <= 0.02
             assert abs(amp - 3.0) <= 0.5
+            assert not at_edge
+
+    def test_flags_optimum_on_bracket_edge(self):
+        # the scan brackets b in [0.02, 1.5]: a law outside it is clipped to an
+        # edge, which the fit must flag instead of passing off as a measurement
+        t = 0.02
+        gaps = np.geomspace(1e-4, 3e-3, 8)
+        for beta, edge in ((0.01, 0.02), (1.8, 1.5)):
+            mags = 3.0 * (gaps**-beta - (t + gaps) ** -beta)
+            beta_hat, _, at_edge = _fit_divergence_law(gaps, mags, t)
+            assert at_edge
+            assert abs(beta_hat - edge) <= 0.01
+
+    def test_edge_flag_fails_the_rate(self, monkeypatch):
+        import reglab.diagnostics as diagnostics
+
+        traj = standard_run(n=512, dt=2.5e-5, snapshot_every=1)
+        taus = 0.02 + np.geomspace(1e-4, 3e-3, 6)
+        fit = diagnostics._fit_divergence_law
+        monkeypatch.setattr(diagnostics, "_fit_divergence_law",
+                            lambda *args: (*fit(*args)[:2], True))
+        # a tolerance of 10 accepts any exponent, so only the flag can fail it
+        record = diagnostics.consistency_report(traj, 0.02, taus, tolerance=10.0, y_max=0.5)
+        assert record.rate.law_fit_at_edge
+        assert not record.rate_ok
+        assert not record.combined_pass
+
+
+def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
+    """Per-tau D5 by one adaptive GK15 quadrature per slice: the slow oracle of
+    the fixed-rule rate, on the same snapshot subsampling and trapezoid weights."""
+    times = traj.times[: traj.index_of_time(t) + 1]
+    max_gap = float(np.max(np.diff(times)))
+    alpha = traj.params.alpha
+    out = []
+    for tau in np.sort(taus)[::-1]:
+        stride = max(1, int((tau - t) / 4.0 / max_gap))
+        sub = list(range(0, len(times) - 1, stride)) + [len(times) - 1]
+        total = 0.0
+        for w, i in zip(trapezoid_weights(times[sub]), sub):
+            interp = TrigInterpolant(traj.snapshot(i))
+
+            def psi(pts, interp=interp):
+                vals = interp(pts)
+                return np.abs(vals) ** alpha * vals
+
+            probe = KernelProbe(psi=psi, sigma=4.0 * (tau - times[i]))
+            total += w * fifth_derivative_at_zero(probe, rel_tol=rel_tol)
+        out.append(total)
+    return np.array(out)
+
+
+class TestFixedRuleRate:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_matches_adaptive_oracle_per_tau(self, alpha):
+        traj = standard_run(alpha=alpha, n=256, T=0.004, dt=1e-4, snapshot_every=1,
+                            amplitude=4.0)
+        taus = 0.004 + np.geomspace(5e-4, 1.5e-2, 4)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=0.004, tau_ladder=taus))
+        oracle = adaptive_rate_values(traj, 0.004, taus)
+        assert np.all(np.abs(rate.values - oracle) <= 1e-7 * np.abs(oracle))
 
 
 class TestSyntheticSliceCheck:
@@ -257,6 +320,28 @@ class TestSyntheticSliceCheck:
     def test_complex_eta(self):
         worst = synthetic_slice_check(0.75, 0.3 + 0.4j, [0.01, 0.1])
         assert worst <= 1e-6
+
+    def test_runs_the_fixed_rule(self, monkeypatch):
+        # the closed-form oracle must check the rule the rate uses, in one call
+        import reglab.diagnostics as diagnostics
+        import reglab.kernels as kernels
+
+        calls = []
+        rule = diagnostics.graded_fifth_derivatives
+
+        def spy(psi, sigmas):
+            calls.append(np.array(sigmas))
+            return rule(psi, sigmas)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(diagnostics, "graded_fifth_derivatives", spy)
+        monkeypatch.setattr(kernels, "adaptive_quadrature", refuse)
+        sigmas = [0.01, 0.1, 1.0]
+        assert synthetic_slice_check(0.75, 0.3 + 0.4j, sigmas) <= 1e-6
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], sigmas)
 
 
 class TestScalingTransform:

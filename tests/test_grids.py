@@ -207,6 +207,41 @@ class TestSpectralOps:
         if real:
             assert np.max(np.abs(out.imag)) <= 1e-13 * size
 
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(
+        log_n=st.integers(3, 11),
+        half_length=st.floats(0.5, 8.0),
+        n_rows=st.integers(1, 6),
+        batch=st.sampled_from([1, 15, 320]),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_batched_interpolant_matches_per_row(self, log_n, half_length, n_rows,
+                                                     batch, real, seed):
+        rng = np.random.default_rng(seed)
+        g = Grid1D(2**log_n, half_length)
+        rows = rng.standard_normal((n_rows, g.n_points))
+        if not real:
+            rows = rows + 1j * rng.standard_normal((n_rows, g.n_points))
+        pts = rng.uniform(-100.0, 100.0, (n_rows, batch)) * half_length
+        out = TrigInterpolant(g, rows)(pts)
+        assert out.shape == pts.shape
+        for r in range(n_rows):
+            single = TrigInterpolant(GridFunction(g, rows[r]))
+            size = np.sum(np.abs(single.coefficients))
+            assert np.max(np.abs(out[r] - single(pts[r]))) <= 1e-13 * size
+
+    def test_row_batched_interpolant_checks_shapes(self):
+        g = Grid1D(16, 1.0)
+        rows = TrigInterpolant(g, np.ones((3, 16)))
+        assert rows(np.zeros((3, 2, 5))).shape == (3, 2, 5)
+        with pytest.raises(SizeMismatch):
+            rows(np.zeros((2, 5)))
+        with pytest.raises(SizeMismatch):
+            rows(0.25)
+        with pytest.raises(SizeMismatch):
+            TrigInterpolant(g, np.ones((3, 8)))
+
     def test_interpolant_keeps_point_shape(self):
         g = Grid1D(16, 1.0)
         u = GridFunction(g, np.sin(np.pi * g.points))

@@ -9,6 +9,7 @@ from reglab.kernels import (
     c_alpha,
     fifth_derivative_at_zero,
     gaussian_smooth,
+    graded_fifth_derivatives,
     odd_power_scaling_check,
     odd_power_probe,
 )
@@ -113,6 +114,38 @@ class TestFifthDerivative:
         direct = fifth_derivative_at_zero(probe)
         approx = fd5(lambda x: gaussian_smooth(probe, x), 1e-2)
         assert abs(direct - approx) <= 1e-4 * abs(direct)
+
+
+class TestGradedRule:
+    def test_odd_power_closed_form(self):
+        sigmas = np.geomspace(1e-4, 10.0, 6)
+        for alpha in (0.1, 0.5, 1.0, 1.5, 1.9):
+            vals = graded_fifth_derivatives(lambda y: np.abs(y) ** alpha * y, sigmas)
+            expect = -c_alpha(alpha) * sigmas ** (-2.0 + alpha / 2.0)
+            assert np.max(np.abs(vals - expect) / np.abs(expect)) <= 1e-11
+
+    def test_matches_adaptive_quadrature_without_symmetry(self):
+        # psi with odd and even parts, complex, and a kink at 0: only the odd
+        # part survives the odd kernel, for the rule as for the quadrature
+        def psi(y):
+            return np.sin(3.0 * y) + np.cos(y) + 1j * np.abs(y) ** 0.5 * y + y**2
+
+        sigmas = [1e-3, 0.1, 2.0]
+        vals = graded_fifth_derivatives(psi, sigmas)
+        for sigma, val in zip(sigmas, vals):
+            ref = fifth_derivative_at_zero(KernelProbe(psi=psi, sigma=sigma, m=2.0), rel_tol=1e-12)
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    def test_one_call_of_psi_with_one_row_per_sigma(self):
+        shapes = []
+
+        def psi(y):
+            shapes.append(y.shape)
+            return y
+
+        graded_fifth_derivatives(psi, [0.1, 0.2, 0.3])
+        assert len(shapes) == 1
+        assert shapes[0][0] == 3
 
 
 class TestCAlpha:

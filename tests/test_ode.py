@@ -116,7 +116,9 @@ class TestExactSolution:
     @settings(max_examples=300, deadline=None)
     @given(
         alpha=st.floats(0.05, 1.95),
-        lam_re=st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)),
+        lam_re=st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1),
+                         st.floats(-12.0, -1.0, exclude_max=True).map(lambda e: 10.0**e),
+                         st.floats(-12.0, -1.0, exclude_max=True).map(lambda e: -(10.0**e))),
         lam_im=st.floats(-2.0, 2.0),
         values=st.lists(st.complex_numbers(min_magnitude=1e-6, max_magnitude=10.0),
                         min_size=1, max_size=8),
@@ -132,9 +134,19 @@ class TestExactSolution:
         horizon = 1.0
         if lam_re > 0:
             horizon = 1.0 / (alpha * lam_re * np.max(np.abs(v)) ** alpha)
+            if lam_re < 0.1:  # the phase turns by ~1/Re lam radians over that horizon
+                horizon = min(horizon, 1.0)
         s, t = s_frac * horizon, t_frac * horizon
         composed = exact_flow(params, exact_flow(params, v, s), t)
         np.testing.assert_allclose(composed, exact_flow(params, v, s + t), rtol=1e-10)
+
+    def test_small_real_part_keeps_digits(self):
+        # log(1 - alpha t Re(lam) |v|^alpha) lost ~1e-5 here; the log1p does not
+        alpha, lam, t = 0.5, 1e-12 + 1j, 0.3
+        got = exact_flow(NonlinearityParams(alpha=alpha, lam=lam), np.array([1.0 + 0j]), t)[0]
+        # base^(-lam/(alpha Re lam)) = exp(lam t (1 + alpha t Re(lam)/2 + O(Re(lam)^2)))
+        expect = np.exp(lam * t * (1.0 + 0.5 * alpha * t * lam.real))
+        assert abs(got - expect) <= 1e-15
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -392,6 +404,46 @@ class TestRepresentationCheck:
                            h_y=lambda t, y: 3.0 * t * y**2)
         res = representation_check(run, integrating_factor(run))
         assert res <= 1e-6
+
+
+class TestSnapshotThinning:
+    def run_every(self, every, T=0.01, dt=1e-5, **kwargs):
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        return integrate_perturbed(
+            params, lambda y: y.astype(complex), None, T=T, grid=Grid1D(128, 1.0), dt=dt,
+            phi0_prime=lambda y: np.ones_like(y, dtype=complex), monitor_error=False,
+            snapshot_every=every, **kwargs,
+        )
+
+    def test_kept_rows_equal_the_full_track(self):
+        full = self.run_every(1)
+        for every, kept in ((200, [0, 200, 400, 600, 800, 1000]), (300, [0, 300, 600, 900, 1000])):
+            run = self.run_every(every)
+            assert np.array_equal(run.times, full.times[kept])
+            assert np.array_equal(run.w, full.w[kept])
+            assert np.array_equal(run.v, full.v[kept])
+
+    def test_defect_at_kept_time_matches_full_track(self):
+        full, thin = self.run_every(1), self.run_every(200)
+        for t in (0.004, 0.01):
+            a, b = holder_defect(full, t, [0.5]), holder_defect(thin, t, [0.5])
+            assert a.t == b.t
+            assert np.array_equal(a.increments, b.increments)
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            self.run_every(0)
+        run = self.run_every(10)
+        with pytest.raises(DegenerateInput):
+            representation_check(run, integrating_factor(run))
+
+    def test_blowup_partial_ends_at_the_failing_step(self):
+        with pytest.raises(BlowUpError) as err:
+            self.run_every(7, T=1.0, dt=1e-3, max_amplitude=1.5)
+        partial = err.value.partial
+        assert np.all(np.diff(partial.times[:-1]) == pytest.approx(7e-3))
+        assert partial.times[-1] == pytest.approx(err.value.time)
+        assert partial.w.shape == (partial.times.size, 128)
 
 
 class TestHolderDefect:
