@@ -400,6 +400,7 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
     report["empirical_A"] = rate.empirical_A
     report["predicted_amplitude"] = rate.predicted_amplitude
     report["spectral_max_rel_diff"] = rate.spectral_max_rel_diff
+    report["numerics"] = {"snapshot_strides": list(rate.strides), "slices": rate.slices}
     report["tables"]["rate"] = {
         "columns": ["tau_minus_t", "d5_magnitude", "d5_spectral"],
         "rows": [

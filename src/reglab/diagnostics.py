@@ -293,15 +293,17 @@ class DuhamelRateReport:
     eta0: complex
     spectral_magnitudes: np.ndarray
     spectral_max_rel_diff: float
+    strides: tuple[int, ...]      # snapshot stride per tau
+    slices: int                   # time slices evaluated over all taus
 
 
 def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     """Measure the rate at which d^5_y NH(t, tau)|_{y=0} grows as tau -> t.
 
     Per time slice the fifth derivative is the heat-kernel formula with sigma =
-    4(tau - s) on the fixed graded Gauss rule, with the field interpolated at its
-    nodes, a chunk of slices per call, and the nonlinearity applied there (no FFT
-    of the kinked profile); the time integral is a trapezoid over the stored
+    4(tau - s) on the fixed graded Gauss rule, with the field interpolated at +-y for
+    its nonnegative nodes y, a chunk of slices per call, and the nonlinearity applied
+    there (no FFT of the kinked profile); the time integral is a trapezoid over the stored
     snapshots, subsampled per tau so the spacing stays below (tau - t)/4.  A spectral
     (i xi)^5 evaluation is kept as a cross-check (it amplifies the
     nonlinearity's aliasing error, so it carries a much looser tolerance).
@@ -324,21 +326,29 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     nonlin_hats = np.stack([np.fft.fft(np.abs(s) ** alpha * s) for s in snaps])
 
     n_stored = len(times)
-    chunk = 8  # slices per interpolant call: each temporary is about 1.3 MB at n = 1024
+    chunk = 8  # slices per interpolant call: its matmul product is about 1.6 MB at n = 1024
     values = []
     spectral = []
+    strides = []
+    n_slices = 0
     for tau, gap in zip(probe.tau_ladder, gaps):
         # subsample so spacing <= gap/4, always keeping the final slice s = t
         stride = max(1, int(gap / 4.0 / max_gap))
         sub = list(range(0, n_stored - 1, stride)) + [n_stored - 1]
+        strides.append(stride)
+        n_slices += len(sub)
         sub_times = times[sub]
         weights = trapezoid_weights(sub_times)
         slices = []
         for k in range(0, len(sub), chunk):
             rows = TrigInterpolant(grid, snaps[sub[k:k + chunk]])
-            slices.append(graded_fifth_derivatives(
-                lambda pts: np.abs(vals := rows(pts)) ** alpha * vals,
-                4.0 * (tau - sub_times[k:k + chunk])))
+
+            def odd(pts):  # F(u(y)) - F(u(-y)), F(u) = |u|^alpha u
+                vals = rows(pts, mirrored=True)
+                nonlin = np.abs(vals) ** alpha * vals
+                return nonlin[0] - nonlin[1]
+
+            slices.append(graded_fifth_derivatives(odd, 4.0 * (tau - sub_times[k:k + chunk])))
         values.append(complex(np.sum(weights * np.concatenate(slices))))
         spec = np.sum(
             weights[:, None] * nonlin_hats[sub]
@@ -365,6 +375,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
         law_amplitude=amp_hat, law_fit_at_edge=at_edge, empirical_a=emp_a, empirical_A=emp_A,
         predicted_amplitude=predicted, eta0=eta0,
         spectral_magnitudes=np.abs(spectral), spectral_max_rel_diff=rel_diff,
+        strides=tuple(strides), slices=n_slices,
     )
 
 
@@ -376,7 +387,9 @@ def synthetic_slice_check(alpha: float, eta0: complex, sigmas) -> float:
     -c_alpha(alpha) * sigma^(alpha/2 - 2) * |eta0|^alpha * eta0.
     """
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    vals = graded_fifth_derivatives(lambda y: np.abs(eta0 * y) ** alpha * (eta0 * y), sigmas)
+    # psi is odd, so psi(y) - psi(-y) = 2 psi(y)
+    vals = graded_fifth_derivatives(lambda y: 2.0 * np.abs(eta0 * y) ** alpha * (eta0 * y),
+                                    sigmas)
     expect = -c_alpha(alpha) * sigmas ** (alpha / 2.0 - 2.0) * abs(eta0) ** alpha * eta0
     return float(np.max(np.abs(vals - expect) / np.abs(expect)))
 

@@ -217,10 +217,12 @@ def spectral_derivative(u: GridFunction, order: int = 1, axis: int = -1) -> Grid
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """w^0, ..., w^(count-1) on a new last axis, by one cumulative product."""
-    table = np.repeat(w[..., None], count, axis=-1)
-    table[..., 0] = 1.0
-    return np.cumprod(table, axis=-1, out=table)
+    """w^0, ..., w^(count-1) on a new leading axis, built one power at a time."""
+    table = np.empty((count,) + w.shape, dtype=np.complex128)
+    table[0] = 1.0
+    for k in range(1, count):
+        np.multiply(table[k - 1], w, out=table[k])
+    return table
 
 
 class TrigInterpolant:
@@ -233,8 +235,12 @@ class TrigInterpolant:
 
     The other modes are z^(-n/2) sum_j d_j z^j, z = exp(i pi x/L), d_j = c_{j-n/2} kept
     per row as a (B, n/B) table, B = 2^ceil(log2(n)/2): a call builds z^b (b < B) and
-    (z^B)^a (a < n/B) by cumulative products, one batched matmul for all rows.
+    (z^B)^a (a < n/B) one power at a time, one batched matmul for all rows.
     fmod first reduces x exactly into (-2L, 2L).
+
+    ``mirrored=True`` returns the stack [u(x), u(-x)] of shape (2, ...) from the same
+    powers: z(-x) = conj(z(x)), so u(-x) = conj(z^(-n/2) sum_j conj(d_j) z^j) plus the
+    same Nyquist term, and the matmul takes [table | conj(table)].
     """
 
     def __init__(self, u: GridFunction | Grid1D, rows=None):
@@ -248,25 +254,34 @@ class TrigInterpolant:
             raise SizeMismatch(f"rows shape {rows.shape} != (R, {g.n_points})")
         n = int(g.n_points)
         self.coefficients = np.fft.fft(rows) / n * g.phase()  # forward_transform of each row
-        self._block = 1 << -(-(n.bit_length() - 1) // 2)
+        block = 1 << -(-(n.bit_length() - 1) // 2)
         shifted = np.roll(self.coefficients, n // 2, axis=1)  # shifted[:, j] = c_{j - n/2}
         self._nyquist = shifted[:, :1].copy()  # the Nyquist mode goes as a cosine
         shifted[:, 0] = 0.0
-        self._table = shifted.reshape(len(rows), n // self._block, self._block).transpose(0, 2, 1)
+        table = shifted.reshape(len(rows), n // block, block).transpose(0, 2, 1)
+        self._table = np.concatenate([table, np.conj(table)], axis=2)  # (R, B, 2n/B)
 
-    def __call__(self, points) -> np.ndarray:
+    def __call__(self, points, mirrored: bool = False) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        n_rows = len(self._table)
+        n_rows, block = self._table.shape[:2]
         if n_rows > 1 and pts.shape[:1] != (n_rows,):
             raise SizeMismatch(f"points shape {pts.shape} does not lead with {n_rows} rows")
+        count = self.grid.n_points // block
         length = self.grid.half_length
         x = np.fmod(pts.reshape(n_rows, -1), 2.0 * length)
         z = np.exp(1j * (np.pi / length) * x)
-        low = _powers(z, self._block)  # z^b
-        high = _powers(low[..., -1] * z, self._table.shape[2])  # z^(a*B)
-        half = high[..., self.grid.n_points // 2 // self._block]  # z^(n/2)
-        vals = np.sum(high * (low @ self._table), axis=-1) * np.conj(half) + self._nyquist * half.real
-        return vals.reshape(pts.shape)
+        low = _powers(z, block)  # z^b, (B, R, P)
+        high = _powers(low[-1] * z, count)  # z^(a*B), (n/B, R, P)
+        half = high[count // 2]  # z^(n/2)
+        signs = 2 if mirrored else 1
+        sums = low.transpose(1, 2, 0) @ self._table[..., : signs * count]
+        # row-wise dot of each n/B block of sums with the high powers: (signs, R, P)
+        sums = np.einsum("rpsa,arp->srp", sums.reshape(*z.shape, signs, count), high)
+        vals = sums * np.conj(half)
+        vals[1:] = np.conj(vals[1:])
+        vals += self._nyquist * half.real
+        vals = vals.reshape((signs,) + pts.shape)
+        return vals if mirrored else vals[0]
 
 
 def trig_interpolate(u: GridFunction, points: np.ndarray) -> np.ndarray:

@@ -113,16 +113,21 @@ def fifth_derivative_at_zero(probe: KernelProbe, rel_tol: float = 1e-10) -> comp
     return 8.0 / math.sqrt(math.pi) * sigma**-3 * val
 
 
-def graded_fifth_derivatives(psi, sigmas) -> np.ndarray:
-    """:func:`fifth_derivative_at_zero` for each sigma by the fixed graded rule, in one
-    call of psi on an (S, 2M) array whose row s holds the points +-y_m r, r = sqrt(sigma_s).
+def graded_fifth_derivatives(odd, sigmas) -> np.ndarray:
+    """:func:`fifth_derivative_at_zero` of psi for each sigma by the fixed graded rule.
 
-    The kernel is odd, so the value is sigma^-3 r sum_m k_m [psi(y_m r) - psi(-y_m r)]
-    for any psi."""
+    The kernel is odd, so the value is sigma^-3 r sum_m k_m odd(y_m r), r = sqrt(sigma),
+    for any psi, where ``odd(y) = psi(y) - psi(-y)`` is called once, on an (S, M) array
+    whose row s holds the points y_m r_s >= 0.  Each sigma must be positive and finite.
+    """
     nodes, weights = _graded_rule()
-    roots = np.sqrt(np.asarray(sigmas, dtype=float))
-    plus, minus = np.split(psi(np.outer(roots, np.r_[nodes, -nodes])), 2, axis=1)
-    return roots**-5 * ((plus - minus) @ weights)
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if sigmas.size == 0:
+        raise DegenerateInput("need at least one sigma")
+    if not np.all(np.isfinite(sigmas) & (sigmas > 0)):
+        raise DomainError(f"every sigma must be positive and finite, got {sigmas}")
+    roots = np.sqrt(sigmas)
+    return roots**-5 * (odd(np.outer(roots, nodes)) @ weights)
 
 
 def c_alpha(alpha: float) -> float:

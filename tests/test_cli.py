@@ -289,3 +289,26 @@ class TestDeterminism:
             d.pop("timing")
             return json.dumps(d, indent=2, sort_keys=True, separators=(",", ": "))
         assert strip_timing(blobs[0]) == strip_timing(blobs[1])
+
+    def test_duhamel_rate_numerics_are_reproducible(self, tmp_path):
+        # the numerics block is deterministic, so it sits outside "timing"
+        out = tmp_path / "out"
+        blobs = []
+        for _ in range(2):
+            run_cli([
+                "--experiment", "duhamel-rate", "--alpha", "0.5",
+                "--grid-n", "512", "--dt", "2.5e-5", "--t-final", "0.02",
+                "--snapshot-every", "1", "--out-dir", str(out),
+            ])
+            blobs.append(json.loads((out / "duhamel-rate.json").read_text()))
+        for blob in blobs:
+            blob.pop("timing")
+        assert blobs[0] == blobs[1]
+        numerics = blobs[0]["numerics"]
+        strides = numerics["snapshot_strides"]
+        gaps = [row[0] for row in blobs[0]["tables"]["rate"]["rows"]]
+        assert len(strides) == len(gaps)
+        # the stride grows with tau - t; 800 steps to t, and the slice s = t is always kept
+        by_gap = [k for _, k in sorted(zip(gaps, strides))]
+        assert by_gap == sorted(by_gap) and by_gap[0] >= 1
+        assert numerics["slices"] == sum(-(-800 // k) + 1 for k in strides)

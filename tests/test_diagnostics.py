@@ -309,6 +309,29 @@ class TestFixedRuleRate:
         oracle = adaptive_rate_values(traj, 0.004, taus)
         assert np.all(np.abs(rate.values - oracle) <= 1e-7 * np.abs(oracle))
 
+    def test_interpolant_calls_take_few_rows_of_nonnegative_points(self, monkeypatch):
+        # each slice is evaluated at +-y from the powers of +y alone
+        import reglab.diagnostics as diagnostics
+
+        calls = []
+
+        class Spy(TrigInterpolant):
+            def __call__(self, points, mirrored=False):
+                calls.append((np.array(points), mirrored))
+                return super().__call__(points, mirrored)
+
+        monkeypatch.setattr(diagnostics, "TrigInterpolant", Spy)
+        traj = standard_run(alpha=0.5, n=256, T=0.004, dt=1e-4, snapshot_every=1,
+                            amplitude=4.0)
+        taus = 0.004 + np.geomspace(5e-4, 1.5e-2, 4)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=0.004, tau_ladder=taus))
+        assert calls
+        for points, mirrored in calls:
+            assert mirrored
+            assert points.ndim == 2 and points.shape[0] <= 8
+            assert np.all(points >= 0.0)
+        assert rate.slices == sum(len(points) for points, _ in calls)
+
 
 class TestSyntheticSliceCheck:
     def test_constant_eta_reproduces_closed_form(self):
@@ -320,6 +343,15 @@ class TestSyntheticSliceCheck:
     def test_complex_eta(self):
         worst = synthetic_slice_check(0.75, 0.3 + 0.4j, [0.01, 0.1])
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("sigmas", [[0.0, 0.1], [-1.0, 0.1], [np.nan, 0.1]])
+    def test_rejects_bad_sigma(self, sigmas):
+        with pytest.raises(DomainError):
+            synthetic_slice_check(0.5, 1.0, sigmas)
+
+    def test_rejects_empty_sigmas(self):
+        with pytest.raises(DegenerateInput):
+            synthetic_slice_check(0.5, 1.0, [])
 
     def test_runs_the_fixed_rule(self, monkeypatch):
         # the closed-form oracle must check the rule the rate uses, in one call

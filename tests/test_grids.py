@@ -231,6 +231,49 @@ class TestSpectralOps:
             size = np.sum(np.abs(single.coefficients))
             assert np.max(np.abs(out[r] - single(pts[r]))) <= 1e-13 * size
 
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(
+        log_n=st.integers(3, 11),
+        half_length=st.floats(0.5, 8.0),
+        n_rows=st.integers(1, 4),
+        batch=st.sampled_from([1, 15, 192]),
+        real=st.booleans(),
+        nyquist_only=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mirrored_interpolant_matches_both_signs(self, log_n, half_length, n_rows, batch,
+                                                     real, nyquist_only, seed):
+        rng = np.random.default_rng(seed)
+        g = Grid1D(2**log_n, half_length)
+        rows = rng.standard_normal((n_rows, g.n_points))
+        if not real:
+            rows = rows + 1j * rng.standard_normal((n_rows, g.n_points))
+        if nyquist_only:
+            rows[0] = rows[0, 0] * (-1.0) ** np.arange(g.n_points)  # the Nyquist mode alone
+        pts = rng.uniform(-100.0, 100.0, (n_rows, batch)) * half_length
+        interp = TrigInterpolant(g, rows)
+        plus, minus = interp(pts, mirrored=True)
+        assert plus.shape == minus.shape == pts.shape
+        plain, reflected = interp(pts), interp(-pts)
+        for r in range(n_rows):
+            u = GridFunction(g, rows[r])
+            size = np.sum(np.abs(interp.coefficients[r]))
+            assert np.max(np.abs(plus[r] - plain[r])) <= 1e-13 * size
+            assert np.max(np.abs(minus[r] - reflected[r])) <= 1e-13 * size
+            assert np.max(np.abs(plus[r] - dense_interpolant(u, pts[r]))) <= 1e-12 * size
+            assert np.max(np.abs(minus[r] - dense_interpolant(u, -pts[r]))) <= 1e-12 * size
+
+    def test_mirrored_call_stacks_both_signs(self):
+        g = Grid1D(16, 1.0)
+        u = GridFunction(g, np.sin(np.pi * g.points) + np.cos(2.0 * np.pi * g.points))
+        pts = np.linspace(0.0, 0.9, 12).reshape(3, 4)
+        out = TrigInterpolant(u)(pts, mirrored=True)
+        assert out.shape == (2, 3, 4)
+        for sign, vals in zip((1.0, -1.0), out):
+            expect = np.sin(sign * np.pi * pts) + np.cos(2.0 * np.pi * pts)
+            assert np.max(np.abs(vals - expect)) <= 1e-13
+        assert TrigInterpolant(u)(0.25, mirrored=True).shape == (2,)
+
     def test_row_batched_interpolant_checks_shapes(self):
         g = Grid1D(16, 1.0)
         rows = TrigInterpolant(g, np.ones((3, 16)))

@@ -116,11 +116,17 @@ class TestFifthDerivative:
         assert abs(direct - approx) <= 1e-4 * abs(direct)
 
 
+def odd_difference(psi):
+    """The graded rule's argument for psi: y -> psi(y) - psi(-y)."""
+    return lambda y: psi(y) - psi(-y)
+
+
 class TestGradedRule:
     def test_odd_power_closed_form(self):
         sigmas = np.geomspace(1e-4, 10.0, 6)
         for alpha in (0.1, 0.5, 1.0, 1.5, 1.9):
-            vals = graded_fifth_derivatives(lambda y: np.abs(y) ** alpha * y, sigmas)
+            vals = graded_fifth_derivatives(odd_difference(lambda y: np.abs(y) ** alpha * y),
+                                            sigmas)
             expect = -c_alpha(alpha) * sigmas ** (-2.0 + alpha / 2.0)
             assert np.max(np.abs(vals - expect) / np.abs(expect)) <= 1e-11
 
@@ -131,21 +137,32 @@ class TestGradedRule:
             return np.sin(3.0 * y) + np.cos(y) + 1j * np.abs(y) ** 0.5 * y + y**2
 
         sigmas = [1e-3, 0.1, 2.0]
-        vals = graded_fifth_derivatives(psi, sigmas)
+        vals = graded_fifth_derivatives(odd_difference(psi), sigmas)
         for sigma, val in zip(sigmas, vals):
             ref = fifth_derivative_at_zero(KernelProbe(psi=psi, sigma=sigma, m=2.0), rel_tol=1e-12)
             assert abs(val - ref) <= 1e-10 * abs(ref)
 
     def test_one_call_of_psi_with_one_row_per_sigma(self):
-        shapes = []
+        calls = []
 
-        def psi(y):
-            shapes.append(y.shape)
+        def odd(y):
+            calls.append(y.copy())
             return y
 
-        graded_fifth_derivatives(psi, [0.1, 0.2, 0.3])
-        assert len(shapes) == 1
-        assert shapes[0][0] == 3
+        graded_fifth_derivatives(odd, [0.1, 0.2, 0.3])
+        assert len(calls) == 1
+        assert calls[0].shape == (3, 192)
+        assert np.all(calls[0] >= 0.0)
+
+    @pytest.mark.parametrize("sigmas", [[-1.0, 0.1], [0.0, 0.1], [np.nan, 0.1],
+                                        [0.1, np.inf], [-1.0, 0.0, np.nan, 0.1]])
+    def test_rejects_bad_sigma(self, sigmas):
+        with pytest.raises(DomainError):
+            graded_fifth_derivatives(odd_difference(np.sin), sigmas)
+
+    def test_rejects_empty_sigmas(self):
+        with pytest.raises(DegenerateInput):
+            graded_fifth_derivatives(odd_difference(np.sin), [])
 
 
 class TestCAlpha:
