@@ -48,7 +48,7 @@ from .errors import BlowUpError, ConfigError, DomainError, RegLabError, StepSize
 from .evolution import make_odd_bump, solve
 from .grids import Grid1D, GridFunction
 from .kernels import c_alpha, fifth_derivative_at_zero, odd_power_probe
-from .numerics import gaussian_moment, step_count
+from .numerics import _time_index, gaussian_moment, step_count
 from .ode import NonlinearityParams, holder_defect, integrate_perturbed
 from .trajio import save_trajectory, write_report
 
@@ -172,6 +172,15 @@ def _check(name, measured, expected, tolerance, provenance, passed=None):
     }
 
 
+def _reject_option(cfg: ExperimentConfig, name: str, reason: str) -> None:
+    """ConfigError when option ``name`` is not its default: the experiment fixes it,
+    so a given value would be reported but ignored."""
+    value = getattr(cfg, name)
+    if value != getattr(ExperimentConfig, name):
+        raise ConfigError(f"{cfg.experiment} {reason} and takes no "
+                          f"--{name.replace('_', '-')} (got {value})")
+
+
 def _report_skeleton(cfg: ExperimentConfig) -> dict:
     return {
         "experiment": cfg.experiment,
@@ -231,10 +240,7 @@ def run_verify_kernel(cfg: ExperimentConfig) -> dict:
 
 
 def run_ode_defect(cfg: ExperimentConfig) -> dict:
-    if cfg.domain_l != ExperimentConfig.domain_l:
-        # criterion 04 pins y on [-1, 1)
-        raise ConfigError(f"ode-defect samples y on [-1, 1) and takes no --domain-l "
-                          f"(got {cfg.domain_l})")
+    _reject_option(cfg, "domain_l", "samples y on [-1, 1)")  # criterion 04 pins y
     report = _report_skeleton(cfg)
     grid = Grid1D(cfg.grid_n, 1.0)
     T = cfg.t_final
@@ -245,7 +251,7 @@ def run_ode_defect(cfg: ExperimentConfig) -> dict:
 
     def defect_reports(params, h, h_y, times):
         # keep only the rows holder_defect reads: the stride is the gcd of their step indices
-        every = math.gcd(*(int(np.argmin(np.abs(step_times - t))) for t in times))
+        every = math.gcd(*(_time_index(step_times, t, cfg.dt) for t in times))
         run = integrate_perturbed(
             params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=cfg.dt,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
@@ -336,6 +342,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
 
 def run_third_derivative_scan(cfg: ExperimentConfig) -> dict:
+    _reject_option(cfg, "snapshot_every", "stores four snapshots per run")
     report = _report_skeleton(cfg)
     y_max = 0.25 * cfg.support_radius
     n_steps = step_count(cfg.t_final, cfg.dt)
@@ -373,6 +380,7 @@ def run_third_derivative_scan(cfg: ExperimentConfig) -> dict:
 
 
 def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
+    _reject_option(cfg, "snapshot_every", "stores every step")
     report = _report_skeleton(cfg)
     traj = _standard_solve(cfg, snapshot_every=1)
     taus = cfg.t_final + np.geomspace(1e-4, 3e-3, 8)

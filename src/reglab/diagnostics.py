@@ -386,6 +386,9 @@ def synthetic_slice_check(alpha: float, eta0: complex, sigmas) -> float:
     psi(y) = |eta0 y|^alpha eta0 y (constant eta), each slice value must be
     -c_alpha(alpha) * sigma^(alpha/2 - 2) * |eta0|^alpha * eta0.
     """
+    if eta0 == 0:
+        raise DomainError("synthetic_slice_check needs eta0 != 0: the closed form "
+                          "vanishes there, so the relative error is 0/0")
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     # psi is odd, so psi(y) - psi(-y) = 2 psi(y)
     vals = graded_fifth_derivatives(lambda y: 2.0 * np.abs(eta0 * y) ** alpha * (eta0 * y),

@@ -22,12 +22,13 @@ from .errors import BlowUpError, DomainError, ResolutionError
 from .grids import (
     Grid1D,
     GridFunction,
+    _grids_tuple,
     dyadic_ladder,
     laplacian_symbol,
     odd_part,
     spectral_derivative,
 )
-from .numerics import loglog_fit, step_count
+from .numerics import _time_index, loglog_fit, step_count
 from .ode import NonlinearityParams, exact_flow
 
 __all__ = [
@@ -85,19 +86,13 @@ def make_odd_bump(dimension: int, amplitude: float, support_radius: float) -> In
     if not (support_radius > 0):
         raise DomainError(f"support_radius must be positive, got {support_radius}")
     radius_sq = support_radius**2
+    kind = f"odd_bump_{int(dimension)}d"
 
-    if dimension == 1:
-        def func(y):
-            y = np.asarray(y, dtype=float)
-            return amplitude * y * _bump_window(y**2 / radius_sq)
-        kind = "odd_bump_1d"
-    else:
-        def func(x_prime, y):
-            x_prime = np.asarray(x_prime, dtype=float)
-            y = np.asarray(y, dtype=float)
-            r_sq = (x_prime**2 + y**2) / radius_sq
-            return amplitude * y * _bump_window(r_sq)
-        kind = "odd_bump_2d"
+    def func(*coords):
+        if len(coords) != dimension:
+            raise DomainError(f"{kind} takes {dimension} coordinate(s), got {len(coords)}")
+        coords = [np.asarray(c, dtype=float) for c in coords]
+        return amplitude * coords[-1] * _bump_window(sum(c**2 for c in coords) / radius_sq)
 
     return InitialData(
         kind=kind, amplitude=float(amplitude), support_radius=float(support_radius),
@@ -106,13 +101,8 @@ def make_odd_bump(dimension: int, amplitude: float, support_radius: float) -> In
 
 
 def sample_initial_data(data: InitialData, grid) -> GridFunction:
-    if isinstance(grid, Grid1D):
-        values = data(grid.points)
-        return GridFunction(grid, np.asarray(values, dtype=np.complex128))
-    gx, gy = grid
-    xp, y = np.meshgrid(gx.points, gy.points, indexing="ij")
-    values = data(xp, y)
-    return GridFunction((gx, gy), np.asarray(values, dtype=np.complex128))
+    coords = np.meshgrid(*(g.points for g in _grids_tuple(grid)), indexing="ij")
+    return GridFunction(grid, np.asarray(data(*coords), dtype=np.complex128))
 
 
 def _linear_multiplier(params: NonlinearityParams, grids, dt: float) -> np.ndarray:
@@ -154,9 +144,7 @@ class Trajectory:
 
     @property
     def grids(self) -> tuple[Grid1D, ...]:
-        if isinstance(self.grid, Grid1D):
-            return (self.grid,)
-        return tuple(self.grid)
+        return _grids_tuple(self.grid)
 
     @property
     def y_grid(self) -> Grid1D:
@@ -166,10 +154,7 @@ class Trajectory:
         return GridFunction(self.grid, self.values[i], allow_nonfinite=True)
 
     def index_of_time(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 0.5 * self.dt + 1e-12 * max(1.0, abs(t)):
-            raise DomainError(f"t = {t} is not a stored snapshot time")
-        return i
+        return _time_index(self.times, t, self.dt)
 
 
 def solve(
@@ -196,8 +181,7 @@ def solve(
     n_steps = step_count(T, dt)
     if snapshot_every < 1:
         raise DomainError("snapshot_every must be >= 1")
-    grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)
-    y_grid = grids[-1]
+    y_grid = _grids_tuple(grid)[-1]
     if phi.support_radius > y_grid.half_length:
         raise DomainError("initial-data support exceeds the torus")
     if phi.support_radius / y_grid.spacing < 32.0:
@@ -214,7 +198,7 @@ def solve(
 
     times = [0.0]
     snaps = [vals.copy()]
-    mult = _linear_multiplier(params, grids, dt)
+    mult = _linear_multiplier(params, grid, dt)
 
     def record(k, v):
         times.append(k * dt)
@@ -266,11 +250,7 @@ def dy_at_zero(traj: Trajectory, i: int):
 def eta_track(traj: Trajectory) -> EtaTrack:
     """Spectral d/dy of every snapshot, restricted to the y = 0 slice."""
     eta = np.array([dy_at_zero(traj, i) for i in range(len(traj.times))])
-    if eta.ndim == 1:
-        eta0 = complex(eta[0])
-    else:
-        gx = traj.grids[0]
-        eta0 = complex(eta[0, gx.zero_index])
+    eta0 = complex(eta[(0,) + tuple(g.zero_index for g in traj.grids[:-1])])
     return EtaTrack(times=traj.times.copy(), eta=eta, eta0=eta0)
 
 
@@ -302,7 +282,7 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = No
     y = y_grid.points
     eta = dy_at_zero(traj, i)
 
-    linear_part = np.multiply.outer(np.atleast_1d(eta), y).reshape(u.values.shape)
+    linear_part = np.multiply.outer(eta, y)
     lead = np.abs(linear_part) ** alpha * linear_part
     nonlin = np.abs(u.values) ** alpha * u.values
     w_tilde = nonlin - lead
@@ -319,9 +299,8 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = No
     if y_max is None:
         y_max = y_grid.half_length / 16.0
     idx, ys = dyadic_ladder(y_grid, y_max)
-    w_slice = np.abs(w_tilde[..., j0 + idx])
-    if w_slice.ndim > 1:
-        w_slice = np.max(w_slice, axis=tuple(range(w_slice.ndim - 1)))
+    # the largest remainder over x' (no axis to reduce in 1D)
+    w_slice = np.max(np.abs(w_tilde[..., j0 + idx]), axis=tuple(range(w_tilde.ndim - 1)))
     fit = loglog_fit(ys, w_slice)
 
     return RemainderReport(

@@ -14,6 +14,7 @@ constant field has coefficient 1 at k = 0 and Parseval reads
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,11 +89,15 @@ class Grid1D:
 
 
 def _grids_tuple(grid) -> tuple[Grid1D, ...]:
+    """The axes of a field, y last: the one place that decides 1D or 2D."""
     if isinstance(grid, Grid1D):
         return (grid,)
-    grids = tuple(grid)
+    try:
+        grids = tuple(grid)
+    except TypeError:
+        grids = ()
     if not all(isinstance(g, Grid1D) for g in grids) or len(grids) not in (1, 2):
-        raise DomainError("grid must be a Grid1D or a pair of Grid1D")
+        raise DomainError(f"grid must be a Grid1D or a pair of Grid1D, got {grid!r}")
     return grids
 
 
@@ -161,35 +166,25 @@ class Spectrum:
 
 
 def _phase_nd(grids: tuple[Grid1D, ...]) -> np.ndarray:
-    out = grids[0].phase()
-    for g in grids[1:]:
-        out = np.multiply.outer(out, g.phase())
-    return out
+    return math.prod(np.ix_(*(g.phase() for g in grids)))
 
 
 def forward_transform(u: GridFunction) -> Spectrum:
     """Coefficients c_k = (1/n) sum_j u_j exp(-i xi_k x_j) (per axis)."""
-    grids = u.grids
-    n_total = int(np.prod([g.n_points for g in grids]))
-    coeffs = np.fft.fftn(u.values) / n_total * _phase_nd(grids)
+    coeffs = np.fft.fftn(u.values) / u.values.size * _phase_nd(u.grids)
     return Spectrum(grid=u.grid, coefficients=coeffs)
 
 
 def inverse_transform(spectrum: Spectrum) -> GridFunction:
     """Inverse of :func:`forward_transform`; round trip is exact to roundoff."""
-    grids = spectrum.grids
-    n_total = int(np.prod([g.n_points for g in grids]))
-    values = np.fft.ifftn(spectrum.coefficients * _phase_nd(grids)) * n_total
+    coeffs = spectrum.coefficients
+    values = np.fft.ifftn(coeffs * _phase_nd(spectrum.grids)) * coeffs.size
     return GridFunction(grid=spectrum.grid, values=values, allow_nonfinite=True)
 
 
 def laplacian_symbol(grid) -> np.ndarray:
     """|xi|^2 on a 1D grid or a pair of grids, in FFT order."""
-    grids = _grids_tuple(grid)
-    if len(grids) == 1:
-        return grids[0].wavenumbers ** 2
-    gx, gy = grids
-    return gx.wavenumbers[:, None] ** 2 + gy.wavenumbers[None, :] ** 2
+    return sum(np.ix_(*(g.wavenumbers**2 for g in _grids_tuple(grid))))
 
 
 def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:

@@ -130,6 +130,15 @@ def step_count(T: float, dt: float) -> int:
     return n
 
 
+def _time_index(times: np.ndarray, t: float, dt: float) -> int:
+    """Index of the stored time nearest t; :class:`DomainError` unless it lies
+    within dt/2 of t (plus 1e-12*max(1, |t|) for roundoff)."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 0.5 * dt + 1e-12 * max(1.0, abs(t)):
+        raise DomainError(f"t = {t} is not a stored time (nearest {times[i]})")
+    return i
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function for x > 0 (Lanczos-class; relative error <= 1e-13)."""
     if not (x > 0):

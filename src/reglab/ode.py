@@ -25,7 +25,7 @@ from .errors import (
     StepSizeError,
 )
 from .grids import Grid1D, ladder_increments
-from .numerics import RegressionFit, central_difference, step_count
+from .numerics import RegressionFit, _time_index, central_difference, step_count
 
 __all__ = [
     "NonlinearityParams",
@@ -123,6 +123,13 @@ def exact_second_derivative(params: NonlinearityParams, x: float, t: float) -> c
     base, factor = _flow_factor(params, mag_a, t)
     bracket = lam + alpha * lam.real + 1j * alpha * lam.imag * (1.0 + lam * t * mag_a)
     return complex(alpha * t * mag_a / x * factor / base**2 * bracket)
+
+
+def _forcing_derivative(h_forcing, h_y, t: float, y: np.ndarray) -> np.ndarray:
+    """h_y(t, y), or a fourth-order central difference of h_forcing(t, .) at y."""
+    if h_y is not None:
+        return np.asarray(h_y(t, y), dtype=np.complex128)
+    return central_difference(lambda q: np.asarray(h_forcing(t, q)), y)
 
 
 def _conj_factor(w: np.ndarray, alpha: float) -> np.ndarray:
@@ -226,11 +233,7 @@ def integrate_perturbed(
         return np.asarray(h_forcing(t, y), dtype=np.complex128)
 
     def f_at(t):
-        if h_forcing is None:
-            return 0.0
-        if h_y is not None:
-            return np.asarray(h_y(t, y), dtype=np.complex128)
-        return central_difference(lambda q: np.asarray(h_forcing(t, q)), y)
+        return 0.0 if h_forcing is None else _forcing_derivative(h_forcing, h_y, t, y)
 
     half = 0.5 * alpha + 1.0  # (alpha + 2)/2
 
@@ -333,14 +336,8 @@ def representation_check(run: OdeRun, factor: IntegratingFactor) -> float:
         f = np.zeros_like(run.w)
     else:
         y = run.grid.points
-        if run.h_y is not None:
-            f = np.stack([np.asarray(run.h_y(t, y), dtype=np.complex128)
-                          for t in run.times])
-        else:
-            f = np.stack([
-                central_difference(lambda q: np.asarray(run.h_forcing(t, q)), y)
-                for t in run.times
-            ]).astype(np.complex128)
+        f = np.stack([_forcing_derivative(run.h_forcing, run.h_y, t, y)
+                      for t in run.times]).astype(np.complex128)
 
     g = lam * (0.5 * alpha) * _conj_factor(run.w, alpha) * np.conj(run.v) + f
     expA = np.exp(factor.A)
@@ -371,9 +368,7 @@ def holder_defect(run: OdeRun, t: float, exponents, y_max: float = 0.5) -> Holde
     for ell > alpha is the discrete signature that the ell-Hoelder windowed
     seminorm diverges as the window shrinks.
     """
-    it = int(np.argmin(np.abs(run.times - t)))
-    if abs(run.times[it] - t) > 0.5 * run.dt + 1e-12:
-        raise DomainError(f"t = {t} is not a stored time of the run")
+    it = _time_index(run.times, t, run.dt)
     exponents = [float(e) for e in np.atleast_1d(exponents)]
     if any(not (0.0 < e <= 1.0) for e in exponents):
         raise DomainError("exponents must lie in (0, 1]")

@@ -216,6 +216,18 @@ class TestExperiments:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["duhamel-rate", "third-derivative-scan"])
+    def test_fixed_stride_experiments_reject_snapshot_every(self, tmp_path, experiment):
+        # both fix their own snapshot stride, so a --snapshot-every would be
+        # reported but ignored
+        out = tmp_path / "out"
+        code = run_cli([
+            "--experiment", experiment, "--grid-n", "256", "--snapshot-every", "5",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_inequality_suite(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli([

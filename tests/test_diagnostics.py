@@ -353,6 +353,11 @@ class TestSyntheticSliceCheck:
         with pytest.raises(DegenerateInput):
             synthetic_slice_check(0.5, 1.0, [])
 
+    def test_rejects_zero_eta0(self):
+        # the closed form vanishes at eta0 = 0, so a relative error would be 0/0 = NaN
+        with pytest.raises(DomainError):
+            synthetic_slice_check(0.5, 0.0, [0.01, 0.1])
+
     def test_runs_the_fixed_rule(self, monkeypatch):
         # the closed-form oracle must check the rule the rate uses, in one call
         import reglab.diagnostics as diagnostics

@@ -3,6 +3,7 @@ import pytest
 
 from reglab.errors import BlowUpError, DomainError, ResolutionError, StepSizeError
 from reglab.evolution import (
+    InitialData,
     eta_track,
     make_odd_bump,
     remainder_decomposition,
@@ -69,6 +70,17 @@ class TestOddBump:
         assert u.values.shape == (32, 64)
         j0 = gy.zero_index
         assert np.all(u.values[:, j0] == 0.0)
+
+    def test_2d_row_at_zero_is_the_1d_bump(self):
+        # one bump formula for every dimension: at x' = 0, r^2 is y^2 bit for bit
+        gx, gy = Grid1D(32, 4.0), Grid1D(256, 4.0)
+        u2 = sample_initial_data(make_odd_bump(2, 1.5, 2.0), (gx, gy))
+        u1 = sample_initial_data(make_odd_bump(1, 1.5, 2.0), gy)
+        assert u2.values[gx.zero_index].tobytes() == u1.values.tobytes()
+
+    def test_coordinate_count_must_match_dimension(self):
+        with pytest.raises(DomainError):
+            make_odd_bump(1, 1.0, 1.0)(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestStep:
@@ -230,6 +242,28 @@ class TestSolve:
                 errs.append(np.max(np.abs(traj.values[-1] - ref.values[-1])))
             fit = loglog_fit(dts, np.array(errs))
             assert abs(fit.slope - 2.0) <= 0.2, f"theta={theta}: order {fit.slope}"
+
+    def test_2d_constant_in_x_matches_1d(self):
+        # data constant in x' only excites k_x' = 0, where the 2D symbol is the 1D one
+        params = heat_params(alpha=0.5, lam=1.0)
+        gx, gy = Grid1D(16, 4.0), Grid1D(256, 4.0)
+        bump = make_odd_bump(1, 4.0, 2.0)
+        flat = InitialData("flat_in_x", bump.amplitude, bump.support_radius,
+                           lambda x_prime, y: bump(y))
+        ref = solve(params, bump, gy, T=0.01, dt=5e-4, snapshot_every=5)
+        traj = solve(params, flat, (gx, gy), T=0.01, dt=5e-4, snapshot_every=5)
+        assert np.array_equal(traj.times, ref.times)
+        scale = np.max(np.abs(ref.values), axis=1)[:, None]
+        for row in range(gx.n_points):
+            assert np.max(np.abs(traj.values[:, row] - ref.values) / scale) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [5, "abc", [Grid1D(256, 4.0)] * 3],
+                             ids=["int", "str", "three_grids"])
+    def test_bad_grid_is_a_domain_error(self, grid):
+        with pytest.raises(DomainError):
+            GridFunction(grid, np.zeros(256))
+        with pytest.raises(DomainError):
+            solve(heat_params(), make_odd_bump(1, 1.0, 1.0), grid, T=1e-3, dt=1e-4)
 
     def test_2d_solve_odd_in_y(self):
         params = heat_params(alpha=0.5, lam=1.0)

@@ -65,3 +65,27 @@ def test_public_names_resolve():
         if alias.name not in exported[node.module]
     ]
     assert unlisted == []
+
+
+def _names(node):
+    """Names of a class-info argument: a name, an attribute, or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return [n for elt in node.elts for n in _names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
+
+
+def test_only_grids_tests_for_grid1d():
+    # grids decides whether a field is 1D or 2D; every other module works on
+    # the normalized tuple of grids
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "grids.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and "Grid1D" in _names(node.args[1])):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
