@@ -33,12 +33,10 @@ from .grids import (
 from .numerics import (
     RegressionFit,
     adaptive_quadrature,
-    gamma_fn,
     gaussian_moment,
     loglog_fit,
 )
 from .ode import (
-    IntegratingFactor,
     NonlinearityParams,
     OdeRun,
     exact_first_derivative,

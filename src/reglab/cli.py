@@ -255,7 +255,7 @@ def run_ode_defect(cfg: ExperimentConfig) -> dict:
         run = integrate_perturbed(
             params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=cfg.dt,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
-            monitor_error=False, snapshot_every=every,
+            snapshot_every=every,
         )
         return [holder_defect(run, t, []) for t in times]
 
@@ -448,7 +448,7 @@ def run_scaling_report(cfg: ExperimentConfig) -> dict:
     hs_ok, sup_ok = True, True
     scale = cfg.tolerance_scale
     for mu in (1.0, 2.0, 4.0, 8.0):
-        out = scaling_transform(phi, ScalingParams(mu=mu, alpha=cfg.alpha, s=s))
+        out = scaling_transform(phi, ScalingParams(mu=mu, alpha=cfg.alpha))
         ratio = hs_norm(out, SobolevIndex(s=s)) / base_hs
         bound = mu ** (2.0 / cfg.alpha + s - 0.5)
         sup_factor = float(np.max(np.abs(out.values))) / base_sup

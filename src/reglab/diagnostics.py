@@ -108,13 +108,10 @@ def holder_seminorm(u: GridFunction, idx: HolderIndex) -> float:
 @dataclass(frozen=True)
 class SobolevIndex:
     s: float
-    p: int = 2
 
     def __post_init__(self):
         if self.s < 0:
             raise DomainError(f"s must be >= 0, got {self.s}")
-        if self.p != 2:
-            raise DomainError("only p = 2 is supported")
 
 
 def hs_norm(u: GridFunction, idx: SobolevIndex) -> float:
@@ -189,6 +186,8 @@ class DuhamelProbe:
         self.tau_ladder = np.asarray(self.tau_ladder, dtype=float)
         if self.tau_ladder.size == 0:
             raise DegenerateInput("tau_ladder is empty")
+        if not (math.isfinite(self.t) and np.all(np.isfinite(self.tau_ladder))):
+            raise DomainError("t and every tau must be finite")
         if np.any(self.tau_ladder <= self.t):
             raise DomainError("every tau must exceed t")
         if self.t < 0 or self.t > self.traj.times[-1] + 1e-12:
@@ -405,16 +404,12 @@ def synthetic_slice_check(alpha: float, eta0: complex, sigmas) -> float:
 class ScalingParams:
     mu: float
     alpha: float
-    s: float
-    N: int = 1
 
     def __post_init__(self):
         if not (self.mu >= 1.0 and float(self.mu).is_integer()):
             raise DomainError(f"mu must be an integer >= 1, got {self.mu}")
         if not (self.alpha > 0):
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.N < 1:
-            raise DomainError(f"N must be >= 1, got {self.N}")
 
 
 def scaling_transform(phi: GridFunction, params: ScalingParams) -> GridFunction:
@@ -443,7 +438,6 @@ class ScalingVerdict:
     s: float
     exponent: float
     verdict: str       # "applies" | "does not apply" | "inconclusive"
-    scaling_gap: float  # N - 2s - 4/alpha, positive iff exponent negative
     dimension_condition: bool  # N > 11 + 4/alpha
 
 
@@ -461,7 +455,6 @@ def illposedness_exponent_report(alpha: float, N: int, s: float) -> ScalingVerdi
         verdict = "does not apply"
     return ScalingVerdict(
         alpha=alpha, N=N, s=s, exponent=exponent, verdict=verdict,
-        scaling_gap=N - 2.0 * s - 4.0 / alpha,
         dimension_condition=bool(N > 11.0 + 4.0 / alpha),
     )
 
@@ -599,8 +592,7 @@ def consistency_report(traj: Trajectory, t: float, tau_ladder,
     increment exponent of d^3_y u near alpha, divergence exponent of the
     smoothed fifth derivative near -(2 - alpha)/2."""
     alpha = traj.params.alpha
-    scan = third_derivative_holder_scan(traj, t, [min(1.0, alpha + 0.4)],
-                                        y_max=y_max)
+    scan = third_derivative_holder_scan(traj, t, [], y_max=y_max)
     probe = DuhamelProbe(traj=traj, t=t, tau_ladder=tau_ladder)
     rate = duhamel_fifth_derivative_rate(probe)
     scan_ok = abs(scan.increment_fit.slope - alpha) <= tolerance

@@ -188,7 +188,11 @@ def laplacian_symbol(grid) -> np.ndarray:
 
 
 def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
-    """(i xi)^order in FFT order; odd orders drop the Nyquist mode."""
+    """(i xi)^order in FFT order; odd orders drop the Nyquist mode.
+    :class:`DomainError` unless order is a nonnegative integer."""
+    if not (float(order).is_integer() and order >= 0):
+        raise DomainError(f"order must be a nonnegative integer, got {order}")
+    order = int(order)
     xi = grid.wavenumbers
     mult = (1j * xi) ** order
     if order % 2 == 1:
@@ -201,7 +205,9 @@ def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
 def spectral_derivative(u: GridFunction, order: int = 1, axis: int = -1) -> GridFunction:
     """Differentiate along one axis via the (i*xi)^order multiplier."""
     grids = u.grids
-    axis = axis % len(grids)
+    if not -len(grids) <= axis < len(grids):
+        raise DomainError(f"axis {axis} is out of range for a {len(grids)}D field")
+    axis %= len(grids)
     g = grids[axis]
     coeffs = np.fft.fft(u.values, axis=axis)
     shape = [1] * len(grids)
@@ -295,7 +301,7 @@ def odd_part(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values - reflect_y(values))
 
 
-def dyadic_ladder(grid: Grid1D, y_max: float, min_points: int = 4):
+def dyadic_ladder(grid: Grid1D, y_max: float):
     """Grid-aligned dyadic offsets y_k = y_max * 2^-k with y_k >= 4*spacing."""
     spacing = grid.spacing
     j0 = grid.zero_index
@@ -307,10 +313,9 @@ def dyadic_ladder(grid: Grid1D, y_max: float, min_points: int = 4):
             idx.append(j)
             ys.append(j * spacing)
         y_k *= 0.5
-    if len(idx) < min_points:
+    if len(idx) < 4:
         raise DegenerateInput(
-            f"dyadic ladder from y_max={y_max} has {len(idx)} usable points (< {min_points})"
-        )
+            f"dyadic ladder from y_max={y_max} has {len(idx)} usable points (< 4)")
     return np.array(idx), np.array(ys)
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "trapezoid_weights",
     "central_difference",
     "step_count",
-    "gamma_fn",
     "gaussian_moment",
     "loglog_fit",
 ]
@@ -131,19 +130,14 @@ def step_count(T: float, dt: float) -> int:
 
 
 def _time_index(times: np.ndarray, t: float, dt: float) -> int:
-    """Index of the stored time nearest t; :class:`DomainError` unless it lies
-    within dt/2 of t (plus 1e-12*max(1, |t|) for roundoff)."""
+    """Index of the stored time nearest t; :class:`DomainError` unless t is
+    finite and lies within dt/2 of it (plus 1e-12*max(1, |t|) for roundoff)."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     i = int(np.argmin(np.abs(times - t)))
     if abs(times[i] - t) > 0.5 * dt + 1e-12 * max(1.0, abs(t)):
         raise DomainError(f"t = {t} is not a stored time (nearest {times[i]})")
     return i
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0 (Lanczos-class; relative error <= 1e-13)."""
-    if not (x > 0):
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def gaussian_moment(beta: float) -> float:
@@ -154,7 +148,7 @@ def gaussian_moment(beta: float) -> float:
     """
     if beta < 0:
         raise DomainError(f"gaussian_moment requires beta >= 0, got {beta}")
-    return gamma_fn(0.5 * (beta + 1.0))
+    return math.gamma(0.5 * (beta + 1.0))
 
 
 @dataclass(frozen=True)

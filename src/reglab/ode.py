@@ -30,7 +30,6 @@ from .numerics import RegressionFit, _time_index, central_difference, step_count
 __all__ = [
     "NonlinearityParams",
     "OdeRun",
-    "IntegratingFactor",
     "HolderDefectReport",
     "exact_solution",
     "exact_flow",
@@ -155,23 +154,14 @@ class OdeRun:
     w: np.ndarray  # [time, space]
     v: np.ndarray  # [time, space]
     z0: complex
-    phi0: object = None
     h_forcing: object = None
     h_y: object = None
-    error_estimate: float = 0.0
     dt: float = 0.0
     had_forcing: bool = False
 
     @property
     def has_forcing(self) -> bool:
         return self.h_forcing is not None or self.had_forcing
-
-
-@dataclass(frozen=True)
-class IntegratingFactor:
-    """Accumulated exponent A(t, y) = lam*(alpha+2)/2 * int_0^t |w|^alpha."""
-
-    A: np.ndarray  # [time, space]
 
 
 def integrate_perturbed(
@@ -185,7 +175,6 @@ def integrate_perturbed(
     phi0_prime=None,
     h_y=None,
     max_amplitude: float = 1e6,
-    monitor_error: bool = True,
     snapshot_every: int = 1,
 ) -> OdeRun:
     """RK4 integration of the perturbed ODE and its variational equation.
@@ -261,26 +250,19 @@ def integrate_perturbed(
     ws[0], vs[0] = w, v
     row = 1  # next row of ws/vs
 
-    err_max = 0.0
+    def make_run(times_kept, w_rows, v_rows):
+        return OdeRun(params=params, grid=grid, times=times_kept, w=w_rows, v=v_rows,
+                      z0=z0, h_forcing=h_forcing, h_y=h_y, dt=dt,
+                      had_forcing=h_forcing is not None)
+
     for k in range(n_steps):
-        t = times[k]
-        wn, vn = rk4_step(t, w, v, dt)
-        if monitor_error:
-            wh, vh = rk4_step(t, w, v, 0.5 * dt)
-            wh, _ = rk4_step(t + 0.5 * dt, wh, vh, 0.5 * dt)
-            err_max = max(err_max, float(np.max(np.abs(wn - wh))) / 15.0)
-        w, v = wn, vn
+        w, v = rk4_step(times[k], w, v, dt)
         w[j0] = 0.0
         peak = float(np.max(np.abs(w)))
         if not np.isfinite(peak) or peak > max_amplitude:
-            partial = OdeRun(
-                params=params, grid=grid, times=np.append(times[kept[:row]], times[k + 1]),
-                w=np.vstack([ws[:row], w[None, :]]),
-                v=np.vstack([vs[:row], v[None, :]]),
-                z0=z0, phi0=phi0, h_forcing=h_forcing, h_y=h_y,
-                error_estimate=err_max, dt=dt,
-                had_forcing=h_forcing is not None,
-            )
+            partial = make_run(np.append(times[kept[:row]], times[k + 1]),
+                               np.vstack([ws[:row], w[None, :]]),
+                               np.vstack([vs[:row], v[None, :]]))
             raise BlowUpError(
                 f"amplitude exceeded {max_amplitude:.3g} at t = {times[k + 1]:.6g}",
                 time=float(times[k + 1]), partial=partial,
@@ -289,12 +271,7 @@ def integrate_perturbed(
             ws[row], vs[row] = w, v
             row += 1
 
-    return OdeRun(
-        params=params, grid=grid, times=times[kept], w=ws, v=vs, z0=z0,
-        phi0=phi0, h_forcing=h_forcing, h_y=h_y,
-        error_estimate=err_max, dt=dt,
-        had_forcing=h_forcing is not None,
-    )
+    return make_run(times[kept], ws, vs)
 
 
 def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -305,15 +282,15 @@ def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrating_factor(run: OdeRun) -> IntegratingFactor:
-    """Trapezoid accumulation of lam*(alpha+2)/2 * int_0^t |w(s, y)|^alpha ds."""
+def integrating_factor(run: OdeRun) -> np.ndarray:
+    """Accumulated exponent A(t, y) = lam*(alpha+2)/2 * int_0^t |w(s, y)|^alpha ds,
+    [time, space], by the trapezoid rule."""
     lam, alpha = run.params.lam, run.params.alpha
     mag_a = np.abs(run.w) ** alpha
-    A = lam * (0.5 * alpha + 1.0) * _cumtrapz(mag_a.astype(np.complex128), run.times)
-    return IntegratingFactor(A=A)
+    return lam * (0.5 * alpha + 1.0) * _cumtrapz(mag_a.astype(np.complex128), run.times)
 
 
-def representation_check(run: OdeRun, factor: IntegratingFactor) -> float:
+def representation_check(run: OdeRun, A: np.ndarray) -> float:
     """Max residual of the integrating-factor representation of v.
 
     Evaluates v(t,y) - [e^{A(t,y)} v(0,y) + int_0^t e^{A(t,y)-A(s,y)} g(s,y) ds]
@@ -322,8 +299,8 @@ def representation_check(run: OdeRun, factor: IntegratingFactor) -> float:
     residual measures time-discretization error only (O(dt^2) trapezoid).
     """
     lam, alpha = run.params.lam, run.params.alpha
-    if factor.A.shape != run.w.shape:
-        raise DegenerateInput("factor and run have mismatched shapes")
+    if A.shape != run.w.shape:
+        raise DegenerateInput("A and run have mismatched shapes")
     if np.any(np.diff(run.times) > 1.5 * run.dt):
         raise DegenerateInput("the representation check needs every RK4 step (snapshot_every = 1)")
 
@@ -340,8 +317,8 @@ def representation_check(run: OdeRun, factor: IntegratingFactor) -> float:
                       for t in run.times]).astype(np.complex128)
 
     g = lam * (0.5 * alpha) * _conj_factor(run.w, alpha) * np.conj(run.v) + f
-    expA = np.exp(factor.A)
-    inner = _cumtrapz(np.exp(-factor.A) * g, run.times)
+    expA = np.exp(A)
+    inner = _cumtrapz(np.exp(-A) * g, run.times)
     model = expA * run.v[0][None, :] + expA * inner
     return float(np.max(np.abs(run.v - model)))
 

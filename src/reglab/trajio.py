@@ -232,7 +232,6 @@ def load_trajectory(path):
         w=snaps[:, 0, ...],
         v=snaps[:, 1, ...],
         z0=complex(z0_re, z0_im),
-        phi0=None,
         h_forcing=None,
         dt=dt,
         had_forcing=bool(flags & _FLAG_FORCING),

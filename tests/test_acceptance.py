@@ -146,7 +146,6 @@ def test_criterion_04_ode_defect_exponent():
             run = integrate_perturbed(
                 params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=dt,
                 phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
-                monitor_error=False,
             )
             rep = holder_defect(run, T, [alpha])
             results.append((alpha, "t*y^3" if h else "0",
@@ -155,7 +154,6 @@ def test_criterion_04_ode_defect_exponent():
         NonlinearityParams(alpha=0.5, lam=0.0), lambda y: y.astype(complex),
         h_forced, T=T, grid=grid, dt=dt,
         phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_forced_y,
-        monitor_error=False,
     )
     control_slope = holder_defect(control, T, [0.5]).increment_fit.slope
     defect_ok = all(abs(slope - alpha) <= 0.05 for alpha, _, slope in results)
@@ -177,7 +175,6 @@ def test_criterion_05_representation_identity():
         run = integrate_perturbed(
             params, lambda y: y.astype(complex), None, T=0.1, grid=grid, dt=dt,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-            monitor_error=False,
         )
         return representation_check(run, integrating_factor(run))
 
@@ -260,7 +257,7 @@ def test_criterion_09_scaling_law():
     base_sup = float(np.max(np.abs(phi.values)))
     hs_ok, sup_ok = True, True
     for mu in (1.0, 2.0, 4.0, 8.0):
-        out = scaling_transform(phi, ScalingParams(mu=mu, alpha=alpha, s=s))
+        out = scaling_transform(phi, ScalingParams(mu=mu, alpha=alpha))
         ratio = hs_norm(out, SobolevIndex(s=s)) / base_hs
         hs_ok = hs_ok and ratio <= mu ** (2.0 / alpha + s - 0.5) * (1.0 + 1e-6)
         factor = float(np.max(np.abs(out.values))) / base_sup

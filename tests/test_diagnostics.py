@@ -119,10 +119,6 @@ class TestHsNorm:
         norms = [hs_norm(u, SobolevIndex(s=s)) for s in (0.0, 0.5, 1.0, 2.0)]
         assert all(norms[i] <= norms[i + 1] for i in range(3))
 
-    def test_p_fixed_to_two(self):
-        with pytest.raises(DomainError):
-            SobolevIndex(s=1.0, p=4)
-
 
 def standard_run(alpha=0.5, lam=1.0, n=1024, T=0.02, dt=2e-5, snapshot_every=100,
                  amplitude=16.0, radius=2.0):
@@ -153,6 +149,13 @@ class TestThirdDerivativeScan:
         traj = standard_run(n=1024)
         with pytest.raises(ResolutionError):
             third_derivative_holder_scan(traj, 0.02, [0.9], y_max=0.05)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # a NaN time must not fall back to the t = 0 snapshot
+        traj = standard_run(n=512, T=0.002, snapshot_every=20)
+        with pytest.raises(DomainError):
+            third_derivative_holder_scan(traj, t, [0.9], y_max=0.5)
 
 
 def nonlinear_duhamel(traj, t, tau):
@@ -234,6 +237,18 @@ class TestDuhamelIntegral:
         traj, _, _ = self.single_mode_trajectory()
         with pytest.raises(DomainError):
             DuhamelProbe(traj=traj, t=0.01, tau_ladder=[0.005])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_cutoff_rejected(self, t):
+        traj, _, _ = self.single_mode_trajectory()
+        with pytest.raises(DomainError):
+            DuhamelProbe(traj=traj, t=t, tau_ladder=[0.012])
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        traj, _, _ = self.single_mode_trajectory()
+        with pytest.raises(DomainError):
+            DuhamelProbe(traj=traj, t=0.01, tau_ladder=[0.012, tau])
 
 
 class TestDivergenceLawFit:
@@ -385,7 +400,7 @@ class TestScalingTransform:
     def test_identity_at_mu_one(self):
         g = Grid1D(256, 4.0)
         u = GridFunction(g, np.exp(-g.points**2).astype(complex))
-        out = scaling_transform(u, ScalingParams(mu=1.0, alpha=1.0, s=1.0))
+        out = scaling_transform(u, ScalingParams(mu=1.0, alpha=1.0))
         np.testing.assert_array_equal(out.values, u.values)
 
     def test_sup_norm_factor_exact(self):
@@ -393,7 +408,7 @@ class TestScalingTransform:
         u = GridFunction(g, np.exp(-g.points**2).astype(complex))
         sup0 = np.max(np.abs(u.values))
         for mu in (2.0, 4.0, 8.0):
-            out = scaling_transform(u, ScalingParams(mu=mu, alpha=1.0, s=1.0))
+            out = scaling_transform(u, ScalingParams(mu=mu, alpha=1.0))
             factor = np.max(np.abs(out.values)) / sup0
             assert abs(factor - mu**2) <= 1e-12 * mu**2
 
@@ -402,7 +417,7 @@ class TestScalingTransform:
         x0 = 0.5  # 64 grid spacings, divisible by mu = 8
         u = GridFunction(g, np.exp(-((g.points - x0) ** 2) * 8).astype(complex))
         for mu in (2.0, 4.0, 8.0):
-            out = scaling_transform(u, ScalingParams(mu=mu, alpha=1.0, s=1.0))
+            out = scaling_transform(u, ScalingParams(mu=mu, alpha=1.0))
             j = int(np.argmax(np.abs(out.values)))
             assert g.points[j] == pytest.approx(x0 / mu, abs=1e-12)
 
@@ -412,20 +427,20 @@ class TestScalingTransform:
         alpha, s = 1.0, 1.0
         base = hs_norm(u, SobolevIndex(s=s))
         for mu in (1.0, 2.0, 4.0, 8.0):
-            out = scaling_transform(u, ScalingParams(mu=mu, alpha=alpha, s=s))
+            out = scaling_transform(u, ScalingParams(mu=mu, alpha=alpha))
             ratio = hs_norm(out, SobolevIndex(s=s)) / base
             bound = mu ** (2.0 / alpha + s - 0.5)
             assert ratio <= bound * (1.0 + 1e-6)
 
     def test_mu_below_one_rejected(self):
         with pytest.raises(DomainError):
-            ScalingParams(mu=0.5, alpha=1.0, s=1.0)
+            ScalingParams(mu=0.5, alpha=1.0)
 
     def test_non_integer_mu_rejected(self):
         # mu*x_j is a grid node only for integer mu
         for mu in (1.5, 2.25, float("inf")):
             with pytest.raises(DomainError):
-                ScalingParams(mu=mu, alpha=1.0, s=1.0)
+                ScalingParams(mu=mu, alpha=1.0)
 
 
 class TestIllposednessReport:

@@ -325,6 +325,25 @@ class TestSharedHelpers:
         assert derivative_multiplier(g, 2)[8] == -g.wavenumbers[8] ** 2
         assert derivative_multiplier(g, 3)[1] == (1j * g.wavenumbers[1]) ** 3
 
+    @pytest.mark.parametrize("order", [-1, 2.5, float("nan")])
+    def test_derivative_multiplier_rejects_bad_order(self, order):
+        g = Grid1D(16, 1.0)
+        with pytest.raises(DomainError):
+            derivative_multiplier(g, order)
+        with pytest.raises(DomainError):
+            spectral_derivative(GridFunction(g, np.sin(np.pi * g.points)), order)
+
+    def test_spectral_derivative_rejects_out_of_range_axis(self):
+        gx, gy = Grid1D(8, 1.0), Grid1D(16, 1.0)
+        u2 = GridFunction((gx, gy), np.broadcast_to(np.sin(np.pi * gy.points), (8, 16)))
+        u1 = GridFunction(gy, np.sin(np.pi * gy.points))
+        for u, axis in ((u2, 2), (u2, -3), (u1, 1), (u1, -2)):
+            with pytest.raises(DomainError):
+                spectral_derivative(u, 1, axis=axis)
+        # in-range negative axes still count from the end
+        assert np.array_equal(spectral_derivative(u2, 1, axis=-1).values,
+                              spectral_derivative(u2, 1, axis=1).values)
+
     def test_dyadic_ladder_is_grid_aligned_and_halving(self):
         g = Grid1D(1024, 4.0)
         idx, ys = dyadic_ladder(g, 0.5)

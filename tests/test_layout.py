@@ -89,3 +89,13 @@ def test_only_grids_tests_for_grid1d():
                     and "Grid1D" in _names(node.args[1])):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_benchmark_tracer_resolves_its_names(monkeypatch):
+    # the benchmark's tracer names package functions and methods; building it
+    # (without installing it) fails if one of them is removed or renamed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    assert set(tracer._hooks) <= set(tracer.funcs)

@@ -13,7 +13,6 @@ from reglab.numerics import (
     _NODES,
     adaptive_quadrature,
     central_difference,
-    gamma_fn,
     gaussian_moment,
     loglog_fit,
     step_count,
@@ -179,24 +178,6 @@ class TestLevelBatching:
 
 
 class TestGammaAndMoments:
-    def test_special_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert abs(gamma_fn(0.5) - SQRT_PI) <= 1e-13 * SQRT_PI
-        assert abs(gamma_fn(4.0) - 6.0) <= 1e-12
-
-    def test_functional_equation(self):
-        rng = np.random.default_rng(7)
-        for x in rng.uniform(0.1, 20.0, size=40):
-            lhs = gamma_fn(x + 1.0)
-            rhs = x * gamma_fn(x)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-    def test_gamma_domain(self):
-        with pytest.raises(DomainError):
-            gamma_fn(0.0)
-        with pytest.raises(DomainError):
-            gamma_fn(-1.5)
-
     def test_moment_beta0(self):
         assert abs(gaussian_moment(0.0) - SQRT_PI) <= 1e-13
 

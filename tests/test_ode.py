@@ -256,8 +256,7 @@ class TestIntegratePerturbed:
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(StepSizeError):
             integrate_perturbed(params, lambda y: y.astype(complex), None,
-                                T=0.01, grid=self.grid(64), dt=3e-6,
-                                monitor_error=False)
+                                T=0.01, grid=self.grid(64), dt=3e-6)
 
     def test_zero_column_pinned(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
@@ -298,10 +297,27 @@ class TestIntegratePerturbed:
                     params, lambda y: y.astype(complex), None,
                     T=T, grid=grid, dt=dt,
                     phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-                    max_amplitude=bound, monitor_error=False,
+                    max_amplitude=bound,
                 )
             assert abs(err.value.time - t_star) <= 2.0 * dt
             assert err.value.partial is not None
+
+    def test_one_rk4_step_per_time_step(self):
+        # h at t, t + dt/2 and t + dt per step, plus the h(0, 0) = h(T, 0) check;
+        # h_y is given, so no central difference calls h
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        calls = []
+
+        def h(t, y):
+            calls.append(t)
+            return t * y**3
+
+        n = 1000
+        integrate_perturbed(params, lambda y: y.astype(complex), h, T=0.01,
+                            grid=self.grid(64), dt=0.01 / n,
+                            phi0_prime=lambda y: np.ones_like(y, dtype=complex),
+                            h_y=lambda t, y: 3.0 * t * y**2)
+        assert len(calls) == 3 * n + 2
 
     def test_phi_zero_requirement(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
@@ -322,7 +338,6 @@ class TestIntegratePerturbed:
                 params, lambda y: y.astype(complex), None,
                 T=0.05, grid=grid, dt=5e-5,
                 phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-                monitor_error=False,
             )
             w = run.w[-1]
             fd = (w[2:] - w[:-2]) / (2.0 * grid.spacing)
@@ -341,17 +356,17 @@ class TestIntegratingFactor:
             params, lambda y: np.zeros_like(y, dtype=complex), None,
             T=0.05, grid=grid, dt=5e-5,
         )
-        fac = integrating_factor(run)
-        assert np.max(np.abs(fac.A)) == 0.0
+        A = integrating_factor(run)
+        assert np.max(np.abs(A)) == 0.0
 
     def test_zero_column_and_initial_row(self):
         params = NonlinearityParams(alpha=0.5, lam=2.0 - 1.0j)
         grid = Grid1D(64, 1.0)
         run = integrate_perturbed(params, lambda y: y.astype(complex), None,
                                   T=0.05, grid=grid, dt=5e-5)
-        fac = integrating_factor(run)
-        assert np.max(np.abs(fac.A[0])) == 0.0
-        assert np.max(np.abs(fac.A[:, grid.zero_index])) == 0.0
+        A = integrating_factor(run)
+        assert np.max(np.abs(A[0])) == 0.0
+        assert np.max(np.abs(A[:, grid.zero_index])) == 0.0
 
     def test_imaginary_lambda_closed_form(self):
         # |w| is constant in time, so A(t,y) = lam*(alpha+2)/2 * t * |y|^alpha.
@@ -362,10 +377,10 @@ class TestIntegratingFactor:
             params, lambda y: y.astype(complex), None, T=0.05, grid=grid, dt=5e-5,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex),
         )
-        fac = integrating_factor(run)
+        A = integrating_factor(run)
         y = grid.points
         expect = 1j * (alpha + 2.0) / 2.0 * run.times[:, None] * np.abs(y[None, :]) ** alpha
-        assert np.max(np.abs(fac.A - expect)) <= 1e-10
+        assert np.max(np.abs(A - expect)) <= 1e-10
 
 
 class TestRepresentationCheck:
@@ -375,7 +390,6 @@ class TestRepresentationCheck:
         return integrate_perturbed(
             params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=dt,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
-            monitor_error=False,
         )
 
     def test_identity_residual_small(self):
@@ -411,7 +425,7 @@ class TestSnapshotThinning:
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         return integrate_perturbed(
             params, lambda y: y.astype(complex), None, T=T, grid=Grid1D(128, 1.0), dt=dt,
-            phi0_prime=lambda y: np.ones_like(y, dtype=complex), monitor_error=False,
+            phi0_prime=lambda y: np.ones_like(y, dtype=complex),
             snapshot_every=every, **kwargs,
         )
 
@@ -453,7 +467,6 @@ class TestHolderDefect:
         return integrate_perturbed(
             params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=dt,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
-            monitor_error=False,
         )
 
     def test_unperturbed_slope_matches_alpha(self):

@@ -36,7 +36,6 @@ def make_ode_run():
     return integrate_perturbed(
         params, lambda y: y.astype(complex), None, T=0.01, grid=grid, dt=1e-5,
         phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-        monitor_error=False,
     )
 
 
@@ -109,7 +108,7 @@ class TestRoundTrip:
             params, lambda y: y.astype(complex), lambda t, y: t * y**3,
             T=0.01, grid=grid, dt=1e-5,
             phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-            h_y=lambda t, y: 3.0 * t * y**2, monitor_error=False,
+            h_y=lambda t, y: 3.0 * t * y**2,
         )
         path = tmp_path / "forced.rglb"
         save_trajectory(run, path)
