@@ -246,7 +246,9 @@ def run_ode_defect(cfg: ExperimentConfig) -> dict:
     T = cfg.t_final
     alpha = cfg.alpha
     scale = cfg.tolerance_scale
-    smooth = (lambda t, y: t * y**3, lambda t, y: 3.0 * t * y**2)
+    # t * (y * y * y), not t * y**3: numpy's generic pow is ~15x slower, and on
+    # the dyadic grid the cube is exact either way
+    smooth = (lambda t, y: t * (y * y * y), lambda t, y: 3.0 * t * y**2)
     step_times = cfg.dt * np.arange(step_count(T, cfg.dt) + 1)
 
     def defect_reports(params, h, h_y, times):

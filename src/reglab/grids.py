@@ -291,10 +291,8 @@ def trig_interpolate(u: GridFunction, points: np.ndarray) -> np.ndarray:
 
 
 def reflect_y(values: np.ndarray) -> np.ndarray:
-    """Samples of u(-y) on the periodic grid (last axis)."""
-    n = values.shape[-1]
-    idx = (-np.arange(n)) % n
-    return values[..., idx]
+    """Samples of u(-y) on the periodic grid (last axis): index j maps to -j mod n."""
+    return np.concatenate((values[..., :1], values[..., :0:-1]), axis=-1)
 
 
 def odd_part(values: np.ndarray) -> np.ndarray:

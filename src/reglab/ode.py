@@ -22,9 +22,10 @@ from .errors import (
     BlowUpError,
     DegenerateInput,
     DomainError,
+    SizeMismatch,
     StepSizeError,
 )
-from .grids import Grid1D, ladder_increments
+from .grids import Grid1D, _grids_tuple, ladder_increments
 from .numerics import RegressionFit, _time_index, central_difference, step_count
 
 __all__ = [
@@ -131,13 +132,10 @@ def _forcing_derivative(h_forcing, h_y, t: float, y: np.ndarray) -> np.ndarray:
     return central_difference(lambda q: np.asarray(h_forcing(t, q)), y)
 
 
-def _conj_factor(w: np.ndarray, alpha: float) -> np.ndarray:
-    """|w|^(alpha-2) * w^2, with the removable singularity at w = 0 set to 0."""
-    mag = np.abs(w)
-    out = np.zeros_like(w)
-    nz = mag > 0.0
-    out[nz] = (w[nz] / mag[nz]) ** 2 * mag[nz] ** alpha
-    return out
+def _conj_factor(w: np.ndarray, mag: np.ndarray, mag_a: np.ndarray) -> np.ndarray:
+    """|w|^(alpha-2) * w^2 = (w/|w|)^2 |w|^alpha from mag = |w| and
+    mag_a = |w|^alpha, with the removable singularity at w = 0 set to 0."""
+    return np.divide(w, mag, out=np.zeros_like(w), where=mag > 0.0) ** 2 * mag_a
 
 
 @dataclass
@@ -181,7 +179,10 @@ def integrate_perturbed(
 
     ``phi0`` and ``h_forcing`` are vectorized callables (``phi0(y)``,
     ``h_forcing(t, y)``) with phi0(0) = 0 and h(t, 0) = 0; ``h_forcing`` may
-    be None for the unforced problem.  Analytic derivatives ``phi0_prime``
+    be None for the unforced problem.  h(t, 0) = 0 is checked at every time
+    h is evaluated (:class:`DomainError`), and a scalar h is broadcast over
+    the grid.  ``grid`` is one :class:`Grid1D`; phi0 and phi0' of another
+    shape are a :class:`SizeMismatch`.  Analytic derivatives ``phi0_prime``
     and ``h_y`` are used when given, otherwise fourth-order central
     differences of the callables.  The y = 0 column of w is pinned to zero.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
@@ -195,11 +196,17 @@ def integrate_perturbed(
     if snapshot_every < 1:
         raise DomainError("snapshot_every must be >= 1")
 
+    grids = _grids_tuple(grid)
+    if len(grids) != 1:
+        raise DomainError(f"integrate_perturbed needs one Grid1D, got {len(grids)} axes")
+    (grid,) = grids
     y = grid.points
     j0 = grid.zero_index
     lam, alpha = params.lam, params.alpha
 
     w = np.asarray(phi0(y), dtype=np.complex128).copy()
+    if w.shape != y.shape:
+        raise SizeMismatch(f"phi0 gave shape {w.shape} on a grid of shape {y.shape}")
     if abs(w[j0]) > 1e-13 * (1.0 + np.max(np.abs(w))):
         raise DomainError(f"phi0(0) must vanish, got {w[j0]}")
     w[j0] = 0.0
@@ -208,40 +215,30 @@ def integrate_perturbed(
         v = np.asarray(phi0_prime(y), dtype=np.complex128).copy()
     else:
         v = central_difference(phi0, y).astype(np.complex128)
+    if v.shape != y.shape:
+        raise SizeMismatch(f"phi0' gave shape {v.shape} on a grid of shape {y.shape}")
     z0 = complex(v[j0])
 
-    if h_forcing is not None:
-        h0 = np.asarray(h_forcing(0.0, np.array([0.0])), dtype=np.complex128)
-        hT = np.asarray(h_forcing(T, np.array([0.0])), dtype=np.complex128)
-        if max(abs(h0[0]), abs(hT[0])) > 1e-13:
-            raise DomainError("h_forcing(t, 0) must vanish")
-
-    def h_at(t):
+    def forcing(t):
+        """(h, h_y) on the grid at time t, checking h(t, 0) = 0."""
         if h_forcing is None:
-            return 0.0
-        return np.asarray(h_forcing(t, y), dtype=np.complex128)
-
-    def f_at(t):
-        return 0.0 if h_forcing is None else _forcing_derivative(h_forcing, h_y, t, y)
+            return 0.0, 0.0
+        h = np.broadcast_to(np.asarray(h_forcing(t, y), dtype=np.complex128), y.shape)
+        if not abs(h[j0]) <= 1e-13:
+            raise DomainError(f"h_forcing(t, 0) must vanish, got {h[j0]} at t = {t}")
+        return h, _forcing_derivative(h_forcing, h_y, t, y)
 
     half = 0.5 * alpha + 1.0  # (alpha + 2)/2
 
-    def rhs(t, wc, vc, h_val, f_val):
-        mag_a = np.abs(wc) ** alpha
+    def rhs(wc, vc, h_val, f_val):
+        if lam == 0:  # the linear control: nothing but the forcing
+            return h_val, f_val
+        mag = np.abs(wc)
+        mag_a = mag**alpha
         dw = lam * mag_a * wc + h_val
-        dv = lam * half * mag_a * vc + lam * (0.5 * alpha) * _conj_factor(wc, alpha) * np.conj(vc) + f_val
+        dv = (lam * half * mag_a * vc
+              + lam * (0.5 * alpha) * _conj_factor(wc, mag, mag_a) * np.conj(vc) + f_val)
         return dw, dv
-
-    def rk4_step(t, wc, vc, step):
-        h_lo, h_mid, h_hi = h_at(t), h_at(t + 0.5 * step), h_at(t + step)
-        f_lo, f_mid, f_hi = f_at(t), f_at(t + 0.5 * step), f_at(t + step)
-        k1w, k1v = rhs(t, wc, vc, h_lo, f_lo)
-        k2w, k2v = rhs(t, wc + 0.5 * step * k1w, vc + 0.5 * step * k1v, h_mid, f_mid)
-        k3w, k3v = rhs(t, wc + 0.5 * step * k2w, vc + 0.5 * step * k2v, h_mid, f_mid)
-        k4w, k4v = rhs(t, wc + step * k3w, vc + step * k3v, h_hi, f_hi)
-        wn = wc + (step / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        vn = vc + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        return wn, vn
 
     times = dt * np.arange(n_steps + 1)
     kept = np.unique(np.append(np.arange(0, n_steps + 1, snapshot_every), n_steps))
@@ -255,8 +252,17 @@ def integrate_perturbed(
                       z0=z0, h_forcing=h_forcing, h_y=h_y, dt=dt,
                       had_forcing=h_forcing is not None)
 
+    # the forcing at the end of a step is the forcing at the start of the next
+    lo = forcing(0.0)
     for k in range(n_steps):
-        w, v = rk4_step(times[k], w, v, dt)
+        mid, hi = forcing(times[k] + 0.5 * dt), forcing(times[k + 1])
+        k1w, k1v = rhs(w, v, *lo)
+        k2w, k2v = rhs(w + 0.5 * dt * k1w, v + 0.5 * dt * k1v, *mid)
+        k3w, k3v = rhs(w + 0.5 * dt * k2w, v + 0.5 * dt * k2v, *mid)
+        k4w, k4v = rhs(w + dt * k3w, v + dt * k3v, *hi)
+        w = w + (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        lo = hi
         w[j0] = 0.0
         peak = float(np.max(np.abs(w)))
         if not np.isfinite(peak) or peak > max_amplitude:
@@ -316,7 +322,8 @@ def representation_check(run: OdeRun, A: np.ndarray) -> float:
         f = np.stack([_forcing_derivative(run.h_forcing, run.h_y, t, y)
                       for t in run.times]).astype(np.complex128)
 
-    g = lam * (0.5 * alpha) * _conj_factor(run.w, alpha) * np.conj(run.v) + f
+    mag = np.abs(run.w)
+    g = lam * (0.5 * alpha) * _conj_factor(run.w, mag, mag**alpha) * np.conj(run.v) + f
     expA = np.exp(A)
     inner = _cumtrapz(np.exp(-A) * g, run.times)
     model = expA * run.v[0][None, :] + expA * inner

@@ -308,6 +308,14 @@ class TestSpectralOps:
         # x = -L is its own reflection pair on the torus, so skip index 0
         assert np.max(np.abs(odd[1:] - x[1:] ** 3)) <= 1e-14
         assert odd[0] == 0.0
+        # 2D rows and non-finite entries: the same bits as the index formula
+        rows = np.arange(3 * 16, dtype=complex).reshape(3, 16) * (1 - 0.5j)
+        rows[0, 5], rows[1, 0], rows[2, 9] = np.nan, np.inf, complex(-np.inf, np.nan)
+        for vals in (u, rows, rows.real):
+            expect = vals[..., (-np.arange(16)) % 16]
+            assert reflect_y(vals).tobytes() == expect.tobytes()
+            with np.errstate(invalid="ignore"):  # inf - inf
+                assert odd_part(vals).tobytes() == (0.5 * (vals - expect)).tobytes()
 
 
 class TestSharedHelpers:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reglab.errors import BlowUpError, DegenerateInput, DomainError, StepSizeError
+from reglab.errors import BlowUpError, DegenerateInput, DomainError, SizeMismatch, StepSizeError
 from reglab.grids import Grid1D
 from reglab.ode import (
     NonlinearityParams,
+    _conj_factor,
     exact_first_derivative,
     exact_flow,
     exact_second_derivative,
@@ -302,9 +303,7 @@ class TestIntegratePerturbed:
             assert abs(err.value.time - t_star) <= 2.0 * dt
             assert err.value.partial is not None
 
-    def test_one_rk4_step_per_time_step(self):
-        # h at t, t + dt/2 and t + dt per step, plus the h(0, 0) = h(T, 0) check;
-        # h_y is given, so no central difference calls h
+    def count_h_calls(self, n, h_y):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         calls = []
 
@@ -312,12 +311,69 @@ class TestIntegratePerturbed:
             calls.append(t)
             return t * y**3
 
-        n = 1000
         integrate_perturbed(params, lambda y: y.astype(complex), h, T=0.01,
                             grid=self.grid(64), dt=0.01 / n,
-                            phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-                            h_y=lambda t, y: 3.0 * t * y**2)
-        assert len(calls) == 3 * n + 2
+                            phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y)
+        return len(calls)
+
+    def test_one_rk4_step_per_time_step(self):
+        # the forcing once per time level (t_k and t_k + dt/2); h_y is given,
+        # so no central difference calls h
+        n = 1000
+        assert self.count_h_calls(n, lambda t, y: 3.0 * t * y**2) == 2 * n + 1
+
+    def test_forcing_difference_once_per_time_level(self):
+        # without h_y, each level also differences h at four shifted points
+        n = 1000
+        assert self.count_h_calls(n, None) == 5 * (2 * n + 1)
+
+    def test_linear_control_closed_form(self):
+        # lam = 0: w_t = t y^3, v_t = 3 t y^2; RK4 is exact for these
+        # polynomials in t
+        grid = self.grid(64)
+        run = integrate_perturbed(
+            NonlinearityParams(alpha=0.5, lam=0.0), lambda y: y.astype(complex),
+            lambda t, y: t * y**3, T=0.1, grid=grid, dt=1e-4,
+            phi0_prime=lambda y: np.ones_like(y, dtype=complex),
+            h_y=lambda t, y: 3.0 * t * y**2,
+        )
+        t, y = run.times[:, None], grid.points[None, :]
+        assert np.max(np.abs(run.w - (y + 0.5 * t**2 * y**3))) <= 1e-14
+        assert np.max(np.abs(run.v - (1.0 + 1.5 * t**2 * y**2))) <= 1e-14
+
+    def test_forcing_checked_at_zero_every_step(self):
+        # h(t, 0) = 0 at t = 0 and t = T only; h(T/2, 0) = 1
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        T = 0.01
+        with pytest.raises(DomainError):
+            integrate_perturbed(params, lambda y: y.astype(complex),
+                                lambda t, y: np.sin(np.pi * t / T) * (1.0 + y),
+                                T=T, grid=self.grid(64), dt=1e-5)
+        # a scalar forcing is broadcast over the grid
+        run = integrate_perturbed(params, lambda y: y.astype(complex),
+                                  lambda t, y: 0.0, T=T, grid=self.grid(64), dt=1e-5)
+        assert run.w.shape == (1001, 64)
+
+    @pytest.mark.parametrize("grid", [5, "abc", (Grid1D(16, 1.0), Grid1D(64, 1.0))],
+                             ids=["int", "str", "two-axes"])
+    def test_grid_must_be_one_axis(self, grid):
+        with pytest.raises(DomainError):
+            integrate_perturbed(NonlinearityParams(alpha=0.5, lam=1.0),
+                                lambda y: y.astype(complex), None,
+                                T=0.01, grid=grid, dt=1e-5)
+
+    def test_wrong_shape_initial_data(self):
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        short = lambda y: y[:4].astype(complex)
+        with pytest.raises(SizeMismatch):
+            integrate_perturbed(params, short, None, T=0.01, grid=self.grid(64), dt=1e-5)
+
+    def test_wrong_shape_initial_derivative(self):
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        with pytest.raises(SizeMismatch):
+            integrate_perturbed(params, lambda y: y.astype(complex), None,
+                                T=0.01, grid=self.grid(64), dt=1e-5,
+                                phi0_prime=lambda y: np.ones(4, dtype=complex))
 
     def test_phi_zero_requirement(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
@@ -346,6 +402,39 @@ class TestIntegratePerturbed:
             errs.append(float(np.max(diff[mask])))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
         assert errs[1] <= 1e-2
+
+
+def conj_factor_mask(w, alpha):
+    """|w|^(alpha-2) w^2 through a boolean mask of w != 0 (reference)."""
+    mag = np.abs(w)
+    out = np.zeros_like(w)
+    nz = mag > 0.0
+    out[nz] = (w[nz] / mag[nz]) ** 2 * mag[nz] ** alpha
+    return out
+
+
+# exact zeros, subnormals and normal floats up to 1e300 (|w| stays finite)
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+    st.floats(-2.2e-308, 2.2e-308),
+    st.floats(-1e300, 1e300),
+)
+
+
+class TestConjFactor:
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(
+        alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        parts=st.lists(st.tuples(_parts, _parts), min_size=1, max_size=64),
+    )
+    def test_matches_mask_formula_bit_for_bit(self, alpha, parts):
+        w = np.array([complex(a, b) for a, b in parts])
+        # w / |w| overflows for subnormal |w| and |w|^alpha for |w| near 1e300,
+        # under both formulas alike
+        with np.errstate(all="ignore"):
+            mag = np.abs(w)
+            new, old = _conj_factor(w, mag, mag**alpha), conj_factor_mask(w, alpha)
+        assert new.tobytes() == old.tobytes()
 
 
 class TestIntegratingFactor:
