@@ -21,10 +21,8 @@ from .errors import (
 from .grids import (
     Grid1D,
     GridFunction,
-    Spectrum,
     TrigInterpolant,
     forward_transform,
-    inverse_transform,
     odd_part,
     reflect_y,
     spectral_derivative,
@@ -53,14 +51,11 @@ from .kernels import (
     c_alpha,
     fifth_derivative_at_zero,
     gaussian_smooth,
-    odd_power_scaling_check,
     odd_power_probe,
 )
 from .evolution import (
-    EtaTrack,
     InitialData,
     Trajectory,
-    eta_track,
     make_odd_bump,
     remainder_decomposition,
     sample_initial_data,
@@ -69,13 +64,11 @@ from .evolution import (
 )
 from .diagnostics import (
     DuhamelProbe,
-    HolderIndex,
     ScalingParams,
     SobolevIndex,
     appendix_inequality_checks,
     consistency_report,
     duhamel_fifth_derivative_rate,
-    holder_seminorm,
     hs_norm,
     illposedness_exponent_report,
     scaling_transform,

@@ -1,10 +1,10 @@
 """Regularity measurements and loss-of-smoothness illustrations.
 
 Everything here is a pure function of trajectories or grid functions:
-discrete Hoelder seminorms, Fourier H^s norms (p = 2 only), the increment
-exponent of the third y-derivative at y = 0, the smoothed Duhamel integral
-with its fifth-derivative divergence rate, the dilation transform behind
-the ill-posedness scaling argument, and randomized checks of the three
+Fourier H^s norms (p = 2 only), the increment exponent of the third
+y-derivative at y = 0, the smoothed Duhamel integral with its
+fifth-derivative divergence rate, the dilation transform behind the
+ill-posedness scaling argument, and randomized checks of the three
 elementary inequalities used by the regularity bootstrap.
 
 Divergence statements are always illustrated as finite-window power-law
@@ -41,7 +41,6 @@ from .kernels import c_alpha, graded_fifth_derivatives
 from .numerics import RegressionFit, central_difference, loglog_fit, trapezoid_weights
 
 __all__ = [
-    "HolderIndex",
     "SobolevIndex",
     "DuhamelProbe",
     "ScalingParams",
@@ -49,7 +48,6 @@ __all__ = [
     "DuhamelRateReport",
     "ScalingVerdict",
     "InequalityReport",
-    "holder_seminorm",
     "hs_norm",
     "third_derivative_holder_scan",
     "duhamel_integral_of_series",
@@ -60,45 +58,6 @@ __all__ = [
     "appendix_inequality_checks",
     "consistency_report",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Hoelder seminorm
-
-
-@dataclass(frozen=True)
-class HolderIndex:
-    ell: float
-    window: float
-
-    def __post_init__(self):
-        if not (0.0 < self.ell <= 1.0):
-            raise DomainError(f"ell must lie in (0, 1], got {self.ell}")
-        if not (self.window > 0.0):
-            raise DomainError(f"window must be positive, got {self.window}")
-
-
-def holder_seminorm(u: GridFunction, idx: HolderIndex) -> float:
-    """Discrete sup of |u(x) - u(y)| / |x - y|^ell over pairs within the window.
-
-    Exact on the sample set; pair distances are straight-line (no periodic
-    wraparound), scanned at increasing offset so the result is deterministic.
-    """
-    if u.ndim != 1:
-        raise DomainError("holder_seminorm expects a 1D grid function")
-    g = u.grids[0]
-    spacing = g.spacing
-    if idx.window < 2.0 * spacing:
-        raise DegenerateInput(
-            f"window {idx.window} smaller than 2*spacing = {2 * spacing}"
-        )
-    vals = u.values
-    d_max = min(int(idx.window / spacing + 1e-12), g.n_points - 1)
-    best = 0.0
-    for d in range(1, d_max + 1):
-        diff = float(np.max(np.abs(vals[d:] - vals[:-d])))
-        best = max(best, diff / (d * spacing) ** idx.ell)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +82,7 @@ def hs_norm(u: GridFunction, idx: SobolevIndex) -> float:
     if u.ndim != 1:
         raise DomainError("hs_norm expects a 1D grid function")
     g = u.grids[0]
-    coeffs = forward_transform(u).coefficients
+    coeffs = forward_transform(u)
     total = np.sum((1.0 + laplacian_symbol(g)) ** idx.s * np.abs(coeffs) ** 2)
     return float(np.sqrt(2.0 * g.half_length * total))
 

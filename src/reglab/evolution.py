@@ -34,18 +34,14 @@ from .ode import NonlinearityParams, exact_flow
 __all__ = [
     "InitialData",
     "Trajectory",
-    "EtaTrack",
     "RemainderReport",
     "make_odd_bump",
     "sample_initial_data",
     "step",
     "solve",
-    "eta_track",
     "dy_at_zero",
     "remainder_decomposition",
 ]
-
-SCHEME_STRANG = "strang_exact_nl"
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,6 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray  # [snapshot, *space]
     dt: float
-    scheme: str = SCHEME_STRANG
     blowup_time: float | None = None
     odd_projection: bool = True
 
@@ -231,27 +226,11 @@ def solve(
                       odd_projection=odd_projection)
 
 
-@dataclass
-class EtaTrack:
-    """The y-derivative of u on the hyperplane y = 0, per snapshot."""
-
-    times: np.ndarray
-    eta: np.ndarray  # [snapshot] (1D) or [snapshot, x'] (2D)
-    eta0: complex
-
-
 def dy_at_zero(traj: Trajectory, i: int):
     """Spectral d/dy of snapshot i on the y = 0 slice (one value per x' in 2D)."""
     du = spectral_derivative(traj.snapshot(i), order=1, axis=-1)
     j0 = traj.y_grid.zero_index
     return du.values[..., j0]
-
-
-def eta_track(traj: Trajectory) -> EtaTrack:
-    """Spectral d/dy of every snapshot, restricted to the y = 0 slice."""
-    eta = np.array([dy_at_zero(traj, i) for i in range(len(traj.times))])
-    eta0 = complex(eta[(0,) + tuple(g.zero_index for g in traj.grids[:-1])])
-    return EtaTrack(times=traj.times.copy(), eta=eta, eta0=eta0)
 
 
 @dataclass

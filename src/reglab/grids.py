@@ -15,7 +15,7 @@ constant field has coefficient 1 at k = 0 and Parseval reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .numerics import loglog_fit
 __all__ = [
     "Grid1D",
     "GridFunction",
-    "Spectrum",
     "forward_transform",
-    "inverse_transform",
     "laplacian_symbol",
     "derivative_multiplier",
     "spectral_derivative",
@@ -132,54 +130,11 @@ class GridFunction:
         return self.grids[-1]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Fourier coefficients in FFT frequency order for each axis."""
-
-    grid: object
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        grids = _grids_tuple(self.grid)
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        expected = tuple(g.n_points for g in grids)
-        if coeffs.shape != expected:
-            raise SizeMismatch(f"coefficients shape {coeffs.shape} != grid shape {expected}")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def grids(self) -> tuple[Grid1D, ...]:
-        return _grids_tuple(self.grid)
-
-    def coefficient(self, *k: int) -> complex:
-        """Coefficient at integer frequency k (or (k_xprime, k_y) in 2D)."""
-        grids = self.grids
-        if len(k) != len(grids):
-            raise SizeMismatch(f"expected {len(grids)} frequency indices, got {len(k)}")
-        idx = []
-        for ki, g in zip(k, grids):
-            n = g.n_points
-            if not (-n // 2 <= ki < n // 2):
-                raise DomainError(f"frequency {ki} outside [-{n // 2}, {n // 2})")
-            idx.append(ki % n)
-        return complex(self.coefficients[tuple(idx)])
-
-
-def _phase_nd(grids: tuple[Grid1D, ...]) -> np.ndarray:
-    return math.prod(np.ix_(*(g.phase() for g in grids)))
-
-
-def forward_transform(u: GridFunction) -> Spectrum:
-    """Coefficients c_k = (1/n) sum_j u_j exp(-i xi_k x_j) (per axis)."""
-    coeffs = np.fft.fftn(u.values) / u.values.size * _phase_nd(u.grids)
-    return Spectrum(grid=u.grid, coefficients=coeffs)
-
-
-def inverse_transform(spectrum: Spectrum) -> GridFunction:
-    """Inverse of :func:`forward_transform`; round trip is exact to roundoff."""
-    coeffs = spectrum.coefficients
-    values = np.fft.ifftn(coeffs * _phase_nd(spectrum.grids)) * coeffs.size
-    return GridFunction(grid=spectrum.grid, values=values, allow_nonfinite=True)
+def forward_transform(u: GridFunction) -> np.ndarray:
+    """Coefficients c_k = (1/n) sum_j u_j exp(-i xi_k x_j) (per axis), in FFT
+    frequency order on each axis."""
+    phase = math.prod(np.ix_(*(g.phase() for g in u.grids)))
+    return np.fft.fftn(u.values) / u.values.size * phase
 
 
 def laplacian_symbol(grid) -> np.ndarray:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError, RegLabError
-from .numerics import RegressionFit, adaptive_quadrature, gaussian_moment, loglog_fit
+from .errors import DegenerateInput, DomainError
+from .numerics import adaptive_quadrature, gaussian_moment
 
 __all__ = [
     "KernelProbe",
@@ -31,7 +31,6 @@ __all__ = [
     "fifth_derivative_at_zero",
     "graded_fifth_derivatives",
     "c_alpha",
-    "odd_power_scaling_check",
     "odd_power_probe",
 ]
 
@@ -140,33 +139,3 @@ def c_alpha(alpha: float) -> float:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
     prefactor = 32.0 * alpha * (2.0 - alpha) / ((alpha + 3.0) * (alpha + 5.0))
     return prefactor * gaussian_moment(alpha + 6.0) / math.sqrt(math.pi)
-
-
-def odd_power_scaling_check(alpha: float, sigmas) -> RegressionFit:
-    """Scaling check: fifth derivative of the smoothed |y|^alpha y vs sigma.
-
-    Computes the quadrature value at each sigma, asserts it is real and
-    negative, and fits log|value| against log sigma.  The slope should equal
-    -2 + alpha/2.
-    """
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.size < 3 or np.any(sigmas <= 0):
-        raise DegenerateInput("need at least 3 positive sigma values")
-    if np.max(sigmas) / np.min(sigmas) < 100.0:
-        raise DegenerateInput("sigma values must span at least 2 decades")
-
-    values = []
-    for sigma in sigmas:
-        val = fifth_derivative_at_zero(odd_power_probe(alpha, sigma))
-        if abs(val.imag) > 1e-12 * abs(val.real):
-            raise RegLabError(
-                f"fifth derivative not real for alpha={alpha}, sigma={sigma}: {val}"
-            )
-        if val.real >= 0.0:
-            raise RegLabError(
-                f"fifth derivative not negative for alpha={alpha}, sigma={sigma}: {val}"
-            )
-        values.append(abs(val))
-    return loglog_fit(sigmas, np.array(values))

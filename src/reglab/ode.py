@@ -132,10 +132,23 @@ def _forcing_derivative(h_forcing, h_y, t: float, y: np.ndarray) -> np.ndarray:
     return central_difference(lambda q: np.asarray(h_forcing(t, q)), y)
 
 
+_TINY = float(np.finfo(float).tiny)
+_SUBNORMAL_SCALE = 2.0**54  # exact, and lifts |w| >= 2^-1074 above _TINY
+
+
 def _conj_factor(w: np.ndarray, mag: np.ndarray, mag_a: np.ndarray) -> np.ndarray:
     """|w|^(alpha-2) * w^2 = (w/|w|)^2 |w|^alpha from mag = |w| and
-    mag_a = |w|^alpha, with the removable singularity at w = 0 set to 0."""
-    return np.divide(w, mag, out=np.zeros_like(w), where=mag > 0.0) ** 2 * mag_a
+    mag_a = |w|^alpha, with the removable singularity at w = 0 set to 0.
+
+    numpy divides by |w| through 1/|w|, which overflows for a subnormal |w|;
+    those entries take w/|w| from w scaled by an exact power of two."""
+    normal = mag >= _TINY
+    unit = np.divide(w, mag, out=np.zeros_like(w), where=normal)
+    if np.count_nonzero(normal) != np.count_nonzero(mag):  # some 0 < |w| < tiny
+        sub = ~normal & (mag > 0.0)
+        scaled = w[sub] * _SUBNORMAL_SCALE
+        unit[sub] = scaled / np.abs(scaled)
+    return unit**2 * mag_a
 
 
 @dataclass
@@ -180,9 +193,9 @@ def integrate_perturbed(
     ``phi0`` and ``h_forcing`` are vectorized callables (``phi0(y)``,
     ``h_forcing(t, y)``) with phi0(0) = 0 and h(t, 0) = 0; ``h_forcing`` may
     be None for the unforced problem.  h(t, 0) = 0 is checked at every time
-    h is evaluated (:class:`DomainError`), and a scalar h is broadcast over
-    the grid.  ``grid`` is one :class:`Grid1D`; phi0 and phi0' of another
-    shape are a :class:`SizeMismatch`.  Analytic derivatives ``phi0_prime``
+    h is evaluated (:class:`DomainError`), and a scalar h or h_y is broadcast
+    over the grid.  ``grid`` is one :class:`Grid1D`; phi0, phi0', h and h_y of
+    another shape are a :class:`SizeMismatch`.  Analytic derivatives ``phi0_prime``
     and ``h_y`` are used when given, otherwise fourth-order central
     differences of the callables.  The y = 0 column of w is pinned to zero.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
@@ -219,14 +232,21 @@ def integrate_perturbed(
         raise SizeMismatch(f"phi0' gave shape {v.shape} on a grid of shape {y.shape}")
     z0 = complex(v[j0])
 
+    def on_grid(values, name):
+        """values, if a scalar or of the grid's shape (:class:`SizeMismatch` otherwise)."""
+        if np.shape(values) not in ((), y.shape):
+            raise SizeMismatch(f"{name} gave shape {np.shape(values)} on a grid of shape {y.shape}")
+        return values
+
     def forcing(t):
         """(h, h_y) on the grid at time t, checking h(t, 0) = 0."""
         if h_forcing is None:
             return 0.0, 0.0
-        h = np.broadcast_to(np.asarray(h_forcing(t, y), dtype=np.complex128), y.shape)
+        h = np.asarray(h_forcing(t, y), dtype=np.complex128)
+        h = np.broadcast_to(on_grid(h, "h_forcing"), y.shape)
         if not abs(h[j0]) <= 1e-13:
             raise DomainError(f"h_forcing(t, 0) must vanish, got {h[j0]} at t = {t}")
-        return h, _forcing_derivative(h_forcing, h_y, t, y)
+        return h, on_grid(_forcing_derivative(h_forcing, h_y, t, y), "h_y")
 
     half = 0.5 * alpha + 1.0  # (alpha + 2)/2
 

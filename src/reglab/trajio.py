@@ -11,7 +11,7 @@ File layout (all little-endian):
     half_len   f64*ndim
     dt         f64
     alpha, lambda_re, lambda_im, theta   f64 each
-    scheme     u32      0 = strang_exact_nl, 1 = rk4_pointwise
+    scheme     u32      0 = strang_exact_nl, 1 = rk4_pointwise (the kind decides it)
     flags      u32      bit0 blow-up present, bit1 odd projection, bit2 forcing
     blowup_t   f64      NaN when absent
     z0_re,z0_im f64     ODE runs only (zeros otherwise)
@@ -37,7 +37,7 @@ import tempfile
 import numpy as np
 
 from .errors import DomainError, FormatError, IoError, VersionError
-from .evolution import SCHEME_STRANG, Trajectory
+from .evolution import Trajectory
 from .grids import Grid1D
 from .ode import NonlinearityParams, OdeRun
 
@@ -53,8 +53,12 @@ MAGIC = b"RGLB"
 FORMAT_VERSION = 1
 _KIND_TRAJECTORY = 0
 _KIND_ODE_RUN = 1
-_SCHEMES = {SCHEME_STRANG: 0, "rk4_pointwise": 1}
-_SCHEMES_INV = {v: k for k, v in _SCHEMES.items()}
+# kind code -> (sidecar kind, scheme code, sidecar scheme): a Trajectory is always
+# Strang-split and an OdeRun always RK4, so a file whose scheme disagrees is corrupt
+_KINDS = {
+    _KIND_TRAJECTORY: ("trajectory", 0, "strang_exact_nl"),
+    _KIND_ODE_RUN: ("ode_run", 1, "rk4_pointwise"),
+}
 
 _FLAG_BLOWUP = 1
 _FLAG_ODD_PROJECTION = 2
@@ -86,7 +90,6 @@ def _header_and_payload(obj) -> tuple[bytes, dict]:
         grids = obj.grids
         data = obj.values.reshape(len(obj.times), 1, -1)
         n_channels = 1
-        scheme = _SCHEMES[obj.scheme]
         flags = (_FLAG_BLOWUP if obj.blowup_time is not None else 0) \
             | (_FLAG_ODD_PROJECTION if obj.odd_projection else 0)
         blowup = obj.blowup_time if obj.blowup_time is not None else math.nan
@@ -98,7 +101,6 @@ def _header_and_payload(obj) -> tuple[bytes, dict]:
         grids = (obj.grid,)
         data = np.stack([obj.w, obj.v], axis=1).reshape(len(obj.times), 2, -1)
         n_channels = 2
-        scheme = _SCHEMES["rk4_pointwise"]
         flags = _FLAG_FORCING if obj.has_forcing else 0
         blowup = math.nan
         z0 = complex(obj.z0)
@@ -106,6 +108,7 @@ def _header_and_payload(obj) -> tuple[bytes, dict]:
         params = obj.params
     else:
         raise IoError(f"cannot serialize object of type {type(obj).__name__}")
+    kind_name, scheme, scheme_name = _KINDS[kind]
 
     header = bytearray()
     header += MAGIC
@@ -124,14 +127,14 @@ def _header_and_payload(obj) -> tuple[bytes, dict]:
 
     meta = {
         "format_version": FORMAT_VERSION,
-        "kind": "trajectory" if kind == _KIND_TRAJECTORY else "ode_run",
+        "kind": kind_name,
         "n_points": [int(g.n_points) for g in grids],
         "half_length": [float(g.half_length) for g in grids],
         "dt": float(dt),
         "alpha": float(params.alpha),
         "lambda": [params.lam.real, params.lam.imag],
         "theta": float(params.theta),
-        "scheme": _SCHEMES_INV[scheme],
+        "scheme": scheme_name,
         "n_times": int(len(obj.times)),
         "blowup_time": None if math.isnan(blowup) else float(blowup),
     }
@@ -196,8 +199,9 @@ def load_trajectory(path):
     half_len = r.unpack(f"<{ndim}d", "grid lengths")
     dt, alpha, lam_re, lam_im, theta = r.unpack("<5d", "parameters")
     scheme_code, flags = r.unpack("<II", "scheme/flags")
-    if scheme_code not in _SCHEMES_INV:
-        raise FormatError(f"unknown scheme code {scheme_code}", offset=r.offset - 8)
+    if scheme_code != _KINDS[kind][1]:
+        raise FormatError(f"scheme code {scheme_code} does not match kind {kind}",
+                          offset=r.offset - 8)
     blowup, z0_re, z0_im = r.unpack("<3d", "blow-up/z0")
     (n_times,) = r.unpack("<Q", "n_times")
     try:
@@ -221,7 +225,6 @@ def load_trajectory(path):
             times=times,
             values=snaps[:, 0, ...],
             dt=dt,
-            scheme=_SCHEMES_INV[scheme_code],
             blowup_time=None if math.isnan(blowup) else blowup,
             odd_projection=bool(flags & _FLAG_ODD_PROJECTION),
         )

@@ -5,13 +5,11 @@ import pytest
 
 from reglab.diagnostics import (
     DuhamelProbe,
-    HolderIndex,
     ScalingParams,
     SobolevIndex,
     appendix_inequality_checks,
     duhamel_fifth_derivative_rate,
     duhamel_integral_of_series,
-    holder_seminorm,
     hs_norm,
     illposedness_exponent_report,
     scaling_transform,
@@ -30,52 +28,6 @@ from reglab.grids import Grid1D, GridFunction, TrigInterpolant
 from reglab.kernels import KernelProbe, fifth_derivative_at_zero
 from reglab.numerics import adaptive_quadrature, trapezoid_weights
 from reglab.ode import NonlinearityParams
-
-
-class TestHolderSeminorm:
-    def test_identity_function(self):
-        g = Grid1D(256, 1.0)
-        u = GridFunction(g, g.points.astype(complex))
-        val = holder_seminorm(u, HolderIndex(ell=1.0, window=0.5))
-        assert abs(val - 1.0) <= 1e-12
-
-    def test_sqrt_profile_attains_one(self):
-        g = Grid1D(4096, 1.0)
-        u = GridFunction(g, np.sqrt(np.abs(g.points)).astype(complex))
-        val = holder_seminorm(u, HolderIndex(ell=0.5, window=0.5))
-        assert abs(val - 1.0) <= 1e-12
-        # Oracle: brute force over all pairs
-        x = g.points
-        vals = np.sqrt(np.abs(x))
-        best = 0.0
-        for d in range(1, 4096):
-            num = np.max(np.abs(vals[d:] - vals[:-d]))
-            dist = d * g.spacing
-            if dist <= 0.5:
-                best = max(best, num / dist**0.5)
-        assert abs(val - best) <= 1e-12
-
-    def test_constant(self):
-        g = Grid1D(64, 1.0)
-        u = GridFunction(g, np.full(64, 2.3 + 1j))
-        assert holder_seminorm(u, HolderIndex(ell=0.7, window=0.5)) == 0.0
-
-    def test_window_too_small(self):
-        g = Grid1D(64, 1.0)
-        u = GridFunction(g, g.points.astype(complex))
-        with pytest.raises(DegenerateInput):
-            holder_seminorm(u, HolderIndex(ell=0.5, window=g.spacing))
-
-    def test_monotone_nondecreasing_in_ell(self):
-        # for pair distances <= 1 the discrete sup is nondecreasing in ell
-        rng = np.random.default_rng(8)
-        g = Grid1D(256, 1.0)
-        vals = rng.standard_normal(256)
-        vals = vals / np.max(np.abs(vals))
-        u = GridFunction(g, vals.astype(complex))
-        ells = [0.2, 0.4, 0.6, 0.8, 1.0]
-        sems = [holder_seminorm(u, HolderIndex(ell=e, window=1.0)) for e in ells]
-        assert all(sems[i] <= sems[i + 1] + 1e-12 for i in range(len(sems) - 1))
 
 
 class TestHsNorm:

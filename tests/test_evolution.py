@@ -4,7 +4,7 @@ import pytest
 from reglab.errors import BlowUpError, DomainError, ResolutionError, StepSizeError
 from reglab.evolution import (
     InitialData,
-    eta_track,
+    dy_at_zero,
     make_odd_bump,
     remainder_decomposition,
     sample_initial_data,
@@ -275,13 +275,14 @@ class TestSolve:
 
 
 class TestEtaTrack:
+    """eta(t) = d/dy u(t, 0), per snapshot, as :func:`dy_at_zero` reads it."""
+
     def test_initial_value_matches_profile(self):
         params = heat_params(alpha=0.5, lam=1.0)
         g = Grid1D(1024, 4.0)
         bump = make_odd_bump(1, 1.0, 1.0)
         traj = solve(params, bump, g, T=0.02, dt=5e-4, snapshot_every=10)
-        track = eta_track(traj)
-        assert abs(track.eta0 - np.exp(-1.0)) <= 1e-8
+        assert abs(dy_at_zero(traj, 0) - np.exp(-1.0)) <= 1e-8
 
     def test_zero_slice_is_zero(self):
         params = heat_params(alpha=0.5, lam=1.0)
@@ -298,7 +299,6 @@ class TestEtaTrack:
         bump = make_odd_bump(1, 1.0, 1.0)
         T = 0.05
         traj = solve(params, bump, g, T=T, dt=1e-3, snapshot_every=10)
-        track = eta_track(traj)
 
         def phi_prime(y):
             inside = np.abs(y) < 1.0
@@ -312,17 +312,17 @@ class TestEtaTrack:
 
         kernel = lambda y: np.exp(-(y**2) / (4 * T)) / np.sqrt(4 * np.pi * T)
         oracle = adaptive_quadrature(lambda y: kernel(y) * phi_prime(y), -1.0, 1.0, 1e-10)
-        assert abs(track.eta[-1] - oracle) <= 1e-8 * abs(oracle)
+        assert abs(dy_at_zero(traj, -1) - oracle) <= 1e-8 * abs(oracle)
 
     def test_2d_track_shape(self):
         params = heat_params(alpha=0.5, lam=1.0)
         gx, gy = Grid1D(64, 4.0), Grid1D(512, 4.0)
         bump = make_odd_bump(2, 1.0, 1.0)
         traj = solve(params, bump, (gx, gy), T=0.01, dt=5e-4, snapshot_every=5)
-        track = eta_track(traj)
-        assert track.eta.shape == (len(traj.times), 64)
+        eta = np.array([dy_at_zero(traj, i) for i in range(len(traj.times))])
+        assert eta.shape == (len(traj.times), 64)
         # y-resolution 512 puts the spectral derivative error near 4e-6
-        assert abs(track.eta0 - np.exp(-1.0)) <= 1e-5
+        assert abs(eta[0, gx.zero_index] - np.exp(-1.0)) <= 1e-5
 
 
 class TestRemainderDecomposition:

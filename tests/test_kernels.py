@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from reglab.errors import DegenerateInput, DomainError, RegLabError
+from reglab.errors import DegenerateInput, DomainError
 from reglab.kernels import (
     KernelProbe,
     c_alpha,
     fifth_derivative_at_zero,
     gaussian_smooth,
     graded_fifth_derivatives,
-    odd_power_scaling_check,
     odd_power_probe,
 )
 from reglab.numerics import adaptive_quadrature, gaussian_moment
@@ -115,6 +114,16 @@ class TestFifthDerivative:
         approx = fd5(lambda x: gaussian_smooth(probe, x), 1e-2)
         assert abs(direct - approx) <= 1e-4 * abs(direct)
 
+    def test_alpha_one_value(self):
+        val = fifth_derivative_at_zero(odd_power_probe(1.0, 1.0))
+        expect = -8.0 / SQRT_PI
+        assert abs(val.real - expect) <= 1e-8 * abs(expect)
+
+    def test_even_probe_vanishes(self):
+        # the kernel is odd, so an even psi has no fifth derivative at 0
+        probe = KernelProbe(psi=lambda y: np.abs(y) ** 1.5, sigma=1.0, m=1.5)
+        assert abs(fifth_derivative_at_zero(probe)) < 1e-9
+
 
 def odd_difference(psi):
     """The graded rule's argument for psi: y -> psi(y) - psi(-y)."""
@@ -190,36 +199,6 @@ class TestCAlpha:
             c_alpha(0.0)
         with pytest.raises(DomainError):
             c_alpha(2.5)
-
-
-class TestOddPowerScalingCheck:
-    def test_alpha_half_slope(self):
-        fit = odd_power_scaling_check(0.5, [1e-2, 1e-1, 1.0, 10.0])
-        assert abs(fit.slope - (-1.75)) <= 1e-3
-
-    def test_alpha_19_slope(self):
-        fit = odd_power_scaling_check(1.9, [1e-2, 1e-1, 1.0, 10.0])
-        assert abs(fit.slope - (-1.05)) <= 1e-3
-
-    def test_alpha_one_value(self):
-        val = fifth_derivative_at_zero(odd_power_probe(1.0, 1.0))
-        expect = -8.0 / SQRT_PI
-        assert abs(val.real - expect) <= 1e-8 * abs(expect)
-
-    def test_input_validation(self):
-        with pytest.raises(DegenerateInput):
-            odd_power_scaling_check(0.5, [1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateInput):
-            odd_power_scaling_check(0.5, [1.0, 10.0])
-
-    def test_realness_enforced(self):
-        # an even probe is outside the odd-power scaling family
-        with pytest.raises(RegLabError):
-            probe = KernelProbe(psi=lambda y: np.abs(y) ** 1.5, sigma=1.0, m=1.5)
-            val = fifth_derivative_at_zero(probe)
-            # even psi gives ~0; surface the realness-check failure mode
-            if abs(val) < 1e-9:
-                raise RegLabError("even probe has no odd fifth derivative")
 
 
 class TestScalingProperties:

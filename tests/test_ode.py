@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab.errors import BlowUpError, DegenerateInput, DomainError, SizeMismatch, StepSizeError
@@ -375,6 +375,19 @@ class TestIntegratePerturbed:
                                 T=0.01, grid=self.grid(64), dt=1e-5,
                                 phi0_prime=lambda y: np.ones(4, dtype=complex))
 
+    def test_wrong_shape_forcing(self):
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        with pytest.raises(SizeMismatch):
+            integrate_perturbed(params, lambda y: y.astype(complex), lambda t, y: np.zeros(3),
+                                T=0.01, grid=self.grid(64), dt=1e-5)
+
+    def test_wrong_shape_forcing_derivative(self):
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        with pytest.raises(SizeMismatch):
+            integrate_perturbed(params, lambda y: y.astype(complex), lambda t, y: t * y**3,
+                                T=0.01, grid=self.grid(64), dt=1e-5,
+                                h_y=lambda t, y: np.zeros(3))
+
     def test_phi_zero_requirement(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(DomainError):
@@ -414,27 +427,43 @@ def conj_factor_mask(w, alpha):
 
 
 # exact zeros, subnormals and normal floats up to 1e300 (|w| stays finite)
-_parts = st.one_of(
+_subnormal_parts = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
     st.floats(-2.2e-308, 2.2e-308),
-    st.floats(-1e300, 1e300),
 )
+_parts = st.one_of(_subnormal_parts, st.floats(-1e300, 1e300))
+_alphas = st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
+_TINY = np.finfo(float).tiny
 
 
 class TestConjFactor:
     @settings(deadline=None, database=None, max_examples=200)
-    @given(
-        alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
-        parts=st.lists(st.tuples(_parts, _parts), min_size=1, max_size=64),
-    )
+    @given(alpha=_alphas, parts=st.lists(st.tuples(_parts, _parts), min_size=1, max_size=64))
     def test_matches_mask_formula_bit_for_bit(self, alpha, parts):
+        # where |w| is 0 or normal; the mask formula overflows for a subnormal |w|
         w = np.array([complex(a, b) for a, b in parts])
-        # w / |w| overflows for subnormal |w| and |w|^alpha for |w| near 1e300,
-        # under both formulas alike
-        with np.errstate(all="ignore"):
-            mag = np.abs(w)
-            new, old = _conj_factor(w, mag, mag**alpha), conj_factor_mask(w, alpha)
+        mag = np.abs(w)
+        keep = (mag == 0.0) | (mag >= _TINY)
+        # |w|^alpha overflows for |w| near 1e300, under both formulas alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = _conj_factor(w, mag, mag**alpha)[keep]
+            old = conj_factor_mask(w[keep], alpha)
         assert new.tobytes() == old.tobytes()
+
+    @settings(deadline=None, database=None, max_examples=200)
+    @given(alpha=_alphas,
+           parts=st.lists(st.tuples(_subnormal_parts, _subnormal_parts), min_size=1, max_size=64))
+    @example(alpha=0.5, parts=[(1e-310, 0.0), (5e-324, 5e-324), (0.0, -3e-320)])
+    def test_subnormal_modulus(self, alpha, parts):
+        # |(w/|w|)^2 |w|^alpha| = |w|^alpha, with no overflow on the way
+        w = np.array([complex(a, b) for a, b in parts])
+        mag = np.abs(w)
+        mag_a = mag**alpha
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = _conj_factor(w, mag, mag_a)
+        assert np.all(np.isfinite(out))
+        # a subnormal |w|^alpha carries only the absolute resolution 2^-1074
+        assert np.all(np.abs(np.abs(out) - mag_a) <= 1e-12 * np.maximum(mag_a, _TINY))
 
 
 class TestIntegratingFactor:

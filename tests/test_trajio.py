@@ -74,7 +74,6 @@ class TestRoundTrip:
         assert back.times.tobytes() == traj.times.tobytes()
         assert back.params == traj.params
         assert back.dt == traj.dt
-        assert back.scheme == traj.scheme
         assert back.blowup_time is None
         assert back.odd_projection == traj.odd_projection
         assert back.y_grid == traj.y_grid
@@ -129,6 +128,7 @@ class TestRoundTrip:
         save_trajectory(traj, path)
         meta = json.loads((tmp_path / "run.rglb.json").read_text())
         assert meta["kind"] == "trajectory"
+        assert meta["scheme"] == "strang_exact_nl"
         assert meta["n_points"] == [256]
         assert meta["alpha"] == 0.5
         assert meta["format_version"] == FORMAT_VERSION
@@ -236,7 +236,10 @@ class TestCorruption:
         (0, 8, struct.pack("<I", 1)),  # an ODE-run kind over one channel
         (1, 20, struct.pack("<2I", 2**32 - 1, 2**32 - 1)),
         (0, header_offset(1, "scheme"), struct.pack("<I", 7)),
-    ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_2d_grid", "unknown_scheme"])
+        (0, header_offset(1, "scheme"), struct.pack("<I", 1)),  # the ODE runs' RK4
+        (2, header_offset(1, "scheme"), struct.pack("<I", 0)),  # the trajectories' Strang
+    ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_2d_grid", "unknown_scheme",
+            "trajectory_with_rk4_scheme", "ode_run_with_strang_scheme"])
     def test_bad_header_field_is_format_error(self, tmp_path, which, at, patch):
         path = tmp_path / "run.rglb"
         save_trajectory(tiny_files()[which][0], path)
