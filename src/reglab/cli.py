@@ -323,8 +323,11 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         traj = err.partial
         blowup = err.time
     save_trajectory(traj, path)
-    norms = np.sqrt(np.sum(np.abs(traj.values) ** 2, axis=tuple(range(1, traj.values.ndim)))
-                    * traj.y_grid.spacing)
+    mags = np.abs(traj.values)
+    space = tuple(range(1, mags.ndim))
+    sups = mags.max(axis=space)
+    # squared in place: no second field-sized temporary
+    norms = np.sqrt(np.sum(np.square(mags, out=mags), axis=space) * traj.y_grid.spacing)
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0]) if norms[0] else 0.0
     report["trajectory_path"] = path
     report["blowup_time"] = blowup
@@ -336,8 +339,8 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     report["tables"]["norms"] = {
         "columns": ["t", "l2_norm", "sup_norm"],
         "rows": [
-            [float(t), float(n), float(np.max(np.abs(v)))]
-            for t, n, v in zip(traj.times, norms, traj.values)
+            [float(t), float(n), float(s)]
+            for t, n, s in zip(traj.times, norms, sups)
         ],
     }
     return report

@@ -69,10 +69,17 @@ def _flow_factor(params: NonlinearityParams, mag_a, t: float):
     """(base, w(t)/w(0)) = (1 - alpha t Re(lam) |w|^alpha, base^(-lam/(alpha Re lam))),
     or (1, exp(i t Im(lam) |w|^alpha)) for Re lam = 0; :class:`BlowUpError`
     once t reaches the blow-up time of the largest |w|^alpha.  log(base) is a
-    log1p, which keeps its digits when |Re lam| is small."""
+    log1p, which keeps its digits when |Re lam| is small.
+
+    The factor is real for Im lam = 0, and for Re lam = 0 its real and
+    imaginary parts are a cos and a sin: neither needs a complex exp."""
     lam, alpha = params.lam, params.alpha
     if lam.real == 0.0:
-        return 1.0, np.exp(1j * t * mag_a * lam.imag)
+        phase = t * mag_a * lam.imag
+        factor = np.empty(np.shape(phase), dtype=np.complex128)
+        factor.real = np.cos(phase)
+        factor.imag = np.sin(phase)
+        return 1.0, factor
     growth = alpha * t * lam.real * mag_a
     base = 1.0 - growth
     if lam.real > 0 and np.min(base) <= 0.0:
@@ -80,6 +87,8 @@ def _flow_factor(params: NonlinearityParams, mag_a, t: float):
         raise BlowUpError(
             f"blow-up at t = {critical:.6g} reached before t = {t}", time=critical
         )
+    if lam.imag == 0.0:
+        return base, np.exp(-np.log1p(-growth) / alpha)
     return base, np.exp(-lam / (alpha * lam.real) * np.log1p(-growth))
 
 

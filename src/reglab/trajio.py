@@ -65,7 +65,8 @@ _FLAG_ODD_PROJECTION = 2
 _FLAG_FORCING = 4
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, *parts) -> None:
+    """Write the byte buffers ``parts`` in order, as one atomic file."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".tmp.",
@@ -73,7 +74,8 @@ def _atomic_write(path: str, payload: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             os.umask(umask := os.umask(0o022))  # read the umask
             os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give, not 0600
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -84,7 +86,7 @@ def _atomic_write(path: str, payload: bytes) -> None:
         raise IoError(f"cannot write {path}: {err}") from err
 
 
-def _header_and_payload(obj) -> tuple[bytes, dict]:
+def _header_and_payload(obj) -> tuple[tuple, dict]:
     if isinstance(obj, Trajectory):
         kind = _KIND_TRAJECTORY
         grids = obj.grids
@@ -121,9 +123,9 @@ def _header_and_payload(obj) -> tuple[bytes, dict]:
     header += struct.pack("<3d", blowup, z0.real, z0.imag)
     header += struct.pack("<Q", len(obj.times))
 
-    payload = bytes(header)
-    payload += np.asarray(obj.times, dtype="<f8").tobytes()
-    payload += np.ascontiguousarray(data, dtype="<c16").tobytes()
+    # the snapshot block goes to the file as a view, never as a bytes copy
+    snapshots = memoryview(np.ascontiguousarray(data, dtype="<c16")).cast("B")
+    payload = (header, np.asarray(obj.times, dtype="<f8").tobytes(), snapshots)
 
     meta = {
         "format_version": FORMAT_VERSION,
@@ -145,17 +147,19 @@ def save_trajectory(obj, path) -> None:
     """Persist a Trajectory or OdeRun with a JSON metadata sidecar."""
     path = os.fspath(path)
     payload, meta = _header_and_payload(obj)
-    _atomic_write(path, payload)
+    _atomic_write(path, *payload)
     _atomic_write(path + ".json",
                   (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Sections of a byte array, each handed out as a view of it."""
+
+    def __init__(self, blob: np.ndarray):
         self.blob = blob
         self.offset = 0
 
-    def take(self, n: int, section: str) -> bytes:
+    def take(self, n: int, section: str) -> np.ndarray:
         if self.offset + n > len(self.blob):
             raise FormatError(f"truncated file: missing section '{section}'",
                               offset=self.offset)
@@ -167,19 +171,37 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), section))
 
 
+def _read_aligned(path: str) -> np.ndarray:
+    """The whole file as one uint8 array, read once with ``readinto``.
+
+    Its size comes from the file, never from a header field.  The array
+    ends on a 16-byte boundary, so the snapshot block of a valid file, which
+    ends the file, can be viewed as aligned complex128."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            raw = np.empty(size + 15, dtype=np.uint8)
+            start = -(raw.ctypes.data + size) % 16
+            blob = raw[start:start + size]
+            n_read = fh.readinto(blob)
+    except OSError as err:
+        raise IoError(f"cannot read {path}: {err}") from err
+    if n_read != size:
+        raise IoError(f"cannot read {path}: got {n_read} of {size} bytes")
+    return blob
+
+
 def load_trajectory(path):
     """Load a file written by :func:`save_trajectory` (bit-exact round trip).
 
-    Raises FormatError or VersionError on a corrupt file, IoError if unreadable."""
+    The file is read once; times and snapshots are writable views of that
+    buffer.  Raises FormatError or VersionError on a corrupt file, IoError
+    if unreadable."""
     path = os.fspath(path)
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as err:
-        raise IoError(f"cannot read {path}: {err}") from err
+    blob = _read_aligned(path)
 
     r = _Reader(blob)
-    magic = r.take(4, "magic")
+    magic = r.take(4, "magic").tobytes()
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     (version,) = r.unpack("<I", "version")
@@ -210,11 +232,10 @@ def load_trajectory(path):
     except DomainError as err:
         raise FormatError(f"invalid header: {err}", offset=20) from None
 
-    times = np.frombuffer(r.take(8 * n_times, "times"), dtype="<f8").copy()
+    times = r.take(8 * n_times, "times").view("<f8")
     count = n_times * n_channels * math.prod(n_points)
-    snaps = np.frombuffer(
-        r.take(16 * count, "snapshots"), dtype="<c16"
-    ).copy().reshape(n_times, n_channels, *n_points)
+    snaps = r.take(16 * count, "snapshots").view("<c16").reshape(
+        n_times, n_channels, *n_points)
     if r.offset != len(blob):
         raise FormatError("trailing bytes after snapshots", offset=r.offset)
 

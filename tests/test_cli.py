@@ -168,6 +168,12 @@ class TestExperiments:
         traj = load_trajectory(out / "trajectory.rglb")
         assert len(traj.times) >= 2
         assert traj.times[-1] == pytest.approx(0.01)
+        # the norms table equals the row-by-row reference exactly
+        report = json.loads((out / "simulate.json").read_text())
+        l2 = np.sqrt(np.sum(np.abs(traj.values) ** 2, axis=1) * traj.y_grid.spacing)
+        expect = [[float(t), float(n), float(np.max(np.abs(v)))]
+                  for t, n, v in zip(traj.times, l2, traj.values)]
+        assert report["tables"]["norms"]["rows"] == expect
 
     def test_ode_defect_quick(self, tmp_path):
         out = tmp_path / "out"

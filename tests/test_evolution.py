@@ -4,6 +4,8 @@ import pytest
 from reglab.errors import BlowUpError, DomainError, ResolutionError, StepSizeError
 from reglab.evolution import (
     InitialData,
+    _linear_multiplier,
+    _strang,
     dy_at_zero,
     make_odd_bump,
     remainder_decomposition,
@@ -11,7 +13,7 @@ from reglab.evolution import (
     solve,
     step,
 )
-from reglab.grids import Grid1D, GridFunction, reflect_y
+from reglab.grids import Grid1D, GridFunction, odd_part, reflect_y
 from reglab.numerics import adaptive_quadrature, loglog_fit
 from reglab.ode import NonlinearityParams, exact_solution
 
@@ -124,6 +126,19 @@ class TestStep:
         # second order: halving dt divides the error by about 4
         assert 2.5 <= e1 / e2 <= 6.5
 
+    @pytest.mark.parametrize("grid, shape", [
+        (Grid1D(1024, 4.0), (1024,)),
+        ((Grid1D(16, 2.0), Grid1D(128, 4.0)), (16, 128)),
+    ], ids=["1d", "2d"])
+    def test_linear_step_matches_fftn(self, grid, shape):
+        # lam = 0 leaves only the linear step, which must equal the fftn pair bit for bit
+        params = heat_params(lam=0.0, theta=np.pi / 4)
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mult = _linear_multiplier(params, grid, 1e-3)
+        expect = np.fft.ifftn(np.fft.fftn(v) * mult)
+        assert _strang(params, v, mult, 1e-3).tobytes() == expect.tobytes()
+
 
 class TestSolve:
     @pytest.mark.parametrize("lam, theta", [
@@ -183,6 +198,29 @@ class TestSolve:
                   blowup_factor=50.0)
         assert err.value.partial is not None
         assert err.value.partial.blowup_time == err.value.time
+
+    @pytest.mark.parametrize("ratio", [2.25, 2.4, 2.6, 2.75, 2.9])
+    def test_blowup_time_in_either_half_step(self, ratio):
+        # the exact blow-up time T* = 1/(alpha lam max|u0|^alpha) falls in the
+        # first half of step 3 (ratio < 2.5) or in its second half
+        params = heat_params(alpha=1.0, lam=1.0)
+        g = Grid1D(256, 4.0)
+        bump = make_odd_bump(1, 1e4, 2.0)
+        t_star = 1.0 / np.max(np.abs(odd_part(sample_initial_data(bump, g).values)))
+        dt = t_star / ratio
+        with pytest.raises(BlowUpError) as err:
+            solve(params, bump, g, T=10 * dt, dt=dt)
+        assert abs(err.value.time - t_star) <= 0.01 * dt
+        assert err.value.partial.blowup_time == err.value.time
+        assert f"t = {err.value.time:.6g}" in str(err.value)  # absolute, not per half step
+
+    @pytest.mark.parametrize("factor", [float("nan"), 1.0, 0.5, -1.0])
+    def test_blowup_factor_must_exceed_one(self, factor):
+        params = heat_params()
+        g = Grid1D(256, 4.0)
+        bump = make_odd_bump(1, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            solve(params, bump, g, T=0.01, dt=1e-3, blowup_factor=factor)
 
     def test_under_resolved_bump(self):
         params = heat_params()

@@ -8,6 +8,7 @@ from reglab.grids import Grid1D
 from reglab.ode import (
     NonlinearityParams,
     _conj_factor,
+    _flow_factor,
     exact_first_derivative,
     exact_flow,
     exact_second_derivative,
@@ -162,6 +163,57 @@ class TestExactSolution:
         params = NonlinearityParams(alpha=alpha, lam=complex(0.0, lam_im))
         v = np.array(values, dtype=complex)
         np.testing.assert_allclose(np.abs(exact_flow(params, v, t)), np.abs(v), rtol=1e-14)
+
+
+class TestFlowFactor:
+    """The real (Im lam = 0) and cos/sin (Re lam = 0) factors against the
+    complex exp they replace."""
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3, -2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_real_factor_matches_general_formula(self, alpha, lam):
+        params = NonlinearityParams(alpha=alpha, lam=lam)
+        mag_a = np.abs(np.random.default_rng(3).standard_normal(1024)) ** alpha
+        t = 0.9 / (alpha * abs(lam) * np.max(mag_a))  # 90% of the blow-up time
+        base, factor = _flow_factor(params, mag_a, t)
+        assert factor.dtype == np.float64
+        growth = alpha * t * params.lam.real * mag_a
+        general = np.exp(-params.lam / (alpha * params.lam.real) * np.log1p(-growth))
+        np.testing.assert_allclose(factor, general, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(base, 1.0 - growth)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_real_factor_blowup_branch(self, alpha):
+        params = NonlinearityParams(alpha=alpha, lam=1.0)
+        mag_a = np.array([0.25, 2.0, 1.0])
+        critical = 1.0 / (alpha * 2.0)
+        with pytest.raises(BlowUpError) as err:
+            _flow_factor(params, mag_a, critical * (1.0 + 1e-12))
+        assert err.value.time == pytest.approx(critical, rel=1e-15)
+        _, factor = _flow_factor(params, mag_a, critical * (1.0 - 1e-9))
+        assert np.all(np.isfinite(factor))
+
+    @pytest.mark.parametrize("lam_im", [1.0, -0.7])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_cos_sin_factor_matches_complex_exp(self, alpha, lam_im):
+        params = NonlinearityParams(alpha=alpha, lam=complex(0.0, lam_im))
+        mag_a = np.abs(np.random.default_rng(4).standard_normal(1024) * 30.0) ** alpha
+        for t in (1e-5, 0.3, 10.0):
+            base, factor = _flow_factor(params, mag_a, t)
+            assert base == 1.0
+            expect = np.exp(1j * (t * mag_a * lam_im))
+            assert np.max(np.abs(factor - expect)) <= 1e-15
+
+    def test_cos_sin_factor_has_no_blowup_branch(self):
+        # Re lam = 0 never blows up: far past 1/(alpha |lam| max|w|^alpha) the
+        # factor is still a unit rotation
+        params = NonlinearityParams(alpha=1.0, lam=1j)
+        mag_a = np.array([0.5, 2.0, 1e3])
+        _, factor = _flow_factor(params, mag_a, 1e3)
+        np.testing.assert_allclose(np.abs(factor), 1.0, rtol=1e-15)
+        # a scalar |w|^alpha, as the closed-form derivatives pass it
+        _, scalar = _flow_factor(params, 2.0, 0.1)
+        assert abs(complex(scalar) - np.exp(0.2j)) <= 1e-15
 
 
 class TestExactDerivatives:

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,60 @@ class TestRoundTrip:
         save_trajectory(make_trajectory(), tmp_path / "run.rglb")
         leftovers = [p for p in tmp_path.iterdir() if ".tmp." in p.name]
         assert leftovers == []
+
+
+class TestMemory:
+    def test_snapshot_block_is_held_once(self, tmp_path):
+        # the save writes a view of the block; the load reads the file once
+        # and views the snapshots in that buffer
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((1001, 1024)) + 1j * rng.standard_normal((1001, 1024))
+        traj = Trajectory(NonlinearityParams(alpha=0.5, lam=1.0), Grid1D(1024, 4.0),
+                          np.arange(1001) * 1e-3, values, dt=1e-3)
+        path = tmp_path / "big.rglb"
+        tracemalloc.start()
+        try:
+            save_trajectory(traj, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = load_trajectory(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert save_peak <= 0.1 * values.nbytes
+        assert load_peak <= 1.1 * values.nbytes
+        assert back.values.flags.writeable
+        assert back.values.tobytes() == values.tobytes()
+        assert back.times.tobytes() == traj.times.tobytes()
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["traj_1d", "traj_2d", "ode_run"])
+    def test_loaded_arrays_are_aligned(self, tmp_path, which):
+        # the 2D header is 124 bytes long: the reader, not the layout, aligns
+        obj = tiny_files()[which][0]
+        path = tmp_path / "run.rglb"
+        save_trajectory(obj, path)
+        back = load_trajectory(path)
+        for arr in ([back.values] if which < 2 else [back.w, back.v]) + [back.times]:
+            assert arr.flags.aligned and arr.flags.writeable
+
+    def test_short_read_is_io_error(self, tmp_path, monkeypatch):
+        # a file that shrinks between stat and read
+        path = tmp_path / "run.rglb"
+        save_trajectory(make_trajectory(), path)
+        real_fstat = os.fstat
+        size = path.stat().st_size
+
+        class StaleStat:
+            def __init__(self, st):
+                self.st = st
+
+            def __getattr__(self, name):
+                return size + 64 if name == "st_size" else getattr(self.st, name)
+
+        monkeypatch.setattr(os, "fstat", lambda fd: StaleStat(real_fstat(fd)))
+        with pytest.raises(IoError, match="bytes"):
+            load_trajectory(path)
 
 
 class TestCorruption:
