@@ -34,6 +34,7 @@ __all__ = [
     "reflect_y",
     "odd_part",
     "dyadic_ladder",
+    "ladder_columns",
     "ladder_increments",
 ]
 
@@ -270,6 +271,11 @@ def dyadic_ladder(grid: Grid1D, y_max: float):
         raise DegenerateInput(
             f"dyadic ladder from y_max={y_max} has {len(idx)} usable points (< 4)")
     return np.array(idx), np.array(ys)
+
+
+def ladder_columns(grid: Grid1D, y_max: float) -> np.ndarray:
+    """The sorted grid indices that :func:`ladder_increments` reads: y = 0 and the ladder."""
+    return grid.zero_index + np.unique(np.append(0, dyadic_ladder(grid, y_max)[0]))
 
 
 def ladder_increments(grid: Grid1D, column, y_max: float, exponents):

@@ -25,7 +25,7 @@ from .errors import (
     SizeMismatch,
     StepSizeError,
 )
-from .grids import Grid1D, _grids_tuple, ladder_increments
+from .grids import Grid1D, _grids_tuple, ladder_columns, ladder_increments
 from .numerics import RegressionFit, _time_index, central_difference, step_count
 
 __all__ = [
@@ -166,18 +166,21 @@ class OdeRun:
 
     ``had_forcing`` survives serialization even though the forcing callable
     itself does not, so consumers that need h can detect a loaded forced run.
+    ``columns`` holds the sorted grid indices of the stored columns of w and v
+    when the run integrated only some of them; None means the whole grid.
     """
 
     params: NonlinearityParams
     grid: Grid1D
     times: np.ndarray
-    w: np.ndarray  # [time, space]
-    v: np.ndarray  # [time, space]
+    w: np.ndarray  # [time, column]
+    v: np.ndarray  # [time, column]
     z0: complex
     h_forcing: object = None
     h_y: object = None
     dt: float = 0.0
     had_forcing: bool = False
+    columns: np.ndarray | None = None
 
     @property
     def has_forcing(self) -> bool:
@@ -196,6 +199,7 @@ def integrate_perturbed(
     h_y=None,
     max_amplitude: float = 1e6,
     snapshot_every: int = 1,
+    columns=None,
 ) -> OdeRun:
     """RK4 integration of the perturbed ODE and its variational equation.
 
@@ -209,6 +213,12 @@ def integrate_perturbed(
     differences of the callables.  The y = 0 column of w is pinned to zero.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
     The run keeps t = 0, every ``snapshot_every``-th step and the final step.
+
+    The ODE has no coupling across y, so ``columns`` (sorted, unique grid
+    indices that include ``grid.zero_index``; :class:`DomainError` otherwise)
+    integrates only those columns, each exactly as in the full-width run; the
+    callables are then evaluated at those points only, and the blow-up check
+    (``max_amplitude``) sees only those columns.  None integrates every one.
     """
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
@@ -224,6 +234,18 @@ def integrate_perturbed(
     (grid,) = grids
     y = grid.points
     j0 = grid.zero_index
+    if columns is not None:
+        columns = np.asarray(columns)
+        if (columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer)
+                or np.any(np.diff(columns) <= 0) or j0 not in columns
+                or columns[0] < 0 or columns[-1] >= y.size):
+            raise DomainError(f"columns must be sorted, unique grid indices in [0, {y.size}) "
+                              f"that include the zero index {j0}, got {columns.tolist()}")
+        if columns.size == y.size:
+            columns = None  # every column: the full-width run
+        else:
+            y = y[columns]
+            j0 = int(np.searchsorted(columns, j0))
     lam, alpha = params.lam, params.alpha
 
     w = np.asarray(phi0(y), dtype=np.complex128).copy()
@@ -279,7 +301,7 @@ def integrate_perturbed(
     def make_run(times_kept, w_rows, v_rows):
         return OdeRun(params=params, grid=grid, times=times_kept, w=w_rows, v=v_rows,
                       z0=z0, h_forcing=h_forcing, h_y=h_y, dt=dt,
-                      had_forcing=h_forcing is not None)
+                      had_forcing=h_forcing is not None, columns=columns)
 
     # the forcing at the end of a step is the forcing at the start of the next
     lo = forcing(0.0)
@@ -347,7 +369,7 @@ def representation_check(run: OdeRun, A: np.ndarray) -> float:
             )
         f = np.zeros_like(run.w)
     else:
-        y = run.grid.points
+        y = run.grid.points if run.columns is None else run.grid.points[run.columns]
         f = np.stack([_forcing_derivative(run.h_forcing, run.h_y, t, y)
                       for t in run.times]).astype(np.complex128)
 
@@ -379,14 +401,23 @@ def holder_defect(run: OdeRun, t: float, exponents, y_max: float = 0.5) -> Holde
     mechanism predicts alpha when phi'(0) != 0).  For each requested
     exponent ell the fit of q(y)/y^ell is returned as well: a negative slope
     for ell > alpha is the discrete signature that the ell-Hoelder windowed
-    seminorm diverges as the window shrinks.
+    seminorm diverges as the window shrinks.  A run restricted to some
+    columns must hold y = 0 and every ladder point (:class:`DegenerateInput`).
     """
     it = _time_index(run.times, t, run.dt)
     exponents = [float(e) for e in np.atleast_1d(exponents)]
     if any(not (0.0 < e <= 1.0) for e in exponents):
         raise DomainError("exponents must lie in (0, 1]")
 
-    ys, q, increment_fit, fits = ladder_increments(run.grid, run.v[it], y_max, exponents)
+    column = run.v[it]
+    if run.columns is not None:
+        missing = np.setdiff1d(ladder_columns(run.grid, y_max), run.columns)
+        if missing.size:
+            raise DegenerateInput(f"the ladder from y_max={y_max} reads grid columns "
+                                  f"{missing.tolist()}, which the run did not integrate")
+        column = np.zeros(run.grid.n_points, dtype=run.v.dtype)
+        column[run.columns] = run.v[it]
+    ys, q, increment_fit, fits = ladder_increments(run.grid, column, y_max, exponents)
     alpha = run.params.alpha
     return HolderDefectReport(
         t=float(run.times[it]),

@@ -99,6 +99,9 @@ def _header_and_payload(obj) -> tuple[tuple, dict]:
         dt = obj.dt
         params = obj.params
     elif isinstance(obj, OdeRun):
+        if obj.columns is not None:
+            raise IoError("cannot serialize an OdeRun restricted to some columns: "
+                          "the format stores whole grids")
         kind = _KIND_ODE_RUN
         grids = (obj.grid,)
         data = np.stack([obj.w, obj.v], axis=1).reshape(len(obj.times), 2, -1)

@@ -9,6 +9,8 @@ import pytest
 
 from reglab.cli import EXPERIMENTS, ExperimentConfig, build_config, main, make_parser
 from reglab.errors import ConfigError
+from reglab.grids import Grid1D
+from reglab.ode import NonlinearityParams, holder_defect, integrate_perturbed
 from reglab.trajio import load_trajectory, validate_report
 
 
@@ -188,6 +190,43 @@ class TestExperiments:
         assert byname["defect_exponent_unforced"]["passed"]
         assert byname["linear_control_exponent"]["passed"]
 
+    def test_ode_defect_tables_match_full_width_runs(self, tmp_path):
+        # the experiment integrates only the ladder's columns and keeps only the
+        # rows it reads; its tables must equal holder_defect on full-width runs
+        # that keep every step
+        out = tmp_path / "out"
+        assert run_cli(["--experiment", "ode-defect", "--grid-n", "256",
+                        "--out-dir", str(out)]) == 0
+        report = json.loads((out / "ode-defect.json").read_text())
+        cfg = ExperimentConfig()
+        T, grid = cfg.t_final, Grid1D(256, 1.0)
+
+        def full_run(lam, h=None, h_y=None):
+            return integrate_perturbed(
+                NonlinearityParams(cfg.alpha, lam), lambda y: y.astype(complex), h,
+                T=T, grid=grid, dt=cfg.dt,
+                phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
+            )
+
+        smooth = (lambda t, y: t * (y * y * y), lambda t, y: 3.0 * t * y**2)
+        unforced = full_run(1.0)
+        sweep = [holder_defect(unforced, f * T, []) for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+        forced = holder_defect(full_run(1.0, *smooth), T, [])
+        control = holder_defect(full_run(0.0, *smooth), T, [])
+        ladder = [[float(y), float(a), float(b), float(c)] for y, a, b, c in zip(
+            sweep[-1].ys, sweep[-1].increments, forced.increments, control.increments)]
+        t_sweep = [[float(r.t), float(r.increment_fit.slope), float(r.liminf_proxy),
+                    float(r.theory_lower_bound)] for r in sweep]
+        assert report["tables"]["ladder"]["rows"] == ladder
+        assert report["tables"]["t_sweep"]["rows"] == t_sweep
+        # y = 0 and the five ladder points y = 4h ... 0.5 of 256 columns
+        expect = {"rk4_steps": 1000, "columns_integrated": 6, "grid_n": 256}
+        assert report["numerics"] == {
+            "unforced": {**expect, "rows_kept": 6},
+            "forced": {**expect, "rows_kept": 2},
+            "control": {**expect, "rows_kept": 2},
+        }
+
     def test_ode_defect_alpha_above_one(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli([
@@ -222,9 +261,10 @@ class TestExperiments:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", ["duhamel-rate", "third-derivative-scan"])
+    @pytest.mark.parametrize("experiment", ["duhamel-rate", "third-derivative-scan",
+                                            "ode-defect"])
     def test_fixed_stride_experiments_reject_snapshot_every(self, tmp_path, experiment):
-        # both fix their own snapshot stride, so a --snapshot-every would be
+        # each fixes its own snapshot stride, so a --snapshot-every would be
         # reported but ignored
         out = tmp_path / "out"
         code = run_cli([
@@ -307,6 +347,18 @@ class TestDeterminism:
             d.pop("timing")
             return json.dumps(d, indent=2, sort_keys=True, separators=(",", ": "))
         assert strip_timing(blobs[0]) == strip_timing(blobs[1])
+
+    def test_ode_defect_numerics_are_reproducible(self, tmp_path):
+        out = tmp_path / "out"
+        blobs = []
+        for _ in range(2):
+            assert run_cli(["--experiment", "ode-defect", "--grid-n", "256",
+                            "--out-dir", str(out)]) == 0
+            blobs.append(json.loads((out / "ode-defect.json").read_text()))
+        for blob in blobs:
+            blob.pop("timing")
+        assert blobs[0] == blobs[1]
+        assert set(blobs[0]["numerics"]) == {"unforced", "forced", "control"}
 
     def test_duhamel_rate_numerics_are_reproducible(self, tmp_path):
         # the numerics block is deterministic, so it sits outside "timing"

@@ -630,6 +630,99 @@ class TestSnapshotThinning:
         assert partial.w.shape == (partial.times.size, 128)
 
 
+class TestColumnRestriction:
+    """A run restricted to some grid columns is those columns of the full run."""
+
+    GRID = Grid1D(32, 1.0)
+
+    @staticmethod
+    def run_on(columns, alpha=0.5, lam=1.0, forced=False, analytic=True, every=1, **kwargs):
+        h, h_y = (lambda t, y: t * y**3, lambda t, y: 3.0 * t * y**2) if forced else (None, None)
+        return integrate_perturbed(
+            NonlinearityParams(alpha=alpha, lam=lam),
+            lambda y: (y * np.exp(-y * y)).astype(complex), h, T=0.01,
+            grid=TestColumnRestriction.GRID, dt=1e-5,
+            phi0_prime=(lambda y: ((1.0 - 2.0 * y * y) * np.exp(-y * y)).astype(complex))
+            if analytic else None,
+            h_y=h_y if analytic else None, snapshot_every=every, columns=columns, **kwargs,
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        subset=st.sets(st.integers(0, 31), max_size=12),
+        alpha=st.floats(0.05, 1.95),
+        lam=st.sampled_from([1.0, 1j, 0.3 + 0.7j, 0.0]),
+        forced=st.booleans(),
+        analytic=st.booleans(),
+        every=st.sampled_from([1, 7]),
+    )
+    def test_restricted_run_is_bit_identical_to_its_columns(
+            self, subset, alpha, lam, forced, analytic, every):
+        columns = np.array(sorted(subset | {self.GRID.zero_index}))
+        opts = dict(alpha=alpha, lam=lam, forced=forced, analytic=analytic, every=every)
+        full, part = self.run_on(None, **opts), self.run_on(columns, **opts)
+        assert np.array_equal(part.columns, columns)
+        assert np.array_equal(part.times, full.times)
+        assert part.w.tobytes() == np.ascontiguousarray(full.w[:, columns]).tobytes()
+        assert part.v.tobytes() == np.ascontiguousarray(full.v[:, columns]).tobytes()
+        assert part.z0 == full.z0
+
+    @pytest.mark.parametrize("columns", [
+        [3, 5, 20],          # no zero index
+        [16, 32],            # out of range
+        [-1, 16],            # negative
+        [20, 16],            # unsorted
+        [16, 16, 20],        # repeated
+        [16.0, 20.0],        # not indices
+    ])
+    def test_bad_columns_are_domain_errors(self, columns):
+        with pytest.raises(DomainError):
+            self.run_on(columns)
+
+    def test_every_column_is_the_full_width_run(self):
+        run = self.run_on(np.arange(32))
+        assert run.columns is None and run.w.shape == (1001, 32)
+
+    def test_representation_check_uses_the_run_points(self):
+        columns = np.array([4, 10, 16, 17, 29])
+        full = self.run_on(None, forced=True)
+        part = self.run_on(columns, forced=True)
+        res_part = representation_check(part, integrating_factor(part))
+        assert 0.0 < res_part <= representation_check(full, integrating_factor(full))
+
+    def test_holder_defect_needs_the_ladder_columns(self):
+        grid = Grid1D(256, 1.0)
+        ladder = grid.zero_index + np.array([0, 4, 8, 16, 32, 64])
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+
+        def run_on(columns):
+            return integrate_perturbed(
+                params, lambda y: y.astype(complex), None, T=0.01, grid=grid, dt=1e-5,
+                phi0_prime=lambda y: np.ones_like(y, dtype=complex), columns=columns,
+            )
+
+        full, part = run_on(None), run_on(ladder)
+        a, b = holder_defect(full, 0.01, [0.5]), holder_defect(part, 0.01, [0.5])
+        assert np.array_equal(a.increments, b.increments)
+        assert a.increment_fit.slope == b.increment_fit.slope
+        with pytest.raises(DegenerateInput, match="did not integrate"):
+            holder_defect(run_on(np.delete(ladder, 2)), 0.01, [0.5])
+        with pytest.raises(DegenerateInput, match="did not integrate"):
+            holder_defect(part, 0.01, [0.5], y_max=0.75)
+
+    def test_blowup_check_sees_only_the_integrated_columns(self):
+        # phi0 = y blows up first at |y| = 1; columns near 0 stay far below the cap
+        near_zero = Grid1D(32, 1.0).zero_index + np.arange(-1, 2)
+        kwargs = dict(T=1.0, grid=Grid1D(32, 1.0), dt=1e-3, max_amplitude=1.5,
+                      phi0_prime=lambda y: np.ones_like(y, dtype=complex))
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        with pytest.raises(BlowUpError):
+            integrate_perturbed(params, lambda y: y.astype(complex), None, **kwargs)
+        run = integrate_perturbed(params, lambda y: y.astype(complex), None,
+                                  columns=near_zero, **kwargs)
+        assert run.w.shape == (1001, 3)
+
+
 class TestHolderDefect:
     def make_run(self, alpha, lam, h=None, h_y=None, n=1024, dt=5e-5, T=0.05):
         params = NonlinearityParams(alpha=alpha, lam=lam)

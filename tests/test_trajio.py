@@ -187,6 +187,17 @@ class TestRoundTrip:
         with pytest.raises(IoError):
             save_trajectory(make_trajectory(), tmp_path)
 
+    def test_column_restricted_ode_run_is_refused_before_any_write(self, tmp_path):
+        # the format stores whole grids, so a run of some columns has no file form
+        grid = Grid1D(64, 1.0)
+        run = integrate_perturbed(
+            NonlinearityParams(alpha=0.5, lam=1.0), lambda y: y.astype(complex), None,
+            T=0.01, grid=grid, dt=1e-5, columns=[grid.zero_index, grid.zero_index + 4],
+        )
+        with pytest.raises(IoError, match="restricted"):
+            save_trajectory(run, tmp_path / "run.rglb")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_temp_files_left(self, tmp_path):
         save_trajectory(make_trajectory(), tmp_path / "run.rglb")
         leftovers = [p for p in tmp_path.iterdir() if ".tmp." in p.name]
