@@ -322,6 +322,12 @@ def _standard_solve(cfg: ExperimentConfig, lam=None, snapshot_every=None):
                  snapshot_every=snapshot_every or cfg.snapshot_every)
 
 
+def _solve_numerics(cfg: ExperimentConfig, traj) -> dict:
+    """Deterministic counters of one solve: the Strang steps T/dt asks for (a run
+    that blows up stops early, at its reported blow-up time) and the snapshots kept."""
+    return {"solver_steps": step_count(cfg.t_final, cfg.dt), "snapshots": len(traj.times)}
+
+
 def run_simulate(cfg: ExperimentConfig) -> dict:
     report = _report_skeleton(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -342,6 +348,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     report["trajectory_path"] = path
     report["blowup_time"] = blowup
     report["l2_drift"] = drift
+    report["numerics"] = {"trajectory": _solve_numerics(cfg, traj)}
     report["checks"].append(_check(
         "trajectory_recorded", float(len(traj.times)), float(len(traj.times)),
         0.0, "trivial", passed=len(traj.times) >= 2,
@@ -391,6 +398,8 @@ def run_third_derivative_scan(cfg: ExperimentConfig) -> dict:
         ],
     }
     report["window_fit_beta09"] = scan.window_fits[0.9].slope
+    report["numerics"] = {"nonlinear": _solve_numerics(cfg, traj),
+                          "control": _solve_numerics(cfg, control_traj)}
     return report
 
 

@@ -28,7 +28,7 @@ from .grids import (
     odd_part,
     spectral_derivative,
 )
-from .numerics import _time_index, loglog_fit, step_count
+from .numerics import _time_index, loglog_fit, snapshot_steps, step_count
 from .ode import NonlinearityParams, exact_flow
 
 __all__ = [
@@ -181,16 +181,17 @@ def solve(
     """March the splitting scheme to time T, recording snapshots.
 
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
-    Records t = 0, every ``snapshot_every``-th step, and the final step.
-    Raises :class:`BlowUpError` (with the truncated trajectory attached)
-    when the sup norm exceeds ``blowup_factor`` times its initial value or a
-    nonlinear substep reaches its exact blow-up time.
+    Records t = 0, every ``snapshot_every``-th step, and the final step, each
+    written into one preallocated block that the trajectory returns.
+    Raises :class:`BlowUpError` (with the truncated trajectory attached, which
+    owns a copy of the rows recorded so far) when the sup norm exceeds
+    ``blowup_factor`` times its initial value or a nonlinear substep reaches
+    its exact blow-up time.
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
     n_steps = step_count(T, dt)
-    if snapshot_every < 1:
-        raise DomainError("snapshot_every must be >= 1")
+    steps = snapshot_steps(n_steps, snapshot_every)
     if not (blowup_factor > 1):
         raise DomainError(f"blowup_factor must exceed 1, got {blowup_factor}")
     y_grid = _grids_tuple(grid)[-1]
@@ -203,45 +204,44 @@ def solve(
         )
 
     u = sample_initial_data(phi, grid)
-    vals = odd_part(u.values) if odd_projection else u.values.copy()
+    vals = odd_part(u.values) if odd_projection else u.values
     peak0 = float(np.max(np.abs(vals)))
     if peak0 == 0.0:
         raise DomainError("initial data is identically zero")
 
-    times = [0.0]
-    snaps = [vals.copy()]
+    times = dt * steps
+    values = np.empty((steps.size, *vals.shape), dtype=np.complex128)
+    values[0] = vals
+    row = 1  # next row of values
     mult = _linear_multiplier(params, grid, dt)
 
-    def record(k, v):
-        times.append(k * dt)
-        snaps.append(v.copy())
+    def blown_up(message, t_blow):
+        partial = Trajectory(params, grid, times[:row].copy(), values[:row].copy(), dt,
+                             blowup_time=t_blow, odd_projection=odd_projection)
+        return BlowUpError(message, time=t_blow, partial=partial)
 
     for k in range(1, n_steps + 1):
         try:
             vals = _strang(params, vals, mult, dt)
         except BlowUpError as err:
             t_blow = min((k - 1) * dt + err.time, k * dt)
-            traj = Trajectory(params, grid, np.array(times), np.array(snaps), dt,
-                              blowup_time=t_blow, odd_projection=odd_projection)
-            raise BlowUpError(f"nonlinear substep blows up at t = {t_blow:.6g} (step {k})",
-                              time=t_blow, partial=traj) from None
+            raise blown_up(f"nonlinear substep blows up at t = {t_blow:.6g} (step {k})",
+                           t_blow) from None
         if odd_projection:
             vals = odd_part(vals)
         peak = float(np.max(np.abs(vals)))
         if not np.isfinite(peak) or peak > blowup_factor * peak0:
+            # the schedule ends at the last step, so the slot at row is still free
             if np.all(np.isfinite(vals)):
-                record(k, vals)
-            traj = Trajectory(params, grid, np.array(times), np.array(snaps), dt,
-                              blowup_time=k * dt, odd_projection=odd_projection)
-            raise BlowUpError(
-                f"amplitude exceeded {blowup_factor:.1g} x initial at t = {k * dt:.6g}",
-                time=k * dt, partial=traj,
-            )
-        if k % snapshot_every == 0 or k == n_steps:
-            record(k, vals)
+                times[row], values[row] = k * dt, vals
+                row += 1
+            raise blown_up(f"amplitude exceeded {blowup_factor:.1g} x initial at t = {k * dt:.6g}",
+                           k * dt)
+        if steps[row] == k:
+            values[row] = vals
+            row += 1
 
-    return Trajectory(params, grid, np.array(times), np.array(snaps), dt,
-                      odd_projection=odd_projection)
+    return Trajectory(params, grid, times, values, dt, odd_projection=odd_projection)
 
 
 def dy_at_zero(traj: Trajectory, i: int):

@@ -21,6 +21,7 @@ __all__ = [
     "trapezoid_weights",
     "central_difference",
     "step_count",
+    "snapshot_steps",
     "gaussian_moment",
     "loglog_fit",
 ]
@@ -127,6 +128,14 @@ def step_count(T: float, dt: float) -> int:
     if n < 1 or abs(ratio - n) > 1e-9 * n:
         raise StepSizeError(f"T = {T} is not a positive integer multiple of dt = {dt}")
     return n
+
+
+def snapshot_steps(n_steps: int, every: int) -> np.ndarray:
+    """Indices of the steps a run of ``n_steps`` records: 0, every ``every``-th
+    step and the last (:class:`DomainError` unless every >= 1)."""
+    if every < 1:
+        raise DomainError("snapshot_every must be >= 1")
+    return np.unique(np.append(np.arange(0, n_steps + 1, every), n_steps))
 
 
 def _time_index(times: np.ndarray, t: float, dt: float) -> int:

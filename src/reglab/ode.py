@@ -26,7 +26,7 @@ from .errors import (
     StepSizeError,
 )
 from .grids import Grid1D, _grids_tuple, ladder_columns, ladder_increments
-from .numerics import RegressionFit, _time_index, central_difference, step_count
+from .numerics import RegressionFit, _time_index, central_difference, snapshot_steps, step_count
 
 __all__ = [
     "NonlinearityParams",
@@ -225,8 +225,7 @@ def integrate_perturbed(
     if not (0 < dt <= 1e-3 * T):
         raise StepSizeError(f"require 0 < dt <= 1e-3*T = {1e-3 * T:.3g}, got {dt}")
     n_steps = step_count(T, dt)
-    if snapshot_every < 1:
-        raise DomainError("snapshot_every must be >= 1")
+    kept = snapshot_steps(n_steps, snapshot_every)
 
     grids = _grids_tuple(grid)
     if len(grids) != 1:
@@ -292,7 +291,6 @@ def integrate_perturbed(
         return dw, dv
 
     times = dt * np.arange(n_steps + 1)
-    kept = np.unique(np.append(np.arange(0, n_steps + 1, snapshot_every), n_steps))
     ws = np.empty((kept.size, y.size), dtype=np.complex128)
     vs = np.empty_like(ws)
     ws[0], vs[0] = w, v

@@ -360,6 +360,24 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
         assert set(blobs[0]["numerics"]) == {"unforced", "forced", "control"}
 
+    @pytest.mark.parametrize("experiment, flags, expected", [
+        ("simulate", ["--grid-n", "256", "--snapshot-every", "10"],
+         {"trajectory": {"solver_steps": 1000, "snapshots": 101}}),
+        ("third-derivative-scan", ["--grid-n", "512"],
+         {"nonlinear": {"solver_steps": 1000, "snapshots": 5},
+          "control": {"solver_steps": 1000, "snapshots": 2}}),
+    ], ids=["simulate", "third-derivative-scan"])
+    def test_solver_numerics_are_reproducible(self, tmp_path, experiment, flags, expected):
+        out = tmp_path / "out"
+        blobs = []
+        for _ in range(2):
+            assert run_cli(["--experiment", experiment, "--out-dir", str(out)] + flags) == 0
+            blobs.append(json.loads((out / f"{experiment}.json").read_text()))
+        for blob in blobs:
+            blob.pop("timing")
+        assert blobs[0] == blobs[1]
+        assert blobs[0]["numerics"] == expected
+
     def test_duhamel_rate_numerics_are_reproducible(self, tmp_path):
         # the numerics block is deterministic, so it sits outside "timing"
         out = tmp_path / "out"

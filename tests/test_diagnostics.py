@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reglab.diagnostics import (
+    _SPECTRAL_BLOCK,
     DuhamelProbe,
     ScalingParams,
     SobolevIndex,
@@ -24,7 +26,13 @@ from reglab.errors import (
     ResolutionError,
 )
 from reglab.evolution import Trajectory, make_odd_bump, solve
-from reglab.grids import Grid1D, GridFunction, TrigInterpolant
+from reglab.grids import (
+    Grid1D,
+    GridFunction,
+    TrigInterpolant,
+    derivative_multiplier,
+    laplacian_symbol,
+)
 from reglab.kernels import KernelProbe, fifth_derivative_at_zero
 from reglab.numerics import adaptive_quadrature, trapezoid_weights
 from reglab.ode import NonlinearityParams
@@ -264,6 +272,55 @@ def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
             total += w * fifth_derivative_at_zero(probe, rel_tol=rel_tol)
         out.append(total)
     return np.array(out)
+
+
+def one_shot_spectral(traj, t, taus, strides):
+    """The rate's spectral cross-check as one (S, n) expression per tau: the oracle
+    of the blocked sum, on the same strides and trapezoid weights."""
+    times = traj.times[: traj.index_of_time(t) + 1]
+    snaps = traj.values[: len(times)]
+    g = traj.y_grid
+    alpha = traj.params.alpha
+    hats = np.stack([np.fft.fft(np.abs(s) ** alpha * s) for s in snaps])
+    xi_sq = laplacian_symbol(g)
+    mult5 = derivative_multiplier(g, 5) * g.phase() / g.n_points
+    out = []
+    for tau, stride in zip(taus, strides):
+        sub = list(range(0, len(times) - 1, stride)) + [len(times) - 1]
+        weights = trapezoid_weights(times[sub])
+        out.append(np.sum(weights[:, None] * hats[sub]
+                          * np.exp(-(tau - times[sub])[:, None] * xi_sq[None, :])
+                          * mult5[None, :]))
+    return np.abs(np.array(out))
+
+
+class TestRateStorage:
+    def test_blocked_spectral_sum_matches_one_shot(self):
+        traj = standard_run(alpha=0.5, n=256, T=0.004, dt=2.5e-5, snapshot_every=1,
+                            amplitude=4.0)
+        taus = 0.004 + np.geomspace(1e-4, 3e-3, 4)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=0.004, tau_ladder=taus))
+        # the stride-1 tau sums 161 snapshots: two full blocks and a partial one
+        assert 1 in rate.strides and 161 % _SPECTRAL_BLOCK and 161 > 2 * _SPECTRAL_BLOCK
+        oracle = one_shot_spectral(traj, 0.004, rate.taus, rate.strides)
+        assert np.all(np.abs(rate.spectral_magnitudes - oracle) <= 1e-13 * oracle)
+
+    def test_snapshot_sized_arrays_are_held_once(self):
+        # above the trajectory the rate holds one transformed copy of the
+        # snapshots; the interpolant and spectral blocks stay small beside it
+        taus = 0.02 + np.geomspace(4e-4, 1.2e-2, 4)
+        warm = standard_run(n=1024, T=0.004, dt=2.5e-5, snapshot_every=1)
+        duhamel_fifth_derivative_rate(DuhamelProbe(traj=warm, t=0.004, tau_ladder=taus - 0.016))
+        traj = standard_run(n=1024, T=0.02, dt=2.5e-5, snapshot_every=1)
+        probe = DuhamelProbe(traj=traj, t=0.02, tau_ladder=taus)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            duhamel_fifth_derivative_rate(probe)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * traj.values.nbytes
 
 
 class TestFixedRuleRate:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,19 @@ from reglab.ode import NonlinearityParams, exact_solution
 
 def heat_params(alpha=0.5, lam=1.0, theta=0.0):
     return NonlinearityParams(alpha=alpha, lam=lam, theta=theta)
+
+
+def reference_solve(params, phi, grid, n_steps, dt, every):
+    """Oracle of :func:`solve`: a list of copies of the odd-projected Strang steps."""
+    vals = odd_part(sample_initial_data(phi, grid).values)
+    mult = _linear_multiplier(params, grid, dt)
+    times, snaps = [0.0], [vals.copy()]
+    for k in range(1, n_steps + 1):
+        vals = odd_part(_strang(params, vals, mult, dt))
+        if k % every == 0 or k == n_steps:
+            times.append(k * dt)
+            snaps.append(vals.copy())
+    return np.array(times), np.array(snaps)
 
 
 def linear_reference(u0_vals, grid, T, theta):
@@ -199,6 +214,23 @@ class TestSolve:
         assert err.value.partial is not None
         assert err.value.partial.blowup_time == err.value.time
 
+    def test_amplitude_blowup_partial_owns_its_rows(self):
+        # the monitor trips at a step between two scheduled ones; that step is
+        # recorded as the last row, in a copy that does not pin the solver's block
+        params = heat_params(alpha=0.5, lam=1.0)
+        g = Grid1D(512, 4.0)
+        bump = make_odd_bump(1, 1e4, 1.0)
+        dt = 1e-3
+        with pytest.raises(BlowUpError, match="amplitude exceeded") as err:
+            solve(params, bump, g, T=2.0, dt=dt, snapshot_every=10, blowup_factor=50.0)
+        partial = err.value.partial
+        assert round(err.value.time / dt) % 10 != 0
+        assert len(partial.times) == len(partial.values)
+        assert partial.times[-1] == err.value.time
+        assert partial.times[:-1].tolist() == (dt * (10 * np.arange(len(partial.times) - 1))).tolist()
+        assert np.all(np.isfinite(partial.values))
+        assert partial.values.base is None and partial.times.base is None
+
     @pytest.mark.parametrize("ratio", [2.25, 2.4, 2.6, 2.75, 2.9])
     def test_blowup_time_in_either_half_step(self, ratio):
         # the exact blow-up time T* = 1/(alpha lam max|u0|^alpha) falls in the
@@ -212,6 +244,7 @@ class TestSolve:
             solve(params, bump, g, T=10 * dt, dt=dt)
         assert abs(err.value.time - t_star) <= 0.01 * dt
         assert err.value.partial.blowup_time == err.value.time
+        assert err.value.partial.values.base is None
         assert f"t = {err.value.time:.6g}" in str(err.value)  # absolute, not per half step
 
     @pytest.mark.parametrize("factor", [float("nan"), 1.0, 0.5, -1.0])
@@ -310,6 +343,37 @@ class TestSolve:
         traj = solve(params, bump, (gx, gy), T=0.01, dt=5e-4, snapshot_every=5)
         final = traj.values[-1]
         assert np.max(np.abs(final + reflect_y(final))) <= 1e-14 * np.max(np.abs(final))
+
+
+class TestSolveStorage:
+    @pytest.mark.parametrize("every", [1, 3, 7, 20, 10**9])
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_matches_reference_loop_bit_for_bit(self, dimension, every):
+        params = heat_params(alpha=0.5, lam=1.0, theta=np.pi / 4)
+        gy = Grid1D(256, 4.0)
+        grid = gy if dimension == 1 else (Grid1D(16, 4.0), gy)
+        bump = make_odd_bump(dimension, 4.0, 2.0)
+        dt, n_steps = 5e-4, 20
+        traj = solve(params, bump, grid, T=n_steps * dt, dt=dt, snapshot_every=every)
+        times, values = reference_solve(params, bump, grid, n_steps, dt, every)
+        assert traj.values.shape == values.shape
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.values.tobytes() == values.tobytes()
+
+    def test_snapshot_block_is_held_once(self):
+        # the snapshots are written into one block: no list of copies beside it
+        params = heat_params(alpha=0.5, lam=1.0)
+        g = Grid1D(256, 4.0)
+        bump = make_odd_bump(1, 16.0, 2.0)
+        solve(params, bump, g, T=1e-4, dt=2.5e-5)  # first-call set-up stays outside the trace
+        tracemalloc.start()
+        try:
+            traj = solve(params, bump, g, T=0.02, dt=2.5e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field_bytes = g.n_points * 16
+        assert peak <= 1.1 * traj.values.nbytes + 32 * field_bytes
 
 
 class TestEtaTrack:

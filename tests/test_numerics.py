@@ -15,6 +15,7 @@ from reglab.numerics import (
     central_difference,
     gaussian_moment,
     loglog_fit,
+    snapshot_steps,
     step_count,
     trapezoid_weights,
 )
@@ -280,3 +281,15 @@ class TestTimeStepping:
     def test_step_count_rejects_non_integral(self, T, dt):
         with pytest.raises(StepSizeError):
             step_count(T, dt)
+
+    def test_snapshot_steps_match_the_modulo_rule(self):
+        # 0, every k-th step and the last, including strides longer than the run
+        for n in range(1, 26):
+            for every in list(range(1, 31)) + [10**9]:
+                steps = snapshot_steps(n, every)
+                assert steps.tolist() == [k for k in range(n + 1) if k % every == 0 or k == n]
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_snapshot_steps_reject_a_stride_below_one(self, every):
+        with pytest.raises(DomainError):
+            snapshot_steps(10, every)
