@@ -339,11 +339,14 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         traj = err.partial
         blowup = err.time
     save_trajectory(traj, path)
-    mags = np.abs(traj.values)
-    space = tuple(range(1, mags.ndim))
-    sups = mags.max(axis=space)
-    # squared in place: no second field-sized temporary
-    norms = np.sqrt(np.sum(np.square(mags, out=mags), axis=space) * traj.y_grid.spacing)
+    space = tuple(range(1, traj.values.ndim))
+    sups = np.empty(len(traj.times))
+    norms = np.empty(len(traj.times))
+    for k in range(0, len(traj.times), 64):  # |u| of 64 rows at a time, not of the whole run
+        mags = np.abs(traj.values[k:k + 64])
+        sups[k:k + 64] = mags.max(axis=space)
+        norms[k:k + 64] = np.sum(np.square(mags, out=mags), axis=space)
+    norms = np.sqrt(norms * traj.y_grid.spacing)
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0]) if norms[0] else 0.0
     report["trajectory_path"] = path
     report["blowup_time"] = blowup
@@ -432,7 +435,9 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
     report["empirical_A"] = rate.empirical_A
     report["predicted_amplitude"] = rate.predicted_amplitude
     report["spectral_max_rel_diff"] = rate.spectral_max_rel_diff
-    report["numerics"] = {"snapshot_strides": list(rate.strides), "slices": rate.slices}
+    report["numerics"] = {"snapshot_strides": list(rate.strides), "slices": rate.slices,
+                          "spectral_transforms": rate.spectral_transforms,
+                          "trajectory": _solve_numerics(cfg, traj)}
     report["tables"]["rate"] = {
         "columns": ["tau_minus_t", "d5_magnitude", "d5_spectral"],
         "rows": [

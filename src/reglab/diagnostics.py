@@ -253,10 +253,7 @@ class DuhamelRateReport:
     spectral_max_rel_diff: float
     strides: tuple[int, ...]      # snapshot stride per tau
     slices: int                   # time slices evaluated over all taus
-
-
-# snapshots per block of the spectral cross-check: each temporary is about 1 MB at n = 1024
-_SPECTRAL_BLOCK = 64
+    spectral_transforms: int      # FFTs of the cross-check: one per snapshot some tau reads
 
 
 def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
@@ -267,8 +264,9 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     its nonnegative nodes y, a chunk of slices per call, and the nonlinearity applied
     there (no FFT of the kinked profile); the time integral is a trapezoid over the stored
     snapshots, subsampled per tau so the spacing stays below (tau - t)/4.  A spectral
-    (i xi)^5 evaluation, summed over blocks of snapshots, is kept as a cross-check (it
-    amplifies the nonlinearity's aliasing error, so it carries a much looser tolerance).
+    (i xi)^5 evaluation, streamed snapshot by snapshot (one FFT each, added into every
+    tau that reads it), is kept as a cross-check (it amplifies the nonlinearity's
+    aliasing error, so it carries a much looser tolerance).
     The expected slope of log|D5| vs log(tau - t) is -(2 - alpha)/2; the
     empirical constants of a*(tau-t)^(-(2-alpha)/2) - A are fitted as well.
     """
@@ -285,17 +283,14 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     # (i xi)^5 with the (-1)^k phase placing the evaluation point at x = 0
     mult5 = derivative_multiplier(grid, 5) * grid.phase() / grid.n_points
 
-    nonlin_hats = np.empty_like(snaps)
-    for hat, snap in zip(nonlin_hats, snaps):
-        hat[:] = np.fft.fft(np.abs(snap) ** alpha * snap)
-
     n_stored = len(times)
     chunk = 8  # slices per interpolant call: its matmul product is about 1.6 MB at n = 1024
     values = []
-    spectral = []
     strides = []
     n_slices = 0
-    for tau, gap in zip(probe.tau_ladder, gaps):
+    # trapezoid weight of snapshot s in the integral of tau j; 0 where tau j skips s
+    trap = np.zeros((len(gaps), n_stored))
+    for j, (tau, gap) in enumerate(zip(probe.tau_ladder, gaps)):
         # subsample so spacing <= gap/4, always keeping the final slice s = t
         stride = max(1, int(gap / 4.0 / max_gap))
         sub = list(range(0, n_stored - 1, stride)) + [n_stored - 1]
@@ -303,6 +298,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
         n_slices += len(sub)
         sub_times = times[sub]
         weights = trapezoid_weights(sub_times)
+        trap[j, sub] = weights
         slices = []
         for k in range(0, len(sub), chunk):
             rows = TrigInterpolant(grid, snaps[sub[k:k + chunk]])
@@ -314,17 +310,14 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
 
             slices.append(graded_fifth_derivatives(odd, 4.0 * (tau - sub_times[k:k + chunk])))
         values.append(complex(np.sum(weights * np.concatenate(slices))))
-        spec = 0j
-        for k in range(0, len(sub), _SPECTRAL_BLOCK):
-            block = slice(k, k + _SPECTRAL_BLOCK)
-            spec += np.sum(
-                weights[block, None] * nonlin_hats[sub[block]]
-                * np.exp(-(tau - sub_times[block])[:, None] * xi_sq[None, :])
-                * mult5[None, :]
-            )
-        spectral.append(complex(spec))
     values = np.array(values)
-    spectral = np.array(spectral)
+    spectral = np.zeros(len(gaps), dtype=complex)
+    read = np.flatnonzero(np.any(trap, axis=0))
+    for s in read:
+        js = np.flatnonzero(trap[:, s])
+        hat = np.fft.fft(np.abs(snaps[s]) ** alpha * snaps[s]) * mult5
+        smoothing = np.exp(-(probe.tau_ladder[js] - times[s])[:, None] * xi_sq[None, :])
+        spectral[js] += trap[js, s] * (smoothing @ hat)
     mags = np.abs(values)
     raw_fit = loglog_fit(gaps, mags)
     beta_hat, amp_hat, at_edge = _fit_divergence_law(gaps, mags, probe.t)
@@ -342,7 +335,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
         law_amplitude=amp_hat, law_fit_at_edge=at_edge, empirical_a=emp_a, empirical_A=emp_A,
         predicted_amplitude=predicted, eta0=eta0,
         spectral_magnitudes=np.abs(spectral), spectral_max_rel_diff=rel_diff,
-        strides=tuple(strides), slices=n_slices,
+        strides=tuple(strides), slices=n_slices, spectral_transforms=len(read),
     )
 
 

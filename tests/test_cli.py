@@ -1,13 +1,22 @@
 import json
+import math
 import re
 import shlex
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reglab.cli import EXPERIMENTS, ExperimentConfig, build_config, main, make_parser
+from reglab.cli import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    build_config,
+    main,
+    make_parser,
+    run_simulate,
+)
 from reglab.errors import ConfigError
 from reglab.grids import Grid1D
 from reglab.ode import NonlinearityParams, holder_defect, integrate_perturbed
@@ -176,6 +185,52 @@ class TestExperiments:
         expect = [[float(t), float(n), float(np.max(np.abs(v)))]
                   for t, n, v in zip(traj.times, l2, traj.values)]
         assert report["tables"]["norms"]["rows"] == expect
+
+    @pytest.mark.parametrize("theta, lam_re, lam_im", [
+        (0.0, 1.0, 0.0), (math.pi / 4, 1.0, 0.0), (math.pi / 2, 0.0, 1.0),
+    ], ids=["heat", "cgl", "nls"])
+    def test_simulate_norms_equal_the_benchmark_expression(self, tmp_path, theta, lam_re, lam_im):
+        # the benchmark compares the norms table with ==; 201 rows span three full
+        # 64-row blocks of the table's reduction and a partial one
+        out = tmp_path / "out"
+        code = run_cli([
+            "--experiment", "simulate", "--alpha", "0.5", "--grid-n", "256",
+            "--t-final", "0.01", "--dt", "5e-5", "--amplitude", "16", "--support-radius", "2",
+            "--theta", repr(theta), "--lambda-re", repr(lam_re), "--lambda-im", repr(lam_im),
+            "--out-dir", str(out),
+        ])
+        assert code == 0
+        traj = load_trajectory(out / "trajectory.rglb")
+        v = traj.values
+        assert len(traj.times) == 201
+        norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1) * traj.y_grid.spacing)
+        sups = np.max(np.abs(v), axis=1)
+        report = json.loads((out / "simulate.json").read_text())
+        assert report["tables"]["norms"]["rows"] == [
+            [float(t), float(n), float(m)] for t, n, m in zip(traj.times, norms, sups)
+        ]
+
+    def test_simulate_holds_no_copy_of_the_trajectory(self, tmp_path):
+        # the norms table reduces |u| a block of rows at a time: beside the
+        # trajectory itself, run_simulate holds only small temporaries
+        def config(out, t_final):
+            return build_config(make_parser().parse_args([
+                "--experiment", "simulate", "--alpha", "0.5", "--grid-n", "1024",
+                "--domain-l", "4", "--dt", "2e-5", "--t-final", t_final,
+                "--amplitude", "16", "--support-radius", "2", "--out-dir", str(out),
+            ]))
+
+        run_simulate(config(tmp_path / "warm", "2e-4"))  # first-call set-up outside the trace
+        cfg = config(tmp_path / "out", "0.02")
+        tracemalloc.start()
+        try:
+            run_simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        traj = load_trajectory(tmp_path / "out" / "trajectory.rglb")
+        assert len(traj.times) == 1001
+        assert peak <= 1.15 * traj.values.nbytes
 
     def test_ode_defect_quick(self, tmp_path):
         out = tmp_path / "out"
@@ -400,3 +455,6 @@ class TestDeterminism:
         by_gap = [k for _, k in sorted(zip(gaps, strides))]
         assert by_gap == sorted(by_gap) and by_gap[0] >= 1
         assert numerics["slices"] == sum(-(-800 // k) + 1 for k in strides)
+        # the spectral cross-check transforms each stored snapshot once, not once per tau
+        assert 1 in strides and numerics["spectral_transforms"] == 801
+        assert numerics["trajectory"] == {"solver_steps": 800, "snapshots": 801}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from reglab.diagnostics import (
-    _SPECTRAL_BLOCK,
     DuhamelProbe,
     ScalingParams,
     SobolevIndex,
@@ -276,7 +275,7 @@ def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
 
 def one_shot_spectral(traj, t, taus, strides):
     """The rate's spectral cross-check as one (S, n) expression per tau: the oracle
-    of the blocked sum, on the same strides and trapezoid weights."""
+    of the streamed sum, on the same strides and trapezoid weights."""
     times = traj.times[: traj.index_of_time(t) + 1]
     snaps = traj.values[: len(times)]
     g = traj.y_grid
@@ -295,19 +294,19 @@ def one_shot_spectral(traj, t, taus, strides):
 
 
 class TestRateStorage:
-    def test_blocked_spectral_sum_matches_one_shot(self):
+    def test_streamed_spectral_sum_matches_one_shot(self):
         traj = standard_run(alpha=0.5, n=256, T=0.004, dt=2.5e-5, snapshot_every=1,
                             amplitude=4.0)
         taus = 0.004 + np.geomspace(1e-4, 3e-3, 4)
         rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=0.004, tau_ladder=taus))
-        # the stride-1 tau sums 161 snapshots: two full blocks and a partial one
-        assert 1 in rate.strides and 161 % _SPECTRAL_BLOCK and 161 > 2 * _SPECTRAL_BLOCK
+        # the stride-1 tau reads all 161 snapshots, each transformed once for every tau
+        assert 1 in rate.strides and rate.spectral_transforms == 161
         oracle = one_shot_spectral(traj, 0.004, rate.taus, rate.strides)
         assert np.all(np.abs(rate.spectral_magnitudes - oracle) <= 1e-13 * oracle)
 
     def test_snapshot_sized_arrays_are_held_once(self):
-        # above the trajectory the rate holds one transformed copy of the
-        # snapshots; the interpolant and spectral blocks stay small beside it
+        # above the trajectory the rate holds no snapshot-sized array: the
+        # cross-check streams one transformed snapshot at a time
         taus = 0.02 + np.geomspace(4e-4, 1.2e-2, 4)
         warm = standard_run(n=1024, T=0.004, dt=2.5e-5, snapshot_every=1)
         duhamel_fifth_derivative_rate(DuhamelProbe(traj=warm, t=0.004, tau_ladder=taus - 0.016))
@@ -320,7 +319,7 @@ class TestRateStorage:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * traj.values.nbytes
+        assert peak <= 0.5 * traj.values.nbytes
 
 
 class TestFixedRuleRate:
