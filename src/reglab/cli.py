@@ -89,6 +89,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}' "
                               f"(choose from {', '.join(EXPERIMENTS)})")
+        for key, kind in _FIELD_TYPES.items():  # NaN passes every <= 0 check below
+            if kind is float and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ConfigError("dt and t_final must be positive")
         try:
@@ -339,14 +342,13 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         traj = err.partial
         blowup = err.time
     save_trajectory(traj, path)
-    space = tuple(range(1, traj.values.ndim))
     sups = np.empty(len(traj.times))
     norms = np.empty(len(traj.times))
     for k in range(0, len(traj.times), 64):  # |u| of 64 rows at a time, not of the whole run
         mags = np.abs(traj.values[k:k + 64])
-        sups[k:k + 64] = mags.max(axis=space)
-        norms[k:k + 64] = np.sum(np.square(mags, out=mags), axis=space)
-    norms = np.sqrt(norms * traj.y_grid.spacing)
+        sups[k:k + 64] = mags.max(axis=1)
+        norms[k:k + 64] = np.sum(np.square(mags, out=mags), axis=1)
+    norms = np.sqrt(norms * traj.grid.spacing)
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0]) if norms[0] else 0.0
     report["trajectory_path"] = path
     report["blowup_time"] = blowup

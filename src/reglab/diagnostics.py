@@ -79,9 +79,7 @@ def hs_norm(u: GridFunction, idx: SobolevIndex) -> float:
     Normalized so that s = 0 reproduces the discrete L^2 norm
     sqrt(spacing * sum |u_j|^2).
     """
-    if u.ndim != 1:
-        raise DomainError("hs_norm expects a 1D grid function")
-    g = u.grids[0]
+    g = u.grid
     coeffs = forward_transform(u)
     total = np.sum((1.0 + laplacian_symbol(g)) ** idx.s * np.abs(coeffs) ** 2)
     return float(np.sqrt(2.0 * g.half_length * total))
@@ -113,12 +111,10 @@ def third_derivative_holder_scan(
     windowed-seminorm growth fit is returned: the sup of q(y)/y^beta over
     y <= w scales like w^(alpha-beta).
     """
-    if traj.snapshot(0).ndim != 1:
-        raise DomainError("third_derivative_holder_scan expects a 1D trajectory")
     i = traj.index_of_time(t)
     u = traj.snapshot(i)
-    d3 = spectral_derivative(u, order=3, axis=-1).values
-    g = traj.y_grid
+    d3 = spectral_derivative(u, order=3).values
+    g = traj.grid
     if y_max is None:
         y_max = g.half_length / 16.0
     try:
@@ -170,18 +166,18 @@ def _snapshots_upto(traj: Trajectory, t: float, gap: float):
     return times, traj.values[: i + 1], max_gap
 
 
-def duhamel_integral_of_series(times, series, grids, tau: float) -> np.ndarray:
+def duhamel_integral_of_series(times, series, grid: Grid1D, tau: float) -> np.ndarray:
     """Heat-smoothed time integral of a stored integrand series.
 
     Computes int_0^t exp((tau - s) Delta) F(s) ds by trapezoid over the
     stored times; each term applies the Fourier heat multiplier.  Linear in
     the series by construction.
     """
-    xi_sq = laplacian_symbol(grids)
+    xi_sq = laplacian_symbol(grid)
     acc = np.zeros_like(series[0], dtype=np.complex128)
     for w, t_s, f_s in zip(trapezoid_weights(times), times, series):
-        acc += w * np.fft.fftn(f_s) * np.exp(-(tau - t_s) * xi_sq)
-    return np.fft.ifftn(acc)
+        acc += w * np.fft.fft(f_s) * np.exp(-(tau - t_s) * xi_sq)
+    return np.fft.ifft(acc)
 
 
 def _fit_empirical_constants(gaps: np.ndarray, mags: np.ndarray, beta: float):
@@ -271,14 +267,12 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     empirical constants of a*(tau-t)^(-(2-alpha)/2) - A are fitted as well.
     """
     traj = probe.traj
-    if traj.snapshot(0).ndim != 1:
-        raise DomainError("duhamel_fifth_derivative_rate expects a 1D trajectory")
     gaps = probe.tau_ladder - probe.t
     if np.max(gaps) / np.min(gaps) < 29.9:
         raise DegenerateInput("tau - t must span at least ~1.5 decades")
     times, snaps, max_gap = _snapshots_upto(traj, probe.t, float(np.min(gaps)))
     alpha = traj.params.alpha
-    grid = traj.y_grid
+    grid = traj.grid
     xi_sq = laplacian_symbol(grid)
     # (i xi)^5 with the (-1)^k phase placing the evaluation point at x = 0
     mult5 = derivative_multiplier(grid, 5) * grid.phase() / grid.n_points
@@ -379,9 +373,7 @@ def scaling_transform(phi: GridFunction, params: ScalingParams) -> GridFunction:
     For integer mu, mu*x_j is the node x_k with k = mu*j - (mu-1)*n/2, so the
     sup-norm factor mu^(2/alpha) is exact to roundoff.
     """
-    if phi.ndim != 1:
-        raise DomainError("scaling_transform expects a 1D grid function")
-    g = phi.grids[0]
+    g = phi.grid
     n, mu = g.n_points, int(params.mu)
     k = mu * np.arange(n) - (mu - 1) * (n // 2)
     # the dilation of a profile supported in the fundamental domain vanishes

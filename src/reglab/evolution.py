@@ -22,7 +22,7 @@ from .errors import BlowUpError, DomainError, ResolutionError
 from .grids import (
     Grid1D,
     GridFunction,
-    _grids_tuple,
+    _as_grid,
     dyadic_ladder,
     laplacian_symbol,
     odd_part,
@@ -48,9 +48,8 @@ __all__ = [
 class InitialData:
     """Initial profile: an odd compactly supported bump or a custom callable.
 
-    1D callables take y; 2D callables take (x_prime, y) meshes.  The bump
-    kinds are odd in y by construction with d/dy at the origin equal to
-    amplitude/e.
+    Callables take the array of y samples.  The bump is odd in y by
+    construction with d/dy at the origin equal to amplitude/e.
     """
 
     kind: str
@@ -59,8 +58,8 @@ class InitialData:
     func: object
     dy_at_origin: complex = 0.0
 
-    def __call__(self, *coords):
-        return self.func(*coords)
+    def __call__(self, y):
+        return self.func(y)
 
 
 def _bump_window(r_squared: np.ndarray) -> np.ndarray:
@@ -74,52 +73,44 @@ def _bump_window(r_squared: np.ndarray) -> np.ndarray:
 
 
 def make_odd_bump(dimension: int, amplitude: float, support_radius: float) -> InitialData:
-    """Smooth compactly supported profile amplitude * y * exp(-1/(1-r^2))."""
-    if dimension not in (1, 2):
-        raise DomainError(f"dimension must be 1 or 2, got {dimension}")
+    """Smooth compactly supported profile amplitude * y * exp(-1/(1-r^2)), r = y/radius.
+
+    Fields are 1D, so ``dimension`` must be 1."""
+    if dimension != 1:
+        raise DomainError(f"dimension must be 1, got {dimension}")
     if not (amplitude > 0):
         raise DomainError(f"amplitude must be positive, got {amplitude}")
     if not (support_radius > 0):
         raise DomainError(f"support_radius must be positive, got {support_radius}")
     radius_sq = support_radius**2
-    kind = f"odd_bump_{int(dimension)}d"
 
-    def func(*coords):
-        if len(coords) != dimension:
-            raise DomainError(f"{kind} takes {dimension} coordinate(s), got {len(coords)}")
-        coords = [np.asarray(c, dtype=float) for c in coords]
-        return amplitude * coords[-1] * _bump_window(sum(c**2 for c in coords) / radius_sq)
+    def func(y):
+        y = np.asarray(y, dtype=float)
+        return amplitude * y * _bump_window(y**2 / radius_sq)
 
     return InitialData(
-        kind=kind, amplitude=float(amplitude), support_radius=float(support_radius),
+        kind="odd_bump_1d", amplitude=float(amplitude), support_radius=float(support_radius),
         func=func, dy_at_origin=complex(amplitude * np.exp(-1.0)),
     )
 
 
-def sample_initial_data(data: InitialData, grid) -> GridFunction:
-    coords = np.meshgrid(*(g.points for g in _grids_tuple(grid)), indexing="ij")
-    return GridFunction(grid, np.asarray(data(*coords), dtype=np.complex128))
+def sample_initial_data(data: InitialData, grid: Grid1D) -> GridFunction:
+    return GridFunction(grid, np.asarray(data(_as_grid(grid).points), dtype=np.complex128))
 
 
-def _linear_multiplier(params: NonlinearityParams, grids, dt: float) -> np.ndarray:
-    return np.exp(-dt * np.exp(1j * params.theta) * laplacian_symbol(grids))
+def _linear_multiplier(params: NonlinearityParams, grid: Grid1D, dt: float) -> np.ndarray:
+    return np.exp(-dt * np.exp(1j * params.theta) * laplacian_symbol(grid))
 
 
 def _strang(params: NonlinearityParams, vals: np.ndarray, mult: np.ndarray,
             dt: float) -> np.ndarray:
     """Exact nonlinear half step, linear step by ``mult``, nonlinear half step.
 
-    A blow-up in the second half step is reported from the start of the step.
-    The transforms run one axis at a time, last axis first, as ``fftn`` and
-    ``ifftn`` do (bit-identical), without their per-call overhead."""
+    A blow-up in the second half step is reported from the start of the step."""
     half = 0.5 * dt
-    vals = exact_flow(params, vals, half)
-    axes = range(vals.ndim - 1, -1, -1)
-    for axis in axes:
-        vals = np.fft.fft(vals, axis=axis)
+    vals = np.fft.fft(exact_flow(params, vals, half))
     vals *= mult
-    for axis in axes:
-        vals = np.fft.ifft(vals, axis=axis)
+    vals = np.fft.ifft(vals)
     try:
         return exact_flow(params, vals, half)
     except BlowUpError as err:
@@ -132,7 +123,7 @@ def step(params: NonlinearityParams, u: GridFunction, dt: float) -> GridFunction
     """One Strang step: exact nonlinear half, exact linear, nonlinear half."""
     if not (dt > 0):
         raise DomainError(f"dt must be positive, got {dt}")
-    vals = _strang(params, u.values, _linear_multiplier(params, u.grids, dt), dt)
+    vals = _strang(params, u.values, _linear_multiplier(params, u.grid, dt), dt)
     return GridFunction(u.grid, vals, allow_nonfinite=True)
 
 
@@ -141,9 +132,9 @@ class Trajectory:
     """Snapshots of the evolution, aligned with their time stamps."""
 
     params: NonlinearityParams
-    grid: object
+    grid: Grid1D
     times: np.ndarray
-    values: np.ndarray  # [snapshot, *space]
+    values: np.ndarray  # [snapshot, y]
     dt: float
     blowup_time: float | None = None
     odd_projection: bool = True
@@ -151,14 +142,12 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.values):
             raise DomainError("times and snapshots misaligned")
-
-    @property
-    def grids(self) -> tuple[Grid1D, ...]:
-        return _grids_tuple(self.grid)
+        _as_grid(self.grid)
 
     @property
     def y_grid(self) -> Grid1D:
-        return self.grids[-1]
+        """The grid, named for its one axis."""
+        return self.grid
 
     def snapshot(self, i: int) -> GridFunction:
         return GridFunction(self.grid, self.values[i], allow_nonfinite=True)
@@ -170,7 +159,7 @@ class Trajectory:
 def solve(
     params: NonlinearityParams,
     phi: InitialData,
-    grid,
+    grid: Grid1D,
     T: float,
     dt: float,
     snapshot_every: int = 1,
@@ -194,12 +183,12 @@ def solve(
     steps = snapshot_steps(n_steps, snapshot_every)
     if not (blowup_factor > 1):
         raise DomainError(f"blowup_factor must exceed 1, got {blowup_factor}")
-    y_grid = _grids_tuple(grid)[-1]
-    if phi.support_radius > y_grid.half_length:
+    grid = _as_grid(grid)
+    if phi.support_radius > grid.half_length:
         raise DomainError("initial-data support exceeds the torus")
-    if phi.support_radius / y_grid.spacing < 32.0:
+    if phi.support_radius / grid.spacing < 32.0:
         raise ResolutionError(
-            f"bump under-resolved: {phi.support_radius / y_grid.spacing:.1f} "
+            f"bump under-resolved: {phi.support_radius / grid.spacing:.1f} "
             "points across support_radius (need >= 32)"
         )
 
@@ -245,10 +234,8 @@ def solve(
 
 
 def dy_at_zero(traj: Trajectory, i: int):
-    """Spectral d/dy of snapshot i on the y = 0 slice (one value per x' in 2D)."""
-    du = spectral_derivative(traj.snapshot(i), order=1, axis=-1)
-    j0 = traj.y_grid.zero_index
-    return du.values[..., j0]
+    """Spectral d/dy of snapshot i at y = 0."""
+    return spectral_derivative(traj.snapshot(i), order=1).values[traj.grid.zero_index]
 
 
 @dataclass
@@ -275,29 +262,28 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = No
     i = traj.index_of_time(t)
     u = traj.snapshot(i)
     alpha = traj.params.alpha
-    y_grid = traj.y_grid
-    y = y_grid.points
+    grid = traj.grid
+    y = grid.points
     eta = dy_at_zero(traj, i)
 
-    linear_part = np.multiply.outer(eta, y)
+    linear_part = eta * y
     lead = np.abs(linear_part) ** alpha * linear_part
     nonlin = np.abs(u.values) ** alpha * u.values
     w_tilde = nonlin - lead
 
-    d2 = spectral_derivative(u, order=2, axis=-1)
+    d2 = spectral_derivative(u, order=2)
     bound_c = 0.5 * float(np.max(np.abs(d2.values)))
     w_lin = u.values - linear_part
-    j0 = y_grid.zero_index
+    j0 = grid.zero_index
     mask = np.ones_like(y, dtype=bool)
     mask[j0] = False
-    ratios = np.abs(w_lin[..., mask]) / (bound_c * y[mask] ** 2 + 1e-300)
+    ratios = np.abs(w_lin[mask]) / (bound_c * y[mask] ** 2 + 1e-300)
     bound_max_ratio = float(np.max(ratios))
 
     if y_max is None:
-        y_max = y_grid.half_length / 16.0
-    idx, ys = dyadic_ladder(y_grid, y_max)
-    # the largest remainder over x' (no axis to reduce in 1D)
-    w_slice = np.max(np.abs(w_tilde[..., j0 + idx]), axis=tuple(range(w_tilde.ndim - 1)))
+        y_max = grid.half_length / 16.0
+    idx, ys = dyadic_ladder(grid, y_max)
+    w_slice = np.abs(w_tilde[j0 + idx])
     fit = loglog_fit(ys, w_slice)
 
     return RemainderReport(

@@ -2,9 +2,7 @@
 
 The spatial domain is the periodic interval [-L, L) sampled at
 ``x_j = -L + j*spacing`` with ``spacing = 2L/n`` and ``n`` a power of two,
-so that x = 0 is always a sample point (index n//2).  Two-dimensional
-fields live on a tensor product of two such grids with the distinguished
-coordinate y on the *last* axis.
+so that x = 0 is always a sample point (index n//2).
 
 Fourier conventions: physical wavenumbers are ``xi_k = pi*k/L`` for integer
 frequencies k in [-n/2, n/2).  The forward transform divides by n, so a
@@ -14,7 +12,6 @@ constant field has coefficient 1 at k = 0 and Parseval reads
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,60 +84,39 @@ class Grid1D:
         return np.where(self.frequencies % 2 == 0, 1.0, -1.0)
 
 
-def _grids_tuple(grid) -> tuple[Grid1D, ...]:
-    """The axes of a field, y last: the one place that decides 1D or 2D."""
-    if isinstance(grid, Grid1D):
-        return (grid,)
-    try:
-        grids = tuple(grid)
-    except TypeError:
-        grids = ()
-    if not all(isinstance(g, Grid1D) for g in grids) or len(grids) not in (1, 2):
-        raise DomainError(f"grid must be a Grid1D or a pair of Grid1D, got {grid!r}")
-    return grids
+def _as_grid(grid) -> Grid1D:
+    """The one check of a field's grid: a field lives on one Grid1D (the y axis)."""
+    if not isinstance(grid, Grid1D):
+        raise DomainError(f"grid must be a Grid1D, got {grid!r}")
+    return grid
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a 1D grid or a 2D tensor grid (y on the last axis)."""
+    """Complex samples on a 1D grid."""
 
-    grid: object
+    grid: Grid1D
     values: np.ndarray
     allow_nonfinite: bool = False
 
     def __post_init__(self):
-        grids = _grids_tuple(self.grid)
         values = np.asarray(self.values, dtype=np.complex128)
-        expected = tuple(g.n_points for g in grids)
+        expected = (_as_grid(self.grid).n_points,)
         if values.shape != expected:
             raise SizeMismatch(f"values shape {values.shape} != grid shape {expected}")
         if not self.allow_nonfinite and not np.all(np.isfinite(values)):
             raise DomainError("GridFunction values contain NaN/Inf (not flagged as blown up)")
         object.__setattr__(self, "values", values)
 
-    @property
-    def grids(self) -> tuple[Grid1D, ...]:
-        return _grids_tuple(self.grid)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.grids)
-
-    @property
-    def y_grid(self) -> Grid1D:
-        return self.grids[-1]
-
 
 def forward_transform(u: GridFunction) -> np.ndarray:
-    """Coefficients c_k = (1/n) sum_j u_j exp(-i xi_k x_j) (per axis), in FFT
-    frequency order on each axis."""
-    phase = math.prod(np.ix_(*(g.phase() for g in u.grids)))
-    return np.fft.fftn(u.values) / u.values.size * phase
+    """Coefficients c_k = (1/n) sum_j u_j exp(-i xi_k x_j), in FFT frequency order."""
+    return np.fft.fft(u.values) / u.values.size * u.grid.phase()
 
 
-def laplacian_symbol(grid) -> np.ndarray:
-    """|xi|^2 on a 1D grid or a pair of grids, in FFT order."""
-    return sum(np.ix_(*(g.wavenumbers**2 for g in _grids_tuple(grid))))
+def laplacian_symbol(grid: Grid1D) -> np.ndarray:
+    """|xi|^2 in FFT order."""
+    return grid.wavenumbers**2
 
 
 def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
@@ -158,19 +134,11 @@ def derivative_multiplier(grid: Grid1D, order: int) -> np.ndarray:
     return mult
 
 
-def spectral_derivative(u: GridFunction, order: int = 1, axis: int = -1) -> GridFunction:
-    """Differentiate along one axis via the (i*xi)^order multiplier."""
-    grids = u.grids
-    if not -len(grids) <= axis < len(grids):
-        raise DomainError(f"axis {axis} is out of range for a {len(grids)}D field")
-    axis %= len(grids)
-    g = grids[axis]
-    coeffs = np.fft.fft(u.values, axis=axis)
-    shape = [1] * len(grids)
-    shape[axis] = g.n_points
-    coeffs *= derivative_multiplier(g, order).reshape(shape)
-    values = np.fft.ifft(coeffs, axis=axis)
-    return GridFunction(grid=u.grid, values=values, allow_nonfinite=True)
+def spectral_derivative(u: GridFunction, order: int = 1) -> GridFunction:
+    """Differentiate via the (i*xi)^order multiplier."""
+    coeffs = np.fft.fft(u.values)
+    coeffs *= derivative_multiplier(u.grid, order)
+    return GridFunction(grid=u.grid, values=np.fft.ifft(coeffs), allow_nonfinite=True)
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
@@ -202,9 +170,7 @@ class TrigInterpolant:
 
     def __init__(self, u: GridFunction | Grid1D, rows=None):
         if rows is None:
-            if u.ndim != 1:
-                raise DomainError("TrigInterpolant supports 1D grid functions only")
-            u, rows = u.grids[0], u.values[None, :]
+            u, rows = u.grid, u.values[None, :]
         self.grid = g = u
         rows = np.asarray(rows, dtype=np.complex128)
         if rows.ndim != 2 or rows.shape[1] != g.n_points:

@@ -25,7 +25,7 @@ from .errors import (
     SizeMismatch,
     StepSizeError,
 )
-from .grids import Grid1D, _grids_tuple, ladder_columns, ladder_increments
+from .grids import Grid1D, _as_grid, ladder_columns, ladder_increments
 from .numerics import RegressionFit, _time_index, central_difference, snapshot_steps, step_count
 
 __all__ = [
@@ -227,10 +227,7 @@ def integrate_perturbed(
     n_steps = step_count(T, dt)
     kept = snapshot_steps(n_steps, snapshot_every)
 
-    grids = _grids_tuple(grid)
-    if len(grids) != 1:
-        raise DomainError(f"integrate_perturbed needs one Grid1D, got {len(grids)} axes")
-    (grid,) = grids
+    grid = _as_grid(grid)
     y = grid.points
     j0 = grid.zero_index
     if columns is not None:

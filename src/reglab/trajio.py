@@ -5,10 +5,10 @@ File layout (all little-endian):
     magic      4 bytes  b"RGLB"
     version    u32      currently 1
     kind       u32      0 = evolution trajectory, 1 = ODE run (w and v tracks)
-    ndim       u32      1 or 2 spatial dimensions
+    n_grids    u32      always 1: every field lives on one Grid1D
     n_channels u32      1 for trajectories, 2 for ODE runs
-    n_points   u32*ndim
-    half_len   f64*ndim
+    n_points   u32
+    half_len   f64
     dt         f64
     alpha, lambda_re, lambda_im, theta   f64 each
     scheme     u32      0 = strang_exact_nl, 1 = rk4_pointwise (the kind decides it)
@@ -17,7 +17,7 @@ File layout (all little-endian):
     z0_re,z0_im f64     ODE runs only (zeros otherwise)
     n_times    u64
     times      f64 * n_times                       ("times" section)
-    snapshots  c128 * n_times*n_channels*prod(n)   ("snapshots" section)
+    snapshots  c128 * n_times*n_channels*n_points  ("snapshots" section)
 
 Snapshot payloads are written with numpy's little-endian complex128 codec,
 so a save/load round trip is bit-exact.  A JSON sidecar (<path>.json)
@@ -89,7 +89,6 @@ def _atomic_write(path: str, *parts) -> None:
 def _header_and_payload(obj) -> tuple[tuple, dict]:
     if isinstance(obj, Trajectory):
         kind = _KIND_TRAJECTORY
-        grids = obj.grids
         data = obj.values.reshape(len(obj.times), 1, -1)
         n_channels = 1
         flags = (_FLAG_BLOWUP if obj.blowup_time is not None else 0) \
@@ -103,7 +102,6 @@ def _header_and_payload(obj) -> tuple[tuple, dict]:
             raise IoError("cannot serialize an OdeRun restricted to some columns: "
                           "the format stores whole grids")
         kind = _KIND_ODE_RUN
-        grids = (obj.grid,)
         data = np.stack([obj.w, obj.v], axis=1).reshape(len(obj.times), 2, -1)
         n_channels = 2
         flags = _FLAG_FORCING if obj.has_forcing else 0
@@ -114,12 +112,12 @@ def _header_and_payload(obj) -> tuple[tuple, dict]:
     else:
         raise IoError(f"cannot serialize object of type {type(obj).__name__}")
     kind_name, scheme, scheme_name = _KINDS[kind]
+    grid = obj.grid
 
     header = bytearray()
     header += MAGIC
-    header += struct.pack("<IIII", FORMAT_VERSION, kind, len(grids), n_channels)
-    header += struct.pack(f"<{len(grids)}I", *(g.n_points for g in grids))
-    header += struct.pack(f"<{len(grids)}d", *(g.half_length for g in grids))
+    header += struct.pack("<IIIIId", FORMAT_VERSION, kind, 1, n_channels,
+                          grid.n_points, grid.half_length)
     header += struct.pack("<5d", dt, params.alpha, params.lam.real,
                           params.lam.imag, params.theta)
     header += struct.pack("<II", scheme, flags)
@@ -133,8 +131,8 @@ def _header_and_payload(obj) -> tuple[tuple, dict]:
     meta = {
         "format_version": FORMAT_VERSION,
         "kind": kind_name,
-        "n_points": [int(g.n_points) for g in grids],
-        "half_length": [float(g.half_length) for g in grids],
+        "n_points": [int(grid.n_points)],
+        "half_length": [float(grid.half_length)],
         "dt": float(dt),
         "alpha": float(params.alpha),
         "lambda": [params.lam.real, params.lam.imag],
@@ -212,16 +210,12 @@ def load_trajectory(path):
         raise VersionError(
             f"unsupported format version {version} (expected {FORMAT_VERSION})"
         )
-    kind, ndim, n_channels = r.unpack("<III", "dimensions")
-    if ndim not in (1, 2):
-        raise FormatError(f"invalid ndim {ndim}", offset=r.offset)
-    if (kind, n_channels) not in ((_KIND_TRAJECTORY, 1), (_KIND_ODE_RUN, 2)) \
-            or (kind == _KIND_ODE_RUN and ndim != 1):
-        raise FormatError(
-            f"inconsistent kind {kind}, ndim {ndim}, n_channels {n_channels}", offset=8
-        )
-    n_points = r.unpack(f"<{ndim}I", "grid sizes")
-    half_len = r.unpack(f"<{ndim}d", "grid lengths")
+    kind, n_grids, n_channels = r.unpack("<III", "dimensions")
+    if n_grids != 1:
+        raise FormatError(f"grid count {n_grids} is not 1", offset=12)
+    if (kind, n_channels) not in ((_KIND_TRAJECTORY, 1), (_KIND_ODE_RUN, 2)):
+        raise FormatError(f"inconsistent kind {kind}, n_channels {n_channels}", offset=8)
+    n_points, half_len = r.unpack("<Id", "grid")
     dt, alpha, lam_re, lam_im, theta = r.unpack("<5d", "parameters")
     scheme_code, flags = r.unpack("<II", "scheme/flags")
     if scheme_code != _KINDS[kind][1]:
@@ -230,34 +224,33 @@ def load_trajectory(path):
     blowup, z0_re, z0_im = r.unpack("<3d", "blow-up/z0")
     (n_times,) = r.unpack("<Q", "n_times")
     try:
-        grids = tuple(Grid1D(int(n), float(L)) for n, L in zip(n_points, half_len))
+        grid = Grid1D(n_points, half_len)
         params = NonlinearityParams(alpha=alpha, lam=complex(lam_re, lam_im), theta=theta)
     except DomainError as err:
         raise FormatError(f"invalid header: {err}", offset=20) from None
 
     times = r.take(8 * n_times, "times").view("<f8")
-    count = n_times * n_channels * math.prod(n_points)
-    snaps = r.take(16 * count, "snapshots").view("<c16").reshape(
-        n_times, n_channels, *n_points)
+    count = n_times * n_channels * n_points
+    snaps = r.take(16 * count, "snapshots").view("<c16").reshape(n_times, n_channels, n_points)
     if r.offset != len(blob):
         raise FormatError("trailing bytes after snapshots", offset=r.offset)
 
     if kind == _KIND_TRAJECTORY:
         return Trajectory(
             params=params,
-            grid=grids[0] if ndim == 1 else grids,
+            grid=grid,
             times=times,
-            values=snaps[:, 0, ...],
+            values=snaps[:, 0],
             dt=dt,
             blowup_time=None if math.isnan(blowup) else blowup,
             odd_projection=bool(flags & _FLAG_ODD_PROJECTION),
         )
     return OdeRun(
         params=params,
-        grid=grids[0],
+        grid=grid,
         times=times,
-        w=snaps[:, 0, ...],
-        v=snaps[:, 1, ...],
+        w=snaps[:, 0],
+        v=snaps[:, 1],
         z0=complex(z0_re, z0_im),
         h_forcing=None,
         dt=dt,

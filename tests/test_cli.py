@@ -23,7 +23,8 @@ from reglab.ode import NonlinearityParams, holder_defect, integrate_perturbed
 from reglab.trajio import load_trajectory, validate_report
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(args):
@@ -46,6 +47,16 @@ class TestConfigHandling:
             "--experiment", "verify-kernel", "--alpha", "-1.0",
             "--out-dir", str(out),
         ])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)
+                                     if f.type in (float, "float")])
+    def test_non_finite_float_exits_2_and_writes_nothing(self, tmp_path, key, value):
+        out = tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
+        code = run_cli(["--experiment", "simulate", f"{flag}={value}", "--out-dir", str(out)])
         assert code == 2
         assert not out.exists()
 
@@ -189,9 +200,14 @@ class TestExperiments:
     @pytest.mark.parametrize("theta, lam_re, lam_im", [
         (0.0, 1.0, 0.0), (math.pi / 4, 1.0, 0.0), (math.pi / 2, 0.0, 1.0),
     ], ids=["heat", "cgl", "nls"])
-    def test_simulate_norms_equal_the_benchmark_expression(self, tmp_path, theta, lam_re, lam_im):
-        # the benchmark compares the norms table with ==; 201 rows span three full
-        # 64-row blocks of the table's reduction and a partial one
+    def test_simulate_norms_equal_the_benchmark_expression(self, tmp_path, monkeypatch,
+                                                           theta, lam_re, lam_im):
+        # the benchmark compares the norms table with == against its own expression
+        # on the reloaded trajectory; 201 rows span three full 64-row blocks of the
+        # table's reduction and a partial one
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
         out = tmp_path / "out"
         code = run_cli([
             "--experiment", "simulate", "--alpha", "0.5", "--grid-n", "256",
@@ -201,14 +217,9 @@ class TestExperiments:
         ])
         assert code == 0
         traj = load_trajectory(out / "trajectory.rglb")
-        v = traj.values
         assert len(traj.times) == 201
-        norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1) * traj.y_grid.spacing)
-        sups = np.max(np.abs(v), axis=1)
         report = json.loads((out / "simulate.json").read_text())
-        assert report["tables"]["norms"]["rows"] == [
-            [float(t), float(n), float(m)] for t, n, m in zip(traj.times, norms, sups)
-        ]
+        assert report["tables"]["norms"]["rows"] == workloads._norms_table(traj)
 
     def test_simulate_holds_no_copy_of_the_trajectory(self, tmp_path):
         # the norms table reduces |u| a block of rows at a time: beside the

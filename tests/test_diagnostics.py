@@ -122,7 +122,7 @@ def nonlinear_duhamel(traj, t, tau):
     i = traj.index_of_time(t)
     snaps = traj.values[: i + 1]
     series = np.abs(snaps) ** traj.params.alpha * snaps
-    return duhamel_integral_of_series(traj.times[: i + 1], series, traj.grids, tau)
+    return duhamel_integral_of_series(traj.times[: i + 1], series, traj.grid, tau)
 
 
 class TestDuhamelIntegral:
@@ -178,9 +178,9 @@ class TestDuhamelIntegral:
         fa = rng.standard_normal((21, 64)) + 1j * rng.standard_normal((21, 64))
         fb = rng.standard_normal((21, 64)) + 1j * rng.standard_normal((21, 64))
         tau = 0.02
-        nha = duhamel_integral_of_series(times, fa, (g,), tau)
-        nhb = duhamel_integral_of_series(times, fb, (g,), tau)
-        nhab = duhamel_integral_of_series(times, fa + fb, (g,), tau)
+        nha = duhamel_integral_of_series(times, fa, g, tau)
+        nhb = duhamel_integral_of_series(times, fb, g, tau)
+        nhab = duhamel_integral_of_series(times, fa + fb, g, tau)
         assert np.max(np.abs(nhab - nha - nhb)) <= 1e-12 * np.max(np.abs(nhab))
 
     def test_short_time_scaling(self):

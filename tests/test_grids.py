@@ -27,7 +27,7 @@ def dense_interpolant(u, points):
     2L-periodic, so this is the same function, while at |x| ~ 100 L the
     rounding of x * xi_k alone would move the basis by ~1e-12.
     """
-    g = u.grids[0]
+    g = u.grid
     flat = np.fmod(np.asarray(points, dtype=np.float64).reshape(-1), 2.0 * g.half_length)
     basis = np.exp(1j * np.outer(flat, g.wavenumbers))
     nyquist = g.n_points // 2
@@ -78,12 +78,6 @@ class TestGridFunction:
             GridFunction(g, vals)
         GridFunction(g, vals, allow_nonfinite=True)
 
-    def test_2d(self):
-        gx, gy = Grid1D(8, 1.0), Grid1D(16, 2.0)
-        u = GridFunction((gx, gy), np.ones((8, 16)))
-        assert u.ndim == 2
-        assert u.y_grid is gy
-
 
 class TestTransforms:
     def test_constant_field(self):
@@ -119,14 +113,6 @@ class TestTransforms:
         vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         expect = dft_matrix(g).conj() @ vals / 16
         assert np.max(np.abs(forward_transform(GridFunction(g, vals)) - expect)) <= 1e-14
-
-    def test_closed_form_2d(self):
-        rng = np.random.default_rng(12)
-        gx, gy = Grid1D(8, 1.0), Grid1D(16, 2.0)
-        vals = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-        expect = dft_matrix(gx).conj() @ vals @ dft_matrix(gy).conj().T / vals.size
-        got = forward_transform(GridFunction((gx, gy), vals))
-        assert np.max(np.abs(got - expect)) <= 1e-14
 
 
 class TestSpectralOps:
@@ -303,13 +289,9 @@ class TestSpectralOps:
 
 
 class TestSharedHelpers:
-    def test_laplacian_symbol_1d_and_2d(self):
-        gx, gy = Grid1D(8, 1.0), Grid1D(16, 2.0)
-        assert np.array_equal(laplacian_symbol(gy), gy.wavenumbers**2)
-        assert np.array_equal(laplacian_symbol((gy,)), gy.wavenumbers**2)
-        sym = laplacian_symbol((gx, gy))
-        assert sym.shape == (8, 16)
-        assert sym[3, 5] == gx.wavenumbers[3] ** 2 + gy.wavenumbers[5] ** 2
+    def test_laplacian_symbol(self):
+        g = Grid1D(16, 2.0)
+        assert np.array_equal(laplacian_symbol(g), g.wavenumbers**2)
 
     def test_derivative_multiplier_drops_odd_nyquist(self):
         g = Grid1D(16, 1.0)
@@ -324,17 +306,6 @@ class TestSharedHelpers:
             derivative_multiplier(g, order)
         with pytest.raises(DomainError):
             spectral_derivative(GridFunction(g, np.sin(np.pi * g.points)), order)
-
-    def test_spectral_derivative_rejects_out_of_range_axis(self):
-        gx, gy = Grid1D(8, 1.0), Grid1D(16, 1.0)
-        u2 = GridFunction((gx, gy), np.broadcast_to(np.sin(np.pi * gy.points), (8, 16)))
-        u1 = GridFunction(gy, np.sin(np.pi * gy.points))
-        for u, axis in ((u2, 2), (u2, -3), (u1, 1), (u1, -2)):
-            with pytest.raises(DomainError):
-                spectral_derivative(u, 1, axis=axis)
-        # in-range negative axes still count from the end
-        assert np.array_equal(spectral_derivative(u2, 1, axis=-1).values,
-                              spectral_derivative(u2, 1, axis=1).values)
 
     def test_dyadic_ladder_is_grid_aligned_and_halving(self):
         g = Grid1D(1024, 4.0)

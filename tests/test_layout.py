@@ -77,8 +77,8 @@ def _names(node):
 
 
 def test_only_grids_tests_for_grid1d():
-    # grids decides whether a field is 1D or 2D; every other module works on
-    # the normalized tuple of grids
+    # grids holds the one check that a field's grid is a Grid1D; every other
+    # module calls it instead of testing the type itself
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "grids.py":

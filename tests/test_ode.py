@@ -409,7 +409,7 @@ class TestIntegratePerturbed:
     @pytest.mark.parametrize("grid", [5, "abc", (Grid1D(16, 1.0), Grid1D(64, 1.0))],
                              ids=["int", "str", "two-axes"])
     def test_grid_must_be_one_axis(self, grid):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="grid must be a Grid1D"):
             integrate_perturbed(NonlinearityParams(alpha=0.5, lam=1.0),
                                 lambda y: y.astype(complex), None,
                                 T=0.01, grid=grid, dt=1e-5)

@@ -41,27 +41,38 @@ def make_ode_run():
 
 
 def tiny_files():
-    """A small 1D and 2D trajectory and an ODE run, each with its ndim."""
+    """A small trajectory and an ODE run."""
     params = NonlinearityParams(alpha=0.5, lam=1.0 - 0.5j, theta=0.3)
     rng = np.random.default_rng(5)
-    g8, g16 = Grid1D(8, 1.0), Grid1D(16, 2.0)
-    traj_1d = Trajectory(params, g8, np.array([0.0, 0.1, 0.2]),
-                         rng.standard_normal((3, 8)) + 0j, dt=0.1)
-    traj_2d = Trajectory(params, (g8, g16), np.array([0.0, 0.1]),
-                         rng.standard_normal((2, 8, 16)) + 0j, dt=0.1,
-                         blowup_time=0.15)
+    g8 = Grid1D(8, 1.0)
+    traj = Trajectory(params, g8, np.array([0.0, 0.1, 0.2]),
+                      rng.standard_normal((3, 8)) + 0j, dt=0.1)
     run = OdeRun(params, g8, np.array([0.0, 0.1]), rng.standard_normal((2, 8)) + 0j,
                  rng.standard_normal((2, 8)) + 0j, z0=1.0, dt=0.1)
-    return [(traj_1d, 1), (traj_2d, 2), (run, 1)]
+    return [traj, run]
 
 
-def header_length(ndim):
-    return 20 + 12 * ndim + 40 + 8 + 24 + 8
+HEADER_LENGTH = 20 + 12 + 40 + 8 + 24 + 8
+GRID_COUNT_OFFSET = 12
+N_POINTS_OFFSET = 20
 
 
-def header_offset(ndim, field):
-    """Byte offset of a header field after the per-axis grid block."""
-    return 20 + 12 * ndim + {"alpha": 8, "scheme": 40}[field]
+def header_offset(field):
+    """Byte offset of a header field after the grid block."""
+    return 32 + {"alpha": 8, "scheme": 40}[field]
+
+
+def two_grid_file():
+    """A trajectory on a pair of grids (8, 16) in the layout the format once wrote
+    for it: a 124-byte header with grid count 2, two time stamps, their snapshots."""
+    header = b"RGLB" + struct.pack("<IIII", FORMAT_VERSION, 0, 2, 1)
+    header += struct.pack("<2I", 8, 16) + struct.pack("<2d", 1.0, 2.0)
+    header += struct.pack("<5d", 0.1, 0.5, 1.0, -0.5, 0.3)
+    header += struct.pack("<II", 0, 2) + struct.pack("<3d", 0.15, 0.0, 0.0)
+    header += struct.pack("<Q", 2)
+    assert len(header) == 124
+    snapshots = np.random.default_rng(5).standard_normal((2, 8, 16)) + 0j
+    return header + np.array([0.0, 0.1], dtype="<f8").tobytes() + snapshots.astype("<c16").tobytes()
 
 
 class TestRoundTrip:
@@ -137,25 +148,25 @@ class TestRoundTrip:
     @settings(deadline=None, database=None, max_examples=40,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        shape=st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=2),
+        n_points=st.sampled_from([8, 16, 32]),
         n_times=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_shapes_bit_exact(self, tmp_path, shape, n_times, seed):
+    def test_random_shapes_bit_exact(self, tmp_path, n_points, n_times, seed):
         rng = np.random.default_rng(seed)
-        grids = tuple(Grid1D(n, float(rng.uniform(0.5, 8.0))) for n in shape)
-        values = rng.standard_normal((n_times, *shape)) + 1j * rng.standard_normal((n_times, *shape))
+        grid = Grid1D(n_points, float(rng.uniform(0.5, 8.0)))
+        shape = (n_times, n_points)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         times = np.cumsum(rng.uniform(0.01, 0.1, n_times))
         params = NonlinearityParams(alpha=float(rng.uniform(0.1, 1.9)), lam=1.0 - 0.5j, theta=0.3)
-        traj = Trajectory(params, grids if len(grids) == 2 else grids[0], times, values,
-                          dt=0.01)
+        traj = Trajectory(params, grid, times, values, dt=0.01)
         path = tmp_path / "random.rglb"
         save_trajectory(traj, path)
         back = load_trajectory(path)
         assert back.values.shape == values.shape
         assert back.values.tobytes() == values.tobytes()
         assert back.times.tobytes() == times.tobytes()
-        assert back.grids == grids
+        assert back.grid == grid
         assert back.params == params
 
     def test_stale_temp_name_does_not_block_save(self, tmp_path):
@@ -229,14 +240,15 @@ class TestMemory:
         assert back.values.tobytes() == values.tobytes()
         assert back.times.tobytes() == traj.times.tobytes()
 
-    @pytest.mark.parametrize("which", [0, 1, 2], ids=["traj_1d", "traj_2d", "ode_run"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["traj_1d", "ode_run"])
     def test_loaded_arrays_are_aligned(self, tmp_path, which):
-        # the 2D header is 124 bytes long: the reader, not the layout, aligns
-        obj = tiny_files()[which][0]
+        # three time stamps start the trajectory's snapshots at byte 136, off a
+        # 16-byte boundary: the reader, not the layout, aligns
+        obj = tiny_files()[which]
         path = tmp_path / "run.rglb"
         save_trajectory(obj, path)
         back = load_trajectory(path)
-        for arr in ([back.values] if which < 2 else [back.w, back.v]) + [back.times]:
+        for arr in ([back.values] if which == 0 else [back.w, back.v]) + [back.times]:
             assert arr.flags.aligned and arr.flags.writeable
 
     def test_short_read_is_io_error(self, tmp_path, monkeypatch):
@@ -298,35 +310,39 @@ class TestCorruption:
         assert "snapshots" in str(err.value)
 
     @pytest.mark.parametrize("which, at, patch", [
-        (0, header_offset(1, "alpha"), struct.pack("<d", 5.0)),
+        (0, header_offset("alpha"), struct.pack("<d", 5.0)),
         (0, 8, struct.pack("<I", 1)),  # an ODE-run kind over one channel
-        (1, 20, struct.pack("<2I", 2**32 - 1, 2**32 - 1)),
-        (0, header_offset(1, "scheme"), struct.pack("<I", 7)),
-        (0, header_offset(1, "scheme"), struct.pack("<I", 1)),  # the ODE runs' RK4
-        (2, header_offset(1, "scheme"), struct.pack("<I", 0)),  # the trajectories' Strang
-    ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_2d_grid", "unknown_scheme",
+        (0, N_POINTS_OFFSET, struct.pack("<I", 2**32 - 1)),
+        # a valid Grid1D whose snapshots the file is far too short to hold: the
+        # size comes from the file, never from the header
+        (0, N_POINTS_OFFSET, struct.pack("<I", 2**30)),
+        (0, GRID_COUNT_OFFSET, struct.pack("<I", 2)),
+        (0, header_offset("scheme"), struct.pack("<I", 7)),
+        (0, header_offset("scheme"), struct.pack("<I", 1)),  # the ODE runs' RK4
+        (1, header_offset("scheme"), struct.pack("<I", 0)),  # the trajectories' Strang
+    ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_grid", "huge_power_of_two_grid",
+            "two_grids", "unknown_scheme",
             "trajectory_with_rk4_scheme", "ode_run_with_strang_scheme"])
     def test_bad_header_field_is_format_error(self, tmp_path, which, at, patch):
         path = tmp_path / "run.rglb"
-        save_trajectory(tiny_files()[which][0], path)
+        save_trajectory(tiny_files()[which], path)
         blob = bytearray(path.read_bytes())
         blob[at:at + len(patch)] = patch
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_trajectory(path)
 
-    @pytest.mark.parametrize("which", [0, 1, 2], ids=["traj_1d", "traj_2d", "ode_run"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["traj_1d", "ode_run"])
     @settings(deadline=None, database=None, max_examples=500,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_header_corruption_fuzz(self, tmp_path, which, data):
         # a changed byte or a truncation anywhere in the header either loads
         # or raises one of the documented errors
-        obj, ndim = tiny_files()[which]
         path = tmp_path / "fuzz.rglb"
-        save_trajectory(obj, path)
+        save_trajectory(tiny_files()[which], path)
         blob = bytearray(path.read_bytes())
-        n_header = header_length(ndim)
+        n_header = HEADER_LENGTH
         if data.draw(st.booleans(), label="truncate"):
             blob = blob[: data.draw(st.integers(0, n_header), label="length")]
         else:
@@ -337,6 +353,13 @@ class TestCorruption:
             load_trajectory(path)
         except (FormatError, VersionError, IoError):
             pass
+
+    def test_two_grid_file_is_format_error(self, tmp_path):
+        # the format once stored a pair of grids (x', y); a field now lives on one
+        path = tmp_path / "pair.rglb"
+        path.write_bytes(two_grid_file())
+        with pytest.raises(FormatError, match="grid count 2"):
+            load_trajectory(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
