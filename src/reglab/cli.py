@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError("dimension_n must be >= 1")
         if self.tolerance_scale <= 0:
             raise ConfigError("tolerance_scale must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)

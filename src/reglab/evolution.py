@@ -142,6 +142,10 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.values):
             raise DomainError("times and snapshots misaligned")
+        if not (0.0 < self.dt < np.inf):
+            raise DomainError(f"dt must be finite and positive, got {self.dt}")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0.0)):
+            raise DomainError("time stamps must be finite and strictly increasing")
         _as_grid(self.grid)
 
     @property

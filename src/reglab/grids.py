@@ -52,8 +52,8 @@ class Grid1D:
             raise DomainError(f"n_points must be an integer >= 8, got {self.n_points}")
         if not _is_power_of_two(int(self.n_points)):
             raise DomainError(f"n_points must be a power of two, got {self.n_points}")
-        if not (self.half_length > 0):
-            raise DomainError(f"half_length must be positive, got {self.half_length}")
+        if not (0.0 < self.half_length < np.inf):
+            raise DomainError(f"half_length must be finite and positive, got {self.half_length}")
 
     @property
     def spacing(self) -> float:

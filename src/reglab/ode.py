@@ -164,8 +164,6 @@ def _conj_factor(w: np.ndarray, mag: np.ndarray, mag_a: np.ndarray) -> np.ndarra
 class OdeRun:
     """Space-indexed family of scalar ODE solutions plus the derivative track.
 
-    ``had_forcing`` survives serialization even though the forcing callable
-    itself does not, so consumers that need h can detect a loaded forced run.
     ``columns`` holds the sorted grid indices of the stored columns of w and v
     when the run integrated only some of them; None means the whole grid.
     """
@@ -179,12 +177,7 @@ class OdeRun:
     h_forcing: object = None
     h_y: object = None
     dt: float = 0.0
-    had_forcing: bool = False
     columns: np.ndarray | None = None
-
-    @property
-    def has_forcing(self) -> bool:
-        return self.h_forcing is not None or self.had_forcing
 
 
 def integrate_perturbed(
@@ -295,8 +288,7 @@ def integrate_perturbed(
 
     def make_run(times_kept, w_rows, v_rows):
         return OdeRun(params=params, grid=grid, times=times_kept, w=w_rows, v=v_rows,
-                      z0=z0, h_forcing=h_forcing, h_y=h_y, dt=dt,
-                      had_forcing=h_forcing is not None, columns=columns)
+                      z0=z0, h_forcing=h_forcing, h_y=h_y, dt=dt, columns=columns)
 
     # the forcing at the end of a step is the forcing at the start of the next
     lo = forcing(0.0)
@@ -357,11 +349,6 @@ def representation_check(run: OdeRun, A: np.ndarray) -> float:
         raise DegenerateInput("the representation check needs every RK4 step (snapshot_every = 1)")
 
     if run.h_forcing is None:
-        if run.had_forcing:
-            raise DegenerateInput(
-                "run was forced but its forcing callable is unavailable "
-                "(runs loaded from disk keep only the sampled tracks)"
-            )
         f = np.zeros_like(run.w)
     else:
         y = run.grid.points if run.columns is None else run.grid.points[run.columns]

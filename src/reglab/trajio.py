@@ -1,24 +1,26 @@
-"""Binary persistence for trajectories and ODE runs, plus report emission.
+"""Binary persistence for trajectories, plus report emission.
 
 File layout (all little-endian):
 
     magic      4 bytes  b"RGLB"
     version    u32      currently 1
-    kind       u32      0 = evolution trajectory, 1 = ODE run (w and v tracks)
+    kind       u32      always 0: a Strang-split evolution trajectory
     n_grids    u32      always 1: every field lives on one Grid1D
-    n_channels u32      1 for trajectories, 2 for ODE runs
+    n_channels u32      always 1
     n_points   u32
     half_len   f64
     dt         f64
     alpha, lambda_re, lambda_im, theta   f64 each
-    scheme     u32      0 = strang_exact_nl, 1 = rk4_pointwise (the kind decides it)
-    flags      u32      bit0 blow-up present, bit1 odd projection, bit2 forcing
+    scheme     u32      always 0 = strang_exact_nl
+    flags      u32      bit0 blow-up present, bit1 odd projection
     blowup_t   f64      NaN when absent
-    z0_re,z0_im f64     ODE runs only (zeros otherwise)
+    z0_re,z0_im f64     always zero
     n_times    u64
-    times      f64 * n_times                       ("times" section)
-    snapshots  c128 * n_times*n_channels*n_points  ("snapshots" section)
+    times      f64 * n_times             ("times" section)
+    snapshots  c128 * n_times*n_points   ("snapshots" section)
 
+A file whose kind, channel count or scheme differs from these values is a
+FormatError, as is one whose dt or time stamps no Trajectory can hold.
 Snapshot payloads are written with numpy's little-endian complex128 codec,
 so a save/load round trip is bit-exact.  A JSON sidecar (<path>.json)
 duplicates the metadata for humans.  Writes are atomic: a uniquely named
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import DomainError, FormatError, IoError, VersionError
 from .evolution import Trajectory
 from .grids import Grid1D
-from .ode import NonlinearityParams, OdeRun
+from .ode import NonlinearityParams
 
 __all__ = [
     "save_trajectory",
@@ -52,17 +54,10 @@ __all__ = [
 MAGIC = b"RGLB"
 FORMAT_VERSION = 1
 _KIND_TRAJECTORY = 0
-_KIND_ODE_RUN = 1
-# kind code -> (sidecar kind, scheme code, sidecar scheme): a Trajectory is always
-# Strang-split and an OdeRun always RK4, so a file whose scheme disagrees is corrupt
-_KINDS = {
-    _KIND_TRAJECTORY: ("trajectory", 0, "strang_exact_nl"),
-    _KIND_ODE_RUN: ("ode_run", 1, "rk4_pointwise"),
-}
+_SCHEME_STRANG = 0
 
 _FLAG_BLOWUP = 1
 _FLAG_ODD_PROJECTION = 2
-_FLAG_FORCING = 4
 
 
 def _atomic_write(path: str, *parts) -> None:
@@ -86,68 +81,49 @@ def _atomic_write(path: str, *parts) -> None:
         raise IoError(f"cannot write {path}: {err}") from err
 
 
-def _header_and_payload(obj) -> tuple[tuple, dict]:
-    if isinstance(obj, Trajectory):
-        kind = _KIND_TRAJECTORY
-        data = obj.values.reshape(len(obj.times), 1, -1)
-        n_channels = 1
-        flags = (_FLAG_BLOWUP if obj.blowup_time is not None else 0) \
-            | (_FLAG_ODD_PROJECTION if obj.odd_projection else 0)
-        blowup = obj.blowup_time if obj.blowup_time is not None else math.nan
-        z0 = 0.0 + 0.0j
-        dt = obj.dt
-        params = obj.params
-    elif isinstance(obj, OdeRun):
-        if obj.columns is not None:
-            raise IoError("cannot serialize an OdeRun restricted to some columns: "
-                          "the format stores whole grids")
-        kind = _KIND_ODE_RUN
-        data = np.stack([obj.w, obj.v], axis=1).reshape(len(obj.times), 2, -1)
-        n_channels = 2
-        flags = _FLAG_FORCING if obj.has_forcing else 0
-        blowup = math.nan
-        z0 = complex(obj.z0)
-        dt = obj.dt
-        params = obj.params
-    else:
-        raise IoError(f"cannot serialize object of type {type(obj).__name__}")
-    kind_name, scheme, scheme_name = _KINDS[kind]
-    grid = obj.grid
+def _header_and_payload(traj) -> tuple[tuple, dict]:
+    if not isinstance(traj, Trajectory):
+        raise IoError(f"cannot serialize object of type {type(traj).__name__}")
+    flags = (_FLAG_BLOWUP if traj.blowup_time is not None else 0) \
+        | (_FLAG_ODD_PROJECTION if traj.odd_projection else 0)
+    blowup = traj.blowup_time if traj.blowup_time is not None else math.nan
+    grid, params = traj.grid, traj.params
 
     header = bytearray()
     header += MAGIC
-    header += struct.pack("<IIIIId", FORMAT_VERSION, kind, 1, n_channels,
+    header += struct.pack("<IIIIId", FORMAT_VERSION, _KIND_TRAJECTORY, 1, 1,
                           grid.n_points, grid.half_length)
-    header += struct.pack("<5d", dt, params.alpha, params.lam.real,
+    header += struct.pack("<5d", traj.dt, params.alpha, params.lam.real,
                           params.lam.imag, params.theta)
-    header += struct.pack("<II", scheme, flags)
-    header += struct.pack("<3d", blowup, z0.real, z0.imag)
-    header += struct.pack("<Q", len(obj.times))
+    header += struct.pack("<II", _SCHEME_STRANG, flags)
+    header += struct.pack("<3d", blowup, 0.0, 0.0)
+    header += struct.pack("<Q", len(traj.times))
 
     # the snapshot block goes to the file as a view, never as a bytes copy
-    snapshots = memoryview(np.ascontiguousarray(data, dtype="<c16")).cast("B")
-    payload = (header, np.asarray(obj.times, dtype="<f8").tobytes(), snapshots)
+    snapshots = memoryview(np.ascontiguousarray(traj.values, dtype="<c16")).cast("B")
+    payload = (header, np.asarray(traj.times, dtype="<f8").tobytes(), snapshots)
 
     meta = {
         "format_version": FORMAT_VERSION,
-        "kind": kind_name,
+        "kind": "trajectory",
         "n_points": [int(grid.n_points)],
         "half_length": [float(grid.half_length)],
-        "dt": float(dt),
+        "dt": float(traj.dt),
         "alpha": float(params.alpha),
         "lambda": [params.lam.real, params.lam.imag],
         "theta": float(params.theta),
-        "scheme": scheme_name,
-        "n_times": int(len(obj.times)),
+        "scheme": "strang_exact_nl",
+        "n_times": int(len(traj.times)),
         "blowup_time": None if math.isnan(blowup) else float(blowup),
     }
     return payload, meta
 
 
-def save_trajectory(obj, path) -> None:
-    """Persist a Trajectory or OdeRun with a JSON metadata sidecar."""
+def save_trajectory(traj, path) -> None:
+    """Persist a Trajectory with a JSON metadata sidecar; anything else is an
+    IoError raised before any file is written."""
     path = os.fspath(path)
-    payload, meta = _header_and_payload(obj)
+    payload, meta = _header_and_payload(traj)
     _atomic_write(path, *payload)
     _atomic_write(path + ".json",
                   (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
@@ -211,51 +187,35 @@ def load_trajectory(path):
             f"unsupported format version {version} (expected {FORMAT_VERSION})"
         )
     kind, n_grids, n_channels = r.unpack("<III", "dimensions")
-    if n_grids != 1:
-        raise FormatError(f"grid count {n_grids} is not 1", offset=12)
-    if (kind, n_channels) not in ((_KIND_TRAJECTORY, 1), (_KIND_ODE_RUN, 2)):
-        raise FormatError(f"inconsistent kind {kind}, n_channels {n_channels}", offset=8)
+    if (kind, n_grids, n_channels) != (_KIND_TRAJECTORY, 1, 1):
+        raise FormatError(f"kind {kind}, grid count {n_grids}, channel count {n_channels} "
+                          "is not a trajectory on one grid", offset=8)
     n_points, half_len = r.unpack("<Id", "grid")
     dt, alpha, lam_re, lam_im, theta = r.unpack("<5d", "parameters")
     scheme_code, flags = r.unpack("<II", "scheme/flags")
-    if scheme_code != _KINDS[kind][1]:
-        raise FormatError(f"scheme code {scheme_code} does not match kind {kind}",
+    if scheme_code != _SCHEME_STRANG:
+        raise FormatError(f"scheme code {scheme_code} is not Strang splitting",
                           offset=r.offset - 8)
-    blowup, z0_re, z0_im = r.unpack("<3d", "blow-up/z0")
+    blowup, _, _ = r.unpack("<3d", "blow-up/z0")
     (n_times,) = r.unpack("<Q", "n_times")
     try:
         grid = Grid1D(n_points, half_len)
         params = NonlinearityParams(alpha=alpha, lam=complex(lam_re, lam_im), theta=theta)
-    except DomainError as err:
-        raise FormatError(f"invalid header: {err}", offset=20) from None
-
-    times = r.take(8 * n_times, "times").view("<f8")
-    count = n_times * n_channels * n_points
-    snaps = r.take(16 * count, "snapshots").view("<c16").reshape(n_times, n_channels, n_points)
-    if r.offset != len(blob):
-        raise FormatError("trailing bytes after snapshots", offset=r.offset)
-
-    if kind == _KIND_TRAJECTORY:
+        times = r.take(8 * n_times, "times").view("<f8")
+        snaps = r.take(16 * n_times * n_points, "snapshots").view("<c16")
+        if r.offset != len(blob):
+            raise FormatError("trailing bytes after snapshots", offset=r.offset)
         return Trajectory(
             params=params,
             grid=grid,
             times=times,
-            values=snaps[:, 0],
+            values=snaps.reshape(n_times, n_points),
             dt=dt,
             blowup_time=None if math.isnan(blowup) else blowup,
             odd_projection=bool(flags & _FLAG_ODD_PROJECTION),
         )
-    return OdeRun(
-        params=params,
-        grid=grid,
-        times=times,
-        w=snaps[:, 0],
-        v=snaps[:, 1],
-        z0=complex(z0_re, z0_im),
-        h_forcing=None,
-        dt=dt,
-        had_forcing=bool(flags & _FLAG_FORCING),
-    )
+    except DomainError as err:
+        raise FormatError(f"invalid header or time stamps: {err}", offset=20) from None
 
 
 # ---------------------------------------------------------------------------

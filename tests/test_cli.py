@@ -60,6 +60,13 @@ class TestConfigHandling:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["verify-kernel", "inequality-suite"])
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, experiment):
+        out = tmp_path / "out"
+        code = run_cli(["--experiment", experiment, "--seed", "-1", "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_missing_experiment(self):
         assert run_cli([]) == 2
 

@@ -5,6 +5,7 @@ import pytest
 
 from reglab.errors import BlowUpError, DomainError, ResolutionError, StepSizeError
 from reglab.evolution import (
+    Trajectory,
     _linear_multiplier,
     _strang,
     dy_at_zero,
@@ -294,6 +295,25 @@ class TestSolve:
             sample_initial_data(bump, grid)
         with pytest.raises(DomainError, match="grid must be a Grid1D"):
             solve(heat_params(), bump, grid, T=1e-3, dt=1e-4)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("times, dt", [
+        ([0.0, 0.1, 0.2], float("nan")),
+        ([0.0, 0.1, 0.2], float("inf")),
+        ([0.0, 0.1, 0.2], 0.0),
+        ([0.0, 0.1, 0.2], -0.1),
+        ([float("nan"), 0.1, 0.2], 0.1),
+        ([0.0, 0.1, float("inf")], 0.1),
+        ([0.0, 0.1, 0.1], 0.1),
+        ([0.0, 0.2, 0.1], 0.1),
+    ], ids=["nan_dt", "infinite_dt", "zero_dt", "negative_dt", "nan_time",
+            "infinite_time", "repeated_time", "decreasing_times"])
+    def test_bad_dt_or_times_is_a_domain_error(self, times, dt):
+        # index_of_time trusts dt and the order of the time stamps
+        values = np.zeros((3, 8), dtype=np.complex128)
+        with pytest.raises(DomainError):
+            Trajectory(heat_params(), Grid1D(8, 1.0), np.array(times), values, dt)
 
 
 class TestSolveStorage:

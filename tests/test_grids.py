@@ -48,6 +48,9 @@ class TestGrid1D:
             Grid1D(24, 1.0)
         with pytest.raises(DomainError):
             Grid1D(64, -1.0)
+        for half_length in (float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="finite and positive"):
+                Grid1D(8, half_length)
 
     def test_geometry(self):
         g = Grid1D(64, 4.0)

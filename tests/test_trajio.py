@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from reglab.errors import FormatError, IoError, VersionError
 from reglab.evolution import Trajectory, make_odd_bump, solve
 from reglab.grids import Grid1D
-from reglab.ode import NonlinearityParams, OdeRun, integrate_perturbed
+from reglab.ode import NonlinearityParams, integrate_perturbed
 from reglab.trajio import (
     FORMAT_VERSION,
     load_trajectory,
@@ -31,35 +32,23 @@ def make_trajectory(n=256, with_blowup=False):
     return traj
 
 
-def make_ode_run():
-    params = NonlinearityParams(alpha=0.5, lam=1.0 + 0.5j)
-    grid = Grid1D(64, 1.0)
-    return integrate_perturbed(
-        params, lambda y: y.astype(complex), None, T=0.01, grid=grid, dt=1e-5,
-        phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-    )
-
-
-def tiny_files():
-    """A small trajectory and an ODE run."""
+def tiny_trajectory():
+    """Three time stamps on an 8-point grid."""
     params = NonlinearityParams(alpha=0.5, lam=1.0 - 0.5j, theta=0.3)
     rng = np.random.default_rng(5)
-    g8 = Grid1D(8, 1.0)
-    traj = Trajectory(params, g8, np.array([0.0, 0.1, 0.2]),
+    return Trajectory(params, Grid1D(8, 1.0), np.array([0.0, 0.1, 0.2]),
                       rng.standard_normal((3, 8)) + 0j, dt=0.1)
-    run = OdeRun(params, g8, np.array([0.0, 0.1]), rng.standard_normal((2, 8)) + 0j,
-                 rng.standard_normal((2, 8)) + 0j, z0=1.0, dt=0.1)
-    return [traj, run]
 
 
 HEADER_LENGTH = 20 + 12 + 40 + 8 + 24 + 8
 GRID_COUNT_OFFSET = 12
 N_POINTS_OFFSET = 20
+HALF_LENGTH_OFFSET = 24
 
 
 def header_offset(field):
     """Byte offset of a header field after the grid block."""
-    return 32 + {"alpha": 8, "scheme": 40}[field]
+    return 32 + {"dt": 0, "alpha": 8, "scheme": 40}[field]
 
 
 def two_grid_file():
@@ -73,6 +62,18 @@ def two_grid_file():
     assert len(header) == 124
     snapshots = np.random.default_rng(5).standard_normal((2, 8, 16)) + 0j
     return header + np.array([0.0, 0.1], dtype="<f8").tobytes() + snapshots.astype("<c16").tobytes()
+
+
+def ode_run_file():
+    """An ODE run as the format once wrote it: kind 1, two channels (w and v),
+    the RK4 scheme code 1, the forcing flag and z0 = 1, two time stamps."""
+    header = b"RGLB" + struct.pack("<IIIIId", FORMAT_VERSION, 1, 1, 2, 8, 1.0)
+    header += struct.pack("<5d", 0.1, 0.5, 1.0, -0.5, 0.3)
+    header += struct.pack("<II", 1, 4) + struct.pack("<3d", math.nan, 1.0, 0.0)
+    header += struct.pack("<Q", 2)
+    assert len(header) == HEADER_LENGTH
+    tracks = np.random.default_rng(5).standard_normal((2, 2, 8)) + 0j
+    return header + np.array([0.0, 0.1], dtype="<f8").tobytes() + tracks.astype("<c16").tobytes()
 
 
 class TestRoundTrip:
@@ -96,43 +97,6 @@ class TestRoundTrip:
         save_trajectory(traj, path)
         back = load_trajectory(path)
         assert back.blowup_time == 0.008
-
-    def test_ode_run_round_trip(self, tmp_path):
-        run = make_ode_run()
-        path = tmp_path / "ode.rglb"
-        save_trajectory(run, path)
-        back = load_trajectory(path)
-        assert back.w.tobytes() == run.w.tobytes()
-        assert back.v.tobytes() == run.v.tobytes()
-        assert back.times.tobytes() == run.times.tobytes()
-        assert back.z0 == run.z0
-        assert back.params == run.params
-        assert not back.had_forcing
-
-    def test_forced_run_flag_survives_and_guards(self, tmp_path):
-        from reglab.errors import DegenerateInput
-        from reglab.ode import integrating_factor, representation_check
-
-        params = NonlinearityParams(alpha=0.5, lam=1.0)
-        grid = Grid1D(128, 1.0)
-        run = integrate_perturbed(
-            params, lambda y: y.astype(complex), lambda t, y: t * y**3,
-            T=0.01, grid=grid, dt=1e-5,
-            phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-            h_y=lambda t, y: 3.0 * t * y**2,
-        )
-        path = tmp_path / "forced.rglb"
-        save_trajectory(run, path)
-        back = load_trajectory(path)
-        assert back.had_forcing
-        # holder_defect still works on the loaded tracks
-        from reglab.ode import holder_defect
-
-        rep = holder_defect(back, 0.01, [0.5], y_max=0.5)
-        assert rep.increment_fit.n_samples >= 4
-        # representation_check needs the lost callable and must say so
-        with pytest.raises(DegenerateInput):
-            representation_check(back, integrating_factor(back))
 
     def test_sidecar_metadata(self, tmp_path):
         traj = make_trajectory()
@@ -198,14 +162,13 @@ class TestRoundTrip:
         with pytest.raises(IoError):
             save_trajectory(make_trajectory(), tmp_path)
 
-    def test_column_restricted_ode_run_is_refused_before_any_write(self, tmp_path):
-        # the format stores whole grids, so a run of some columns has no file form
-        grid = Grid1D(64, 1.0)
+    def test_ode_run_is_refused_before_any_write(self, tmp_path):
+        # a file holds one record kind, the trajectory: an ODE run has no file form
         run = integrate_perturbed(
             NonlinearityParams(alpha=0.5, lam=1.0), lambda y: y.astype(complex), None,
-            T=0.01, grid=grid, dt=1e-5, columns=[grid.zero_index, grid.zero_index + 4],
+            T=0.01, grid=Grid1D(64, 1.0), dt=1e-5,
         )
-        with pytest.raises(IoError, match="restricted"):
+        with pytest.raises(IoError, match="OdeRun"):
             save_trajectory(run, tmp_path / "run.rglb")
         assert list(tmp_path.iterdir()) == []
 
@@ -240,15 +203,13 @@ class TestMemory:
         assert back.values.tobytes() == values.tobytes()
         assert back.times.tobytes() == traj.times.tobytes()
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["traj_1d", "ode_run"])
-    def test_loaded_arrays_are_aligned(self, tmp_path, which):
+    def test_loaded_arrays_are_aligned(self, tmp_path):
         # three time stamps start the trajectory's snapshots at byte 136, off a
         # 16-byte boundary: the reader, not the layout, aligns
-        obj = tiny_files()[which]
         path = tmp_path / "run.rglb"
-        save_trajectory(obj, path)
+        save_trajectory(tiny_trajectory(), path)
         back = load_trajectory(path)
-        for arr in ([back.values] if which == 0 else [back.w, back.v]) + [back.times]:
+        for arr in (back.values, back.times):
             assert arr.flags.aligned and arr.flags.writeable
 
     def test_short_read_is_io_error(self, tmp_path, monkeypatch):
@@ -309,38 +270,44 @@ class TestCorruption:
             load_trajectory(path)
         assert "snapshots" in str(err.value)
 
-    @pytest.mark.parametrize("which, at, patch", [
-        (0, header_offset("alpha"), struct.pack("<d", 5.0)),
-        (0, 8, struct.pack("<I", 1)),  # an ODE-run kind over one channel
-        (0, N_POINTS_OFFSET, struct.pack("<I", 2**32 - 1)),
+    @pytest.mark.parametrize("at, patch", [
+        (header_offset("alpha"), struct.pack("<d", 5.0)),
+        (8, struct.pack("<I", 1)),  # the kind field of a trajectory reads 1
+        (N_POINTS_OFFSET, struct.pack("<I", 2**32 - 1)),
         # a valid Grid1D whose snapshots the file is far too short to hold: the
         # size comes from the file, never from the header
-        (0, N_POINTS_OFFSET, struct.pack("<I", 2**30)),
-        (0, GRID_COUNT_OFFSET, struct.pack("<I", 2)),
-        (0, header_offset("scheme"), struct.pack("<I", 7)),
-        (0, header_offset("scheme"), struct.pack("<I", 1)),  # the ODE runs' RK4
-        (1, header_offset("scheme"), struct.pack("<I", 0)),  # the trajectories' Strang
+        (N_POINTS_OFFSET, struct.pack("<I", 2**30)),
+        (HALF_LENGTH_OFFSET, struct.pack("<d", math.inf)),
+        (GRID_COUNT_OFFSET, struct.pack("<I", 2)),
+        (header_offset("scheme"), struct.pack("<I", 7)),
+        (header_offset("scheme"), struct.pack("<I", 1)),  # the RK4 code of the ODE runs
+        (header_offset("dt"), struct.pack("<d", math.nan)),
+        (header_offset("dt"), struct.pack("<d", math.inf)),
+        (header_offset("dt"), struct.pack("<d", 0.0)),
+        (header_offset("dt"), struct.pack("<d", -1.0)),
+        (HEADER_LENGTH, struct.pack("<d", math.nan)),  # the first time stamp
+        (HEADER_LENGTH + 8, struct.pack("<d", 0.0)),  # times 0, 0, 0.2
     ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_grid", "huge_power_of_two_grid",
-            "two_grids", "unknown_scheme",
-            "trajectory_with_rk4_scheme", "ode_run_with_strang_scheme"])
-    def test_bad_header_field_is_format_error(self, tmp_path, which, at, patch):
+            "infinite_half_length", "two_grids", "unknown_scheme", "trajectory_with_rk4_scheme",
+            "nan_dt", "infinite_dt", "zero_dt", "negative_dt",
+            "nan_time_stamp", "repeated_time_stamp"])
+    def test_bad_header_field_is_format_error(self, tmp_path, at, patch):
         path = tmp_path / "run.rglb"
-        save_trajectory(tiny_files()[which], path)
+        save_trajectory(tiny_trajectory(), path)
         blob = bytearray(path.read_bytes())
         blob[at:at + len(patch)] = patch
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_trajectory(path)
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["traj_1d", "ode_run"])
     @settings(deadline=None, database=None, max_examples=500,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_header_corruption_fuzz(self, tmp_path, which, data):
+    def test_header_corruption_fuzz(self, tmp_path, data):
         # a changed byte or a truncation anywhere in the header either loads
         # or raises one of the documented errors
         path = tmp_path / "fuzz.rglb"
-        save_trajectory(tiny_files()[which], path)
+        save_trajectory(tiny_trajectory(), path)
         blob = bytearray(path.read_bytes())
         n_header = HEADER_LENGTH
         if data.draw(st.booleans(), label="truncate"):
@@ -359,6 +326,14 @@ class TestCorruption:
         path = tmp_path / "pair.rglb"
         path.write_bytes(two_grid_file())
         with pytest.raises(FormatError, match="grid count 2"):
+            load_trajectory(path)
+
+    def test_ode_run_file_is_format_error(self, tmp_path):
+        # the format once stored ODE runs as a second record kind; a file now holds
+        # trajectories only
+        path = tmp_path / "ode.rglb"
+        path.write_bytes(ode_run_file())
+        with pytest.raises(FormatError, match="kind 1"):
             load_trajectory(path)
 
     def test_missing_file(self, tmp_path):
