@@ -60,7 +60,6 @@ from .evolution import (
     remainder_decomposition,
     sample_initial_data,
     solve,
-    step,
 )
 from .diagnostics import (
     DuhamelProbe,

@@ -50,7 +50,6 @@ __all__ = [
     "InequalityReport",
     "hs_norm",
     "third_derivative_holder_scan",
-    "duhamel_integral_of_series",
     "duhamel_fifth_derivative_rate",
     "synthetic_slice_check",
     "scaling_transform",
@@ -101,7 +100,7 @@ class ScanReport:
 
 
 def third_derivative_holder_scan(
-    traj: Trajectory, t: float, beta_list, y_max: float | None = None
+    traj: Trajectory, t: float, beta_list, y_max: float
 ) -> ScanReport:
     """Fit |d^3_y u(t, y) - d^3_y u(t, 0)| against y on a dyadic ladder.
 
@@ -114,11 +113,8 @@ def third_derivative_holder_scan(
     i = traj.index_of_time(t)
     u = traj.snapshot(i)
     d3 = spectral_derivative(u, order=3).values
-    g = traj.grid
-    if y_max is None:
-        y_max = g.half_length / 16.0
     try:
-        ys, q, increment_fit, window_fits = ladder_increments(g, d3, y_max, beta_list)
+        ys, q, increment_fit, window_fits = ladder_increments(traj.grid, d3, y_max, beta_list)
     except DegenerateInput as err:
         raise ResolutionError(str(err)) from None
     return ScanReport(t=float(traj.times[i]), ys=ys, increments=q,
@@ -166,20 +162,6 @@ def _snapshots_upto(traj: Trajectory, t: float, gap: float):
     return times, traj.values[: i + 1], max_gap
 
 
-def duhamel_integral_of_series(times, series, grid: Grid1D, tau: float) -> np.ndarray:
-    """Heat-smoothed time integral of a stored integrand series.
-
-    Computes int_0^t exp((tau - s) Delta) F(s) ds by trapezoid over the
-    stored times; each term applies the Fourier heat multiplier.  Linear in
-    the series by construction.
-    """
-    xi_sq = laplacian_symbol(grid)
-    acc = np.zeros_like(series[0], dtype=np.complex128)
-    for w, t_s, f_s in zip(trapezoid_weights(times), times, series):
-        acc += w * np.fft.fft(f_s) * np.exp(-(tau - t_s) * xi_sq)
-    return np.fft.ifft(acc)
-
-
 def _fit_empirical_constants(gaps: np.ndarray, mags: np.ndarray, beta: float):
     """Linear least squares for |D5| ~ a*(tau-t)^-beta - A at the theory exponent.
 
@@ -192,8 +174,8 @@ def _fit_empirical_constants(gaps: np.ndarray, mags: np.ndarray, beta: float):
 
 
 def _fit_divergence_law(gaps: np.ndarray, mags: np.ndarray, t: float):
-    """(b, A, at_edge) from profile least squares in log space for
-    |D5| = A*((tau-t)^-b - tau^-b); at_edge when the best b of the scan is an
+    """(b, at_edge) from profile least squares in log space for
+    |D5| = A*((tau-t)^-b - tau^-b), A profiled out; at_edge when the best b of the scan is an
     end of its bracket [0.02, 1.5], so b is that edge and not a measurement.
 
     This is the exact shape of the divergence law including its finite-tau
@@ -208,24 +190,23 @@ def _fit_divergence_law(gaps: np.ndarray, mags: np.ndarray, t: float):
         shape = gaps**-beta - (t + gaps) ** -beta
         g = np.log(shape)
         log_a = float(np.mean(logm - g))
-        return float(np.sum((logm - log_a - g) ** 2)), log_a
+        return float(np.sum((logm - log_a - g) ** 2))
 
     betas = np.linspace(0.02, 1.5, 149)
-    errs = np.array([objective(b)[0] for b in betas])
+    errs = np.array([objective(b) for b in betas])
     k = int(np.argmin(errs))
     a, b = betas[max(k - 1, 0)], betas[min(k + 1, betas.size - 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     for _ in range(50):
-        if objective(c)[0] < objective(d)[0]:
+        if objective(c) < objective(d):
             b, d = d, c
             c = b - inv_phi * (b - a)
         else:
             a, c = c, d
             d = a + inv_phi * (b - a)
-    beta_hat = 0.5 * (a + b)
-    return beta_hat, math.exp(objective(beta_hat)[1]), k in (0, betas.size - 1)
+    return 0.5 * (a + b), k in (0, betas.size - 1)
 
 
 @dataclass
@@ -239,7 +220,6 @@ class DuhamelRateReport:
     magnitudes: np.ndarray
     raw_fit: RegressionFit        # log|D5| vs log(tau - t)
     law_exponent: float           # -beta from the two-term law fit
-    law_amplitude: float
     law_fit_at_edge: bool         # the law fit's optimum is an end of its beta bracket
     empirical_a: float            # fitted constants of a*(tau-t)^-beta - A
     empirical_A: float
@@ -314,7 +294,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
         spectral[js] += trap[js, s] * (smoothing @ hat)
     mags = np.abs(values)
     raw_fit = loglog_fit(gaps, mags)
-    beta_hat, amp_hat, at_edge = _fit_divergence_law(gaps, mags, probe.t)
+    beta_hat, at_edge = _fit_divergence_law(gaps, mags, probe.t)
     emp_a, emp_A = _fit_empirical_constants(gaps, mags, (2.0 - alpha) / 2.0)
 
     eta0 = complex(dy_at_zero(traj, 0))
@@ -326,7 +306,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     return DuhamelRateReport(
         t=probe.t, taus=probe.tau_ladder.copy(), gaps=gaps, values=values,
         magnitudes=mags, raw_fit=raw_fit, law_exponent=-beta_hat,
-        law_amplitude=amp_hat, law_fit_at_edge=at_edge, empirical_a=emp_a, empirical_A=emp_A,
+        law_fit_at_edge=at_edge, empirical_a=emp_a, empirical_A=emp_A,
         predicted_amplitude=predicted, eta0=eta0,
         spectral_magnitudes=np.abs(spectral), spectral_max_rel_diff=rel_diff,
         strides=tuple(strides), slices=n_slices, spectral_transforms=len(read),
@@ -529,7 +509,6 @@ def appendix_inequality_checks(seed_count: int, seed: int = 2026) -> InequalityR
 class ConsistencyRecord:
     scan: ScanReport
     rate: DuhamelRateReport
-    alpha: float
     scan_ok: bool
     rate_ok: bool
 
@@ -538,18 +517,16 @@ class ConsistencyRecord:
         return self.scan_ok and self.rate_ok
 
 
-def consistency_report(traj: Trajectory, t: float, tau_ladder,
-                       tolerance: float = 0.1,
-                       y_max: float | None = None) -> ConsistencyRecord:
+def consistency_report(traj: Trajectory, t: float, tau_ladder, y_max: float,
+                       tolerance: float = 0.1) -> ConsistencyRecord:
     """The two exponents of the same trajectory must tell one story:
     increment exponent of d^3_y u near alpha, divergence exponent of the
     smoothed fifth derivative near -(2 - alpha)/2."""
     alpha = traj.params.alpha
-    scan = third_derivative_holder_scan(traj, t, [], y_max=y_max)
+    scan = third_derivative_holder_scan(traj, t, [], y_max)
     probe = DuhamelProbe(traj=traj, t=t, tau_ladder=tau_ladder)
     rate = duhamel_fifth_derivative_rate(probe)
     scan_ok = abs(scan.increment_fit.slope - alpha) <= tolerance
     rate_ok = (abs(rate.law_exponent + (2.0 - alpha) / 2.0) <= tolerance
                and not rate.law_fit_at_edge)
-    return ConsistencyRecord(scan=scan, rate=rate, alpha=alpha,
-                             scan_ok=scan_ok, rate_ok=rate_ok)
+    return ConsistencyRecord(scan=scan, rate=rate, scan_ok=scan_ok, rate_ok=rate_ok)

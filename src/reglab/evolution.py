@@ -8,17 +8,17 @@ pi/2 the Schroedinger equation, intermediate angles Ginzburg-Landau.
 
 Anti-symmetric (odd-in-y) initial data is the interesting class: the flow
 preserves oddness and pins u = 0 on the hyperplane y = 0.  An explicit odd
-projection each step (on by default) removes roundoff drift so that y = 0
-diagnostics stay clean.
+projection each step removes roundoff drift so that y = 0 diagnostics stay
+clean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, ResolutionError
+from .errors import BlowUpError, DomainError, ResolutionError, SizeMismatch
 from .grids import (
     Grid1D,
     GridFunction,
@@ -28,7 +28,7 @@ from .grids import (
     odd_part,
     spectral_derivative,
 )
-from .numerics import _time_index, loglog_fit, snapshot_steps, step_count
+from .numerics import RegressionFit, _time_index, loglog_fit, snapshot_steps, step_count
 from .ode import NonlinearityParams, exact_flow
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "RemainderReport",
     "make_odd_bump",
     "sample_initial_data",
-    "step",
     "solve",
     "dy_at_zero",
     "remainder_decomposition",
@@ -46,17 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial profile: an odd compactly supported bump or a custom callable.
+    """Initial profile: a callable of the array of y samples, supported in
+    [-support_radius, support_radius]."""
 
-    Callables take the array of y samples.  The bump is odd in y by
-    construction with d/dy at the origin equal to amplitude/e.
-    """
-
-    kind: str
-    amplitude: float
     support_radius: float
     func: object
-    dy_at_origin: complex = 0.0
 
     def __call__(self, y):
         return self.func(y)
@@ -73,7 +66,8 @@ def _bump_window(r_squared: np.ndarray) -> np.ndarray:
 
 
 def make_odd_bump(dimension: int, amplitude: float, support_radius: float) -> InitialData:
-    """Smooth compactly supported profile amplitude * y * exp(-1/(1-r^2)), r = y/radius.
+    """Smooth compactly supported profile amplitude * y * exp(-1/(1-r^2)), r = y/radius,
+    odd in y with d/dy at the origin equal to amplitude/e.
 
     Fields are 1D, so ``dimension`` must be 1."""
     if dimension != 1:
@@ -88,10 +82,7 @@ def make_odd_bump(dimension: int, amplitude: float, support_radius: float) -> In
         y = np.asarray(y, dtype=float)
         return amplitude * y * _bump_window(y**2 / radius_sq)
 
-    return InitialData(
-        kind="odd_bump_1d", amplitude=float(amplitude), support_radius=float(support_radius),
-        func=func, dy_at_origin=complex(amplitude * np.exp(-1.0)),
-    )
+    return InitialData(support_radius=float(support_radius), func=func)
 
 
 def sample_initial_data(data: InitialData, grid: Grid1D) -> GridFunction:
@@ -119,14 +110,6 @@ def _strang(params: NonlinearityParams, vals: np.ndarray, mult: np.ndarray,
                           time=t_blow) from None
 
 
-def step(params: NonlinearityParams, u: GridFunction, dt: float) -> GridFunction:
-    """One Strang step: exact nonlinear half, exact linear, nonlinear half."""
-    if not (dt > 0):
-        raise DomainError(f"dt must be positive, got {dt}")
-    vals = _strang(params, u.values, _linear_multiplier(params, u.grid, dt), dt)
-    return GridFunction(u.grid, vals, allow_nonfinite=True)
-
-
 @dataclass
 class Trajectory:
     """Snapshots of the evolution, aligned with their time stamps."""
@@ -137,16 +120,17 @@ class Trajectory:
     values: np.ndarray  # [snapshot, y]
     dt: float
     blowup_time: float | None = None
-    odd_projection: bool = True
 
     def __post_init__(self):
         if len(self.times) != len(self.values):
             raise DomainError("times and snapshots misaligned")
+        if np.shape(self.values) != (len(self.times), _as_grid(self.grid).n_points):
+            raise SizeMismatch(f"snapshots of shape {np.shape(self.values)} on "
+                               f"{len(self.times)} times and {self.grid.n_points} points")
         if not (0.0 < self.dt < np.inf):
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
         if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0.0)):
             raise DomainError("time stamps must be finite and strictly increasing")
-        _as_grid(self.grid)
 
     @property
     def y_grid(self) -> Grid1D:
@@ -168,11 +152,11 @@ def solve(
     dt: float,
     snapshot_every: int = 1,
     *,
-    odd_projection: bool = True,
     blowup_factor: float = 1e6,
 ) -> Trajectory:
     """March the splitting scheme to time T, recording snapshots.
 
+    The initial data and the result of every step are projected onto their odd part.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
     Records t = 0, every ``snapshot_every``-th step, and the final step, each
     written into one preallocated block that the trajectory returns.
@@ -197,7 +181,7 @@ def solve(
         )
 
     u = sample_initial_data(phi, grid)
-    vals = odd_part(u.values) if odd_projection else u.values
+    vals = odd_part(u.values)
     peak0 = float(np.max(np.abs(vals)))
     if peak0 == 0.0:
         raise DomainError("initial data is identically zero")
@@ -210,7 +194,7 @@ def solve(
 
     def blown_up(message, t_blow):
         partial = Trajectory(params, grid, times[:row].copy(), values[:row].copy(), dt,
-                             blowup_time=t_blow, odd_projection=odd_projection)
+                             blowup_time=t_blow)
         return BlowUpError(message, time=t_blow, partial=partial)
 
     for k in range(1, n_steps + 1):
@@ -220,8 +204,7 @@ def solve(
             t_blow = min((k - 1) * dt + err.time, k * dt)
             raise blown_up(f"nonlinear substep blows up at t = {t_blow:.6g} (step {k})",
                            t_blow) from None
-        if odd_projection:
-            vals = odd_part(vals)
+        vals = odd_part(vals)
         peak = float(np.max(np.abs(vals)))
         if not np.isfinite(peak) or peak > blowup_factor * peak0:
             # the schedule ends at the last step, so the slot at row is still free
@@ -234,7 +217,7 @@ def solve(
             values[row] = vals
             row += 1
 
-    return Trajectory(params, grid, times, values, dt, odd_projection=odd_projection)
+    return Trajectory(params, grid, times, values, dt)
 
 
 def dy_at_zero(traj: Trajectory, i: int):
@@ -247,16 +230,12 @@ class RemainderReport:
     """Decomposition |u|^a u = |eta y|^a eta y + w_tilde at one snapshot."""
 
     t: float
-    eta_slice: np.ndarray
     w_tilde: GridFunction
-    bound_constant: float
     bound_max_ratio: float
-    decay_fit: object = None
-    ladder_ys: np.ndarray = field(default_factory=lambda: np.empty(0))
-    ladder_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    decay_fit: RegressionFit
 
 
-def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = None) -> RemainderReport:
+def remainder_decomposition(traj: Trajectory, t: float, y_max: float) -> RemainderReport:
     """Split the nonlinearity into its leading odd-power part and remainder.
 
     Also verifies the Taylor bound |u - eta*y| <= C y^2 with
@@ -284,19 +263,10 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float | None = No
     ratios = np.abs(w_lin[mask]) / (bound_c * y[mask] ** 2 + 1e-300)
     bound_max_ratio = float(np.max(ratios))
 
-    if y_max is None:
-        y_max = grid.half_length / 16.0
     idx, ys = dyadic_ladder(grid, y_max)
-    w_slice = np.abs(w_tilde[j0 + idx])
-    fit = loglog_fit(ys, w_slice)
-
     return RemainderReport(
         t=float(traj.times[i]),
-        eta_slice=np.atleast_1d(eta),
         w_tilde=GridFunction(traj.grid, w_tilde, allow_nonfinite=True),
-        bound_constant=bound_c,
         bound_max_ratio=bound_max_ratio,
-        decay_fit=fit,
-        ladder_ys=ys,
-        ladder_values=w_slice,
+        decay_fit=loglog_fit(ys, np.abs(w_tilde[j0 + idx])),
     )

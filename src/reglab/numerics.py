@@ -166,8 +166,6 @@ class RegressionFit:
 
     slope: float
     intercept: float
-    r_squared: float
-    n_samples: int
 
 
 def loglog_fit(xs, ys) -> RegressionFit:
@@ -180,17 +178,7 @@ def loglog_fit(xs, ys) -> RegressionFit:
         raise DegenerateInput(f"need at least 3 samples, got {xs.size}")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise DegenerateInput("all samples must be strictly positive")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    if ss_tot == 0.0:
-        r_squared = 1.0 if ss_res <= 1e-28 else 0.0
-    else:
-        r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
     if not np.isfinite(slope):
         raise DegenerateInput("regression slope is not finite")
-    return RegressionFit(slope=float(slope), intercept=float(intercept),
-                         r_squared=r_squared, n_samples=int(xs.size))
+    return RegressionFit(slope=float(slope), intercept=float(intercept))

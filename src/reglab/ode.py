@@ -26,7 +26,7 @@ from .errors import (
     StepSizeError,
 )
 from .grids import Grid1D, _as_grid, ladder_columns, ladder_increments
-from .numerics import RegressionFit, _time_index, central_difference, snapshot_steps, step_count
+from .numerics import RegressionFit, _time_index, snapshot_steps, step_count
 
 __all__ = [
     "NonlinearityParams",
@@ -134,13 +134,6 @@ def exact_second_derivative(params: NonlinearityParams, x: float, t: float) -> c
     return complex(alpha * t * mag_a / x * factor / base**2 * bracket)
 
 
-def _forcing_derivative(h_forcing, h_y, t: float, y: np.ndarray) -> np.ndarray:
-    """h_y(t, y), or a fourth-order central difference of h_forcing(t, .) at y."""
-    if h_y is not None:
-        return np.asarray(h_y(t, y), dtype=np.complex128)
-    return central_difference(lambda q: np.asarray(h_forcing(t, q)), y)
-
-
 _TINY = float(np.finfo(float).tiny)
 _SUBNORMAL_SCALE = 2.0**54  # exact, and lifts |w| >= 2^-1074 above _TINY
 
@@ -164,8 +157,7 @@ def _conj_factor(w: np.ndarray, mag: np.ndarray, mag_a: np.ndarray) -> np.ndarra
 class OdeRun:
     """Space-indexed family of scalar ODE solutions plus the derivative track.
 
-    ``columns`` holds the sorted grid indices of the stored columns of w and v
-    when the run integrated only some of them; None means the whole grid.
+    ``columns`` holds the sorted grid indices of the stored columns of w and v.
     """
 
     params: NonlinearityParams
@@ -174,10 +166,9 @@ class OdeRun:
     w: np.ndarray  # [time, column]
     v: np.ndarray  # [time, column]
     z0: complex
-    h_forcing: object = None
-    h_y: object = None
-    dt: float = 0.0
-    columns: np.ndarray | None = None
+    h_y: object  # the forcing's y-derivative; None for an unforced run
+    dt: float
+    columns: np.ndarray
 
 
 def integrate_perturbed(
@@ -188,7 +179,7 @@ def integrate_perturbed(
     grid: Grid1D,
     dt: float,
     *,
-    phi0_prime=None,
+    phi0_prime,
     h_y=None,
     max_amplitude: float = 1e6,
     snapshot_every: int = 1,
@@ -196,14 +187,14 @@ def integrate_perturbed(
 ) -> OdeRun:
     """RK4 integration of the perturbed ODE and its variational equation.
 
-    ``phi0`` and ``h_forcing`` are vectorized callables (``phi0(y)``,
-    ``h_forcing(t, y)``) with phi0(0) = 0 and h(t, 0) = 0; ``h_forcing`` may
-    be None for the unforced problem.  h(t, 0) = 0 is checked at every time
-    h is evaluated (:class:`DomainError`), and a scalar h or h_y is broadcast
-    over the grid.  ``grid`` is one :class:`Grid1D`; phi0, phi0', h and h_y of
-    another shape are a :class:`SizeMismatch`.  Analytic derivatives ``phi0_prime``
-    and ``h_y`` are used when given, otherwise fourth-order central
-    differences of the callables.  The y = 0 column of w is pinned to zero.
+    ``phi0``, ``phi0_prime``, ``h_forcing`` and ``h_y`` are vectorized callables
+    (``phi0(y)``, ``h_forcing(t, y)``) with phi0(0) = 0 and h(t, 0) = 0;
+    ``h_forcing`` and ``h_y`` are both None for the unforced problem and both
+    given for a forced one (:class:`DomainError` before any step otherwise).
+    h(t, 0) = 0 is checked at every time h is evaluated (:class:`DomainError`),
+    and a scalar h or h_y is broadcast over the grid.  ``grid`` is one
+    :class:`Grid1D`; phi0, phi0', h and h_y of another shape are a
+    :class:`SizeMismatch`.  The y = 0 column of w is pinned to zero.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
     The run keeps t = 0, every ``snapshot_every``-th step and the final step.
 
@@ -213,6 +204,8 @@ def integrate_perturbed(
     callables are then evaluated at those points only, and the blow-up check
     (``max_amplitude``) sees only those columns.  None integrates every one.
     """
+    if (h_forcing is None) != (h_y is None):
+        raise DomainError("h_y, the y-derivative of h_forcing, is given exactly when h_forcing is")
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
     if not (0 < dt <= 1e-3 * T):
@@ -223,18 +216,14 @@ def integrate_perturbed(
     grid = _as_grid(grid)
     y = grid.points
     j0 = grid.zero_index
-    if columns is not None:
-        columns = np.asarray(columns)
-        if (columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer)
-                or np.any(np.diff(columns) <= 0) or j0 not in columns
-                or columns[0] < 0 or columns[-1] >= y.size):
-            raise DomainError(f"columns must be sorted, unique grid indices in [0, {y.size}) "
-                              f"that include the zero index {j0}, got {columns.tolist()}")
-        if columns.size == y.size:
-            columns = None  # every column: the full-width run
-        else:
-            y = y[columns]
-            j0 = int(np.searchsorted(columns, j0))
+    columns = np.arange(y.size) if columns is None else np.asarray(columns)
+    if (columns.ndim != 1 or not np.issubdtype(columns.dtype, np.integer)
+            or np.any(np.diff(columns) <= 0) or j0 not in columns
+            or columns[0] < 0 or columns[-1] >= y.size):
+        raise DomainError(f"columns must be sorted, unique grid indices in [0, {y.size}) "
+                          f"that include the zero index {j0}, got {columns.tolist()}")
+    y = y[columns]
+    j0 = int(np.searchsorted(columns, j0))
     lam, alpha = params.lam, params.alpha
 
     w = np.asarray(phi0(y), dtype=np.complex128).copy()
@@ -244,10 +233,7 @@ def integrate_perturbed(
         raise DomainError(f"phi0(0) must vanish, got {w[j0]}")
     w[j0] = 0.0
 
-    if phi0_prime is not None:
-        v = np.asarray(phi0_prime(y), dtype=np.complex128).copy()
-    else:
-        v = central_difference(phi0, y).astype(np.complex128)
+    v = np.asarray(phi0_prime(y), dtype=np.complex128).copy()
     if v.shape != y.shape:
         raise SizeMismatch(f"phi0' gave shape {v.shape} on a grid of shape {y.shape}")
     z0 = complex(v[j0])
@@ -266,7 +252,7 @@ def integrate_perturbed(
         h = np.broadcast_to(on_grid(h, "h_forcing"), y.shape)
         if not abs(h[j0]) <= 1e-13:
             raise DomainError(f"h_forcing(t, 0) must vanish, got {h[j0]} at t = {t}")
-        return h, on_grid(_forcing_derivative(h_forcing, h_y, t, y), "h_y")
+        return h, on_grid(np.asarray(h_y(t, y), dtype=np.complex128), "h_y")
 
     half = 0.5 * alpha + 1.0  # (alpha + 2)/2
 
@@ -288,7 +274,7 @@ def integrate_perturbed(
 
     def make_run(times_kept, w_rows, v_rows):
         return OdeRun(params=params, grid=grid, times=times_kept, w=w_rows, v=v_rows,
-                      z0=z0, h_forcing=h_forcing, h_y=h_y, dt=dt, columns=columns)
+                      z0=z0, h_y=h_y, dt=dt, columns=columns)
 
     # the forcing at the end of a step is the forcing at the start of the next
     lo = forcing(0.0)
@@ -348,12 +334,11 @@ def representation_check(run: OdeRun, A: np.ndarray) -> float:
     if np.any(np.diff(run.times) > 1.5 * run.dt):
         raise DegenerateInput("the representation check needs every RK4 step (snapshot_every = 1)")
 
-    if run.h_forcing is None:
+    if run.h_y is None:
         f = np.zeros_like(run.w)
     else:
-        y = run.grid.points if run.columns is None else run.grid.points[run.columns]
-        f = np.stack([_forcing_derivative(run.h_forcing, run.h_y, t, y)
-                      for t in run.times]).astype(np.complex128)
+        y = run.grid.points[run.columns]
+        f = np.stack([np.asarray(run.h_y(t, y), dtype=np.complex128) for t in run.times])
 
     mag = np.abs(run.w)
     g = lam * (0.5 * alpha) * _conj_factor(run.w, mag, mag**alpha) * np.conj(run.v) + f
@@ -391,14 +376,12 @@ def holder_defect(run: OdeRun, t: float, exponents, y_max: float = 0.5) -> Holde
     if any(not (0.0 < e <= 1.0) for e in exponents):
         raise DomainError("exponents must lie in (0, 1]")
 
-    column = run.v[it]
-    if run.columns is not None:
-        missing = np.setdiff1d(ladder_columns(run.grid, y_max), run.columns)
-        if missing.size:
-            raise DegenerateInput(f"the ladder from y_max={y_max} reads grid columns "
-                                  f"{missing.tolist()}, which the run did not integrate")
-        column = np.zeros(run.grid.n_points, dtype=run.v.dtype)
-        column[run.columns] = run.v[it]
+    missing = np.setdiff1d(ladder_columns(run.grid, y_max), run.columns)
+    if missing.size:
+        raise DegenerateInput(f"the ladder from y_max={y_max} reads grid columns "
+                              f"{missing.tolist()}, which the run did not integrate")
+    column = np.zeros(run.grid.n_points, dtype=run.v.dtype)
+    column[run.columns] = run.v[it]
     ys, q, increment_fit, fits = ladder_increments(run.grid, column, y_max, exponents)
     alpha = run.params.alpha
     return HolderDefectReport(

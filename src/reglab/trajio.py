@@ -12,15 +12,17 @@ File layout (all little-endian):
     dt         f64
     alpha, lambda_re, lambda_im, theta   f64 each
     scheme     u32      always 0 = strang_exact_nl
-    flags      u32      bit0 blow-up present, bit1 odd projection
+    flags      u32      bit0 blow-up present, bit1 odd projection (always set)
     blowup_t   f64      NaN when absent
     z0_re,z0_im f64     always zero
     n_times    u64
     times      f64 * n_times             ("times" section)
     snapshots  c128 * n_times*n_points   ("snapshots" section)
 
-A file whose kind, channel count or scheme differs from these values is a
-FormatError, as is one whose dt or time stamps no Trajectory can hold.
+A file whose kind, channel count or scheme differs from these values, or
+whose flags lack bit 1, is a FormatError, as is one whose grid, dt,
+parameters or time stamps no Trajectory can hold; its offset is that of
+the failing field.
 Snapshot payloads are written with numpy's little-endian complex128 codec,
 so a save/load round trip is bit-exact.  A JSON sidecar (<path>.json)
 duplicates the metadata for humans.  Writes are atomic: a uniquely named
@@ -84,8 +86,7 @@ def _atomic_write(path: str, *parts) -> None:
 def _header_and_payload(traj) -> tuple[tuple, dict]:
     if not isinstance(traj, Trajectory):
         raise IoError(f"cannot serialize object of type {type(traj).__name__}")
-    flags = (_FLAG_BLOWUP if traj.blowup_time is not None else 0) \
-        | (_FLAG_ODD_PROJECTION if traj.odd_projection else 0)
+    flags = _FLAG_ODD_PROJECTION | (_FLAG_BLOWUP if traj.blowup_time is not None else 0)
     blowup = traj.blowup_time if traj.blowup_time is not None else math.nan
     grid, params = traj.grid, traj.params
 
@@ -194,28 +195,30 @@ def load_trajectory(path):
     dt, alpha, lam_re, lam_im, theta = r.unpack("<5d", "parameters")
     scheme_code, flags = r.unpack("<II", "scheme/flags")
     if scheme_code != _SCHEME_STRANG:
-        raise FormatError(f"scheme code {scheme_code} is not Strang splitting",
-                          offset=r.offset - 8)
+        raise FormatError(f"scheme code {scheme_code} is not Strang splitting", offset=72)
+    if not flags & _FLAG_ODD_PROJECTION:
+        raise FormatError(f"flags {flags:#x} lack the odd-projection bit", offset=76)
     blowup, _, _ = r.unpack("<3d", "blow-up/z0")
     (n_times,) = r.unpack("<Q", "n_times")
-    try:
-        grid = Grid1D(n_points, half_len)
-        params = NonlinearityParams(alpha=alpha, lam=complex(lam_re, lam_im), theta=theta)
-        times = r.take(8 * n_times, "times").view("<f8")
-        snaps = r.take(16 * n_times * n_points, "snapshots").view("<c16")
-        if r.offset != len(blob):
-            raise FormatError("trailing bytes after snapshots", offset=r.offset)
-        return Trajectory(
-            params=params,
-            grid=grid,
-            times=times,
-            values=snaps.reshape(n_times, n_points),
-            dt=dt,
-            blowup_time=None if math.isnan(blowup) else blowup,
-            odd_projection=bool(flags & _FLAG_ODD_PROJECTION),
-        )
-    except DomainError as err:
-        raise FormatError(f"invalid header or time stamps: {err}", offset=20) from None
+
+    def checked(offset, build):
+        """build(), with a DomainError reported as a FormatError at ``offset``."""
+        try:
+            return build()
+        except DomainError as err:
+            raise FormatError(f"invalid header or time stamps: {err}", offset=offset) from None
+
+    grid = checked(20, lambda: Grid1D(n_points, half_len))
+    if not (0.0 < dt < math.inf):
+        raise FormatError(f"invalid header: dt must be finite and positive, got {dt}", offset=32)
+    params = checked(40, lambda: NonlinearityParams(alpha, complex(lam_re, lam_im), theta))
+    times = r.take(8 * n_times, "times").view("<f8")
+    snaps = r.take(16 * n_times * n_points, "snapshots").view("<c16")
+    if r.offset != len(blob):
+        raise FormatError("trailing bytes after snapshots", offset=r.offset)
+    blowup_time = None if math.isnan(blowup) else blowup
+    return checked(112, lambda: Trajectory(params, grid, times, snaps.reshape(n_times, n_points),
+                                           dt, blowup_time))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from reglab.diagnostics import (
     SobolevIndex,
     appendix_inequality_checks,
     duhamel_fifth_derivative_rate,
-    duhamel_integral_of_series,
     hs_norm,
     illposedness_exponent_report,
     scaling_transform,
@@ -117,14 +116,6 @@ class TestThirdDerivativeScan:
             third_derivative_holder_scan(traj, t, [0.9], y_max=0.5)
 
 
-def nonlinear_duhamel(traj, t, tau):
-    """NH(t, tau): the smoothed Duhamel integral of |u|^alpha u up to t."""
-    i = traj.index_of_time(t)
-    snaps = traj.values[: i + 1]
-    series = np.abs(snaps) ** traj.params.alpha * snaps
-    return duhamel_integral_of_series(traj.times[: i + 1], series, traj.grid, tau)
-
-
 class TestDuhamelIntegral:
     def single_mode_trajectory(self, alpha=0.5, n=256, L=4.0, T=0.01, n_snaps=101):
         # synthetic linear-heat trajectory of a single Fourier mode
@@ -140,24 +131,17 @@ class TestDuhamelIntegral:
                           dt=times[1] - times[0]), A, xi
 
     def test_single_mode_closed_form(self):
-        alpha = 0.5
+        # |u|^alpha u of a single mode is A^(1+alpha) e^{-(1+alpha) s xi^2} e^{i xi y}, so
+        # d^5_y NH(t, tau) at y = 0 is i xi^5 A^(1+alpha) e^{-tau xi^2} times
+        # int_0^t e^{-alpha s xi^2} ds = (1 - e^{-alpha t xi^2}) / (alpha xi^2)
+        alpha, t = 0.5, 0.01
         traj, A, xi = self.single_mode_trajectory(alpha=alpha)
-        t, tau = 0.01, 0.012
-        got = nonlinear_duhamel(traj, t, tau)
-        # |u|^alpha u of a single mode is A^(1+alpha) e^{-(1+alpha) s xi^2} e^{i xi x}
-        coef = A ** (1 + alpha) * np.exp(-tau * xi**2) \
-            * (np.exp(alpha * t * xi**2) - 1.0) / (alpha * xi**2) * np.exp(-0.0)
-        # rewrite: int_0^t e^{-(1+alpha) s xi^2} e^{-(tau-s) xi^2} ds
-        expect = A ** (1 + alpha) * np.exp(-tau * xi**2) \
+        gaps = np.geomspace(4e-4, 1.2e-2, 6)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=t, tau_ladder=t + gaps))
+        expect = xi**5 * A ** (1 + alpha) * np.exp(-rate.taus * xi**2) \
             * (1.0 - np.exp(-alpha * t * xi**2)) / (alpha * xi**2)
-        mode = np.exp(1j * xi * traj.y_grid.points)
-        assert np.max(np.abs(got - expect * mode)) <= 1e-8 * abs(expect)
-
-    def test_oddness_of_nh(self):
-        traj = standard_run(T=0.01, dt=2e-5, snapshot_every=20)
-        nh = nonlinear_duhamel(traj, 0.01, 0.012)
-        j0 = traj.y_grid.zero_index
-        assert abs(nh[j0]) <= 1e-12 * np.max(np.abs(nh))
+        assert np.max(np.abs(rate.magnitudes / expect - 1.0)) <= 1e-7
+        assert np.max(np.abs(rate.spectral_magnitudes / expect - 1.0)) <= 1e-7
 
     def test_insufficient_snapshots(self):
         # snapshots 0.0025 apart cannot resolve tau - t = 1e-4
@@ -170,27 +154,6 @@ class TestDuhamelIntegral:
         probe = DuhamelProbe(traj=traj, t=0.0, tau_ladder=np.geomspace(1e-4, 3e-3, 6))
         with pytest.raises(InsufficientSnapshots):
             duhamel_fifth_derivative_rate(probe)
-
-    def test_linearity_of_series_operator(self):
-        rng = np.random.default_rng(12)
-        g = Grid1D(64, 2.0)
-        times = np.linspace(0.0, 0.01, 21)
-        fa = rng.standard_normal((21, 64)) + 1j * rng.standard_normal((21, 64))
-        fb = rng.standard_normal((21, 64)) + 1j * rng.standard_normal((21, 64))
-        tau = 0.02
-        nha = duhamel_integral_of_series(times, fa, g, tau)
-        nhb = duhamel_integral_of_series(times, fb, g, tau)
-        nhab = duhamel_integral_of_series(times, fa + fb, g, tau)
-        assert np.max(np.abs(nhab - nha - nhb)) <= 1e-12 * np.max(np.abs(nhab))
-
-    def test_short_time_scaling(self):
-        # ||NH|| = O(t) for small integration windows
-        alpha = 0.5
-        norms = []
-        for T in (0.002, 0.004):
-            traj, _, _ = self.single_mode_trajectory(alpha=alpha, T=T, n_snaps=41)
-            norms.append(np.max(np.abs(nonlinear_duhamel(traj, T, T + 0.004))))
-        assert abs(norms[1] / norms[0] - 2.0) <= 0.05
 
     def test_tau_validation(self):
         traj, _, _ = self.single_mode_trajectory()
@@ -218,9 +181,8 @@ class TestDivergenceLawFit:
         for beta in (0.75, 0.25):
             mags = 3.0 * (gaps**-beta - (t + gaps) ** -beta)
             mags *= 1.0 + 0.01 * rng.standard_normal(8)
-            beta_hat, amp, at_edge = _fit_divergence_law(gaps, mags, t)
+            beta_hat, at_edge = _fit_divergence_law(gaps, mags, t)
             assert abs(beta_hat - beta) <= 0.02
-            assert abs(amp - 3.0) <= 0.5
             assert not at_edge
 
     def test_flags_optimum_on_bracket_edge(self):
@@ -230,7 +192,7 @@ class TestDivergenceLawFit:
         gaps = np.geomspace(1e-4, 3e-3, 8)
         for beta, edge in ((0.01, 0.02), (1.8, 1.5)):
             mags = 3.0 * (gaps**-beta - (t + gaps) ** -beta)
-            beta_hat, _, at_edge = _fit_divergence_law(gaps, mags, t)
+            beta_hat, at_edge = _fit_divergence_law(gaps, mags, t)
             assert at_edge
             assert abs(beta_hat - edge) <= 0.01
 
@@ -241,7 +203,7 @@ class TestDivergenceLawFit:
         taus = 0.02 + np.geomspace(1e-4, 3e-3, 6)
         fit = diagnostics._fit_divergence_law
         monkeypatch.setattr(diagnostics, "_fit_divergence_law",
-                            lambda *args: (*fit(*args)[:2], True))
+                            lambda *args: (fit(*args)[0], True))
         # a tolerance of 10 accepts any exponent, so only the flag can fail it
         record = diagnostics.consistency_report(traj, 0.02, taus, tolerance=10.0, y_max=0.5)
         assert record.rate.law_fit_at_edge

@@ -211,8 +211,6 @@ class TestLoglogFit:
         xs = np.linspace(1.0, 9.0, 12)
         fit = loglog_fit(xs, xs**2)
         assert abs(fit.slope - 2.0) <= 1e-12
-        assert fit.r_squared == 1.0
-        assert fit.n_samples == 12
 
     def test_negative_power_with_prefactor(self):
         xs = np.geomspace(0.01, 100.0, 9)
@@ -226,7 +224,6 @@ class TestLoglogFit:
         ys = xs**1.3 * (1.0 + 0.01 * rng.standard_normal(40))
         fit = loglog_fit(xs, ys)
         assert abs(fit.slope - 1.3) <= 0.02
-        assert 0.0 <= fit.r_squared <= 1.0
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateInput):
@@ -239,7 +236,7 @@ class TestLoglogFit:
     def test_constant_y(self):
         fit = loglog_fit([1.0, 2.0, 4.0], [3.0, 3.0, 3.0])
         assert abs(fit.slope) <= 1e-14
-        assert fit.r_squared == 1.0
+        assert abs(fit.intercept - math.log(3.0)) <= 1e-14
 
 
 class TestTimeStepping:

@@ -269,6 +269,11 @@ class TestExactDerivatives:
         assert np.max(scaled) <= 10.0 * np.min(scaled[scaled > 0])
 
 
+def unit_slope(y):
+    """phi0' of phi0(y) = y."""
+    return np.ones_like(y, dtype=complex)
+
+
 class TestIntegratePerturbed:
     def grid(self, n=256):
         return Grid1D(n, 1.0)
@@ -292,6 +297,7 @@ class TestIntegratePerturbed:
             params, lambda y: np.zeros_like(y, dtype=complex),
             lambda t, y: y.astype(complex), T=0.01, grid=grid, dt=1e-5,
             phi0_prime=lambda y: np.zeros_like(y, dtype=complex),
+            h_y=lambda t, y: np.ones_like(y, dtype=complex),
         )
         y = grid.points
         j = grid.zero_index + 8
@@ -303,13 +309,13 @@ class TestIntegratePerturbed:
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(StepSizeError):
             integrate_perturbed(params, lambda y: y.astype(complex), None,
-                                T=0.1, grid=self.grid(64), dt=1e-3)
+                                T=0.1, grid=self.grid(64), dt=1e-3, phi0_prime=unit_slope)
 
     def test_non_integral_horizon_rejected(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(StepSizeError):
             integrate_perturbed(params, lambda y: y.astype(complex), None,
-                                T=0.01, grid=self.grid(64), dt=3e-6)
+                                T=0.01, grid=self.grid(64), dt=3e-6, phi0_prime=unit_slope)
 
     def test_zero_column_pinned(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
@@ -317,6 +323,7 @@ class TestIntegratePerturbed:
         run = integrate_perturbed(
             params, lambda y: y.astype(complex),
             lambda t, y: np.sin(y) * t, T=0.05, grid=grid, dt=5e-5,
+            phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=lambda t, y: np.cos(y) * t,
         )
         assert np.all(run.w[:, grid.zero_index] == 0.0)
 
@@ -326,6 +333,8 @@ class TestIntegratePerturbed:
         run = integrate_perturbed(
             params, lambda y: np.sin(np.pi * y).astype(complex),
             lambda t, y: t * y**3, T=0.05, grid=grid, dt=5e-5,
+            phi0_prime=lambda y: (np.pi * np.cos(np.pi * y)).astype(complex),
+            h_y=lambda t, y: 3.0 * t * y**2,
         )
         w = run.w[-1]
         n = grid.n_points
@@ -369,15 +378,22 @@ class TestIntegratePerturbed:
         return len(calls)
 
     def test_one_rk4_step_per_time_step(self):
-        # the forcing once per time level (t_k and t_k + dt/2); h_y is given,
-        # so no central difference calls h
+        # the forcing once per time level (t_k and t_k + dt/2)
         n = 1000
         assert self.count_h_calls(n, lambda t, y: 3.0 * t * y**2) == 2 * n + 1
 
-    def test_forcing_difference_once_per_time_level(self):
-        # without h_y, each level also differences h at four shifted points
-        n = 1000
-        assert self.count_h_calls(n, None) == 5 * (2 * n + 1)
+    def test_forcing_without_h_y_is_refused_before_any_step(self):
+        # h_y comes with h_forcing: either one alone is refused before h is called
+        params = NonlinearityParams(alpha=0.5, lam=1.0)
+        calls = []
+        h = lambda t, y: calls.append(t) or t * y**3
+        for forcing, h_y in ((h, None), (None, lambda t, y: 3.0 * t * y**2)):
+            with pytest.raises(DomainError, match="h_y"):
+                integrate_perturbed(params, lambda y: y.astype(complex), forcing, T=0.01,
+                                    grid=self.grid(64), dt=1e-5,
+                                    phi0_prime=lambda y: np.ones_like(y, dtype=complex),
+                                    h_y=h_y)
+        assert calls == []
 
     def test_linear_control_closed_form(self):
         # lam = 0: w_t = t y^3, v_t = 3 t y^2; RK4 is exact for these
@@ -400,10 +416,12 @@ class TestIntegratePerturbed:
         with pytest.raises(DomainError):
             integrate_perturbed(params, lambda y: y.astype(complex),
                                 lambda t, y: np.sin(np.pi * t / T) * (1.0 + y),
-                                T=T, grid=self.grid(64), dt=1e-5)
+                                T=T, grid=self.grid(64), dt=1e-5, phi0_prime=unit_slope,
+                                h_y=lambda t, y: np.sin(np.pi * t / T) * np.ones_like(y))
         # a scalar forcing is broadcast over the grid
         run = integrate_perturbed(params, lambda y: y.astype(complex),
-                                  lambda t, y: 0.0, T=T, grid=self.grid(64), dt=1e-5)
+                                  lambda t, y: 0.0, T=T, grid=self.grid(64), dt=1e-5,
+                                  phi0_prime=unit_slope, h_y=lambda t, y: 0.0)
         assert run.w.shape == (1001, 64)
 
     @pytest.mark.parametrize("grid", [5, "abc", (Grid1D(16, 1.0), Grid1D(64, 1.0))],
@@ -412,13 +430,14 @@ class TestIntegratePerturbed:
         with pytest.raises(DomainError, match="grid must be a Grid1D"):
             integrate_perturbed(NonlinearityParams(alpha=0.5, lam=1.0),
                                 lambda y: y.astype(complex), None,
-                                T=0.01, grid=grid, dt=1e-5)
+                                T=0.01, grid=grid, dt=1e-5, phi0_prime=unit_slope)
 
     def test_wrong_shape_initial_data(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         short = lambda y: y[:4].astype(complex)
         with pytest.raises(SizeMismatch):
-            integrate_perturbed(params, short, None, T=0.01, grid=self.grid(64), dt=1e-5)
+            integrate_perturbed(params, short, None, T=0.01, grid=self.grid(64), dt=1e-5,
+                                phi0_prime=lambda y: np.ones_like(y, dtype=complex))
 
     def test_wrong_shape_initial_derivative(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
@@ -431,20 +450,21 @@ class TestIntegratePerturbed:
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(SizeMismatch):
             integrate_perturbed(params, lambda y: y.astype(complex), lambda t, y: np.zeros(3),
-                                T=0.01, grid=self.grid(64), dt=1e-5)
+                                T=0.01, grid=self.grid(64), dt=1e-5, phi0_prime=unit_slope,
+                                h_y=lambda t, y: 3.0 * t * y**2)
 
     def test_wrong_shape_forcing_derivative(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(SizeMismatch):
             integrate_perturbed(params, lambda y: y.astype(complex), lambda t, y: t * y**3,
-                                T=0.01, grid=self.grid(64), dt=1e-5,
+                                T=0.01, grid=self.grid(64), dt=1e-5, phi0_prime=unit_slope,
                                 h_y=lambda t, y: np.zeros(3))
 
     def test_phi_zero_requirement(self):
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(DomainError):
             integrate_perturbed(params, lambda y: y + 1.0, None,
-                                T=0.1, grid=self.grid(64), dt=1e-4)
+                                T=0.1, grid=self.grid(64), dt=1e-4, phi0_prime=unit_slope)
 
     def test_v_consistent_with_differences_of_w(self):
         # away from the y = 0 kink, v agrees with centered differences of w
@@ -524,7 +544,7 @@ class TestIntegratingFactor:
         grid = Grid1D(64, 1.0)
         run = integrate_perturbed(
             params, lambda y: np.zeros_like(y, dtype=complex), None,
-            T=0.05, grid=grid, dt=5e-5,
+            T=0.05, grid=grid, dt=5e-5, phi0_prime=lambda y: np.zeros_like(y, dtype=complex),
         )
         A = integrating_factor(run)
         assert np.max(np.abs(A)) == 0.0
@@ -533,7 +553,7 @@ class TestIntegratingFactor:
         params = NonlinearityParams(alpha=0.5, lam=2.0 - 1.0j)
         grid = Grid1D(64, 1.0)
         run = integrate_perturbed(params, lambda y: y.astype(complex), None,
-                                  T=0.05, grid=grid, dt=5e-5)
+                                  T=0.05, grid=grid, dt=5e-5, phi0_prime=unit_slope)
         A = integrating_factor(run)
         assert np.max(np.abs(A[0])) == 0.0
         assert np.max(np.abs(A[:, grid.zero_index])) == 0.0
@@ -572,7 +592,7 @@ class TestRepresentationCheck:
         grid = Grid1D(64, 1.0)
         run = integrate_perturbed(
             params, lambda y: np.zeros_like(y, dtype=complex), None,
-            T=0.05, grid=grid, dt=5e-5,
+            T=0.05, grid=grid, dt=5e-5, phi0_prime=lambda y: np.zeros_like(y, dtype=complex),
         )
         assert representation_check(run, integrating_factor(run)) == 0.0
 
@@ -636,15 +656,14 @@ class TestColumnRestriction:
     GRID = Grid1D(32, 1.0)
 
     @staticmethod
-    def run_on(columns, alpha=0.5, lam=1.0, forced=False, analytic=True, every=1, **kwargs):
+    def run_on(columns, alpha=0.5, lam=1.0, forced=False, every=1, **kwargs):
         h, h_y = (lambda t, y: t * y**3, lambda t, y: 3.0 * t * y**2) if forced else (None, None)
         return integrate_perturbed(
             NonlinearityParams(alpha=alpha, lam=lam),
             lambda y: (y * np.exp(-y * y)).astype(complex), h, T=0.01,
             grid=TestColumnRestriction.GRID, dt=1e-5,
-            phi0_prime=(lambda y: ((1.0 - 2.0 * y * y) * np.exp(-y * y)).astype(complex))
-            if analytic else None,
-            h_y=h_y if analytic else None, snapshot_every=every, columns=columns, **kwargs,
+            phi0_prime=lambda y: ((1.0 - 2.0 * y * y) * np.exp(-y * y)).astype(complex),
+            h_y=h_y, snapshot_every=every, columns=columns, **kwargs,
         )
 
     @settings(max_examples=12, deadline=None)
@@ -653,13 +672,12 @@ class TestColumnRestriction:
         alpha=st.floats(0.05, 1.95),
         lam=st.sampled_from([1.0, 1j, 0.3 + 0.7j, 0.0]),
         forced=st.booleans(),
-        analytic=st.booleans(),
         every=st.sampled_from([1, 7]),
     )
     def test_restricted_run_is_bit_identical_to_its_columns(
-            self, subset, alpha, lam, forced, analytic, every):
+            self, subset, alpha, lam, forced, every):
         columns = np.array(sorted(subset | {self.GRID.zero_index}))
-        opts = dict(alpha=alpha, lam=lam, forced=forced, analytic=analytic, every=every)
+        opts = dict(alpha=alpha, lam=lam, forced=forced, every=every)
         full, part = self.run_on(None, **opts), self.run_on(columns, **opts)
         assert np.array_equal(part.columns, columns)
         assert np.array_equal(part.times, full.times)
@@ -680,8 +698,10 @@ class TestColumnRestriction:
             self.run_on(columns)
 
     def test_every_column_is_the_full_width_run(self):
-        run = self.run_on(np.arange(32))
-        assert run.columns is None and run.w.shape == (1001, 32)
+        # None stands for every column; the run stores the indices, not None
+        run, full = self.run_on(np.arange(32)), self.run_on(None)
+        assert np.array_equal(full.columns, np.arange(32)) and run.w.shape == (1001, 32)
+        assert run.w.tobytes() == full.w.tobytes() and run.v.tobytes() == full.v.tobytes()
 
     def test_representation_check_uses_the_run_points(self):
         columns = np.array([4, 10, 16, 17, 29])

@@ -48,7 +48,7 @@ HALF_LENGTH_OFFSET = 24
 
 def header_offset(field):
     """Byte offset of a header field after the grid block."""
-    return 32 + {"dt": 0, "alpha": 8, "scheme": 40}[field]
+    return 32 + {"dt": 0, "alpha": 8, "scheme": 40, "flags": 44}[field]
 
 
 def two_grid_file():
@@ -88,8 +88,9 @@ class TestRoundTrip:
         assert back.params == traj.params
         assert back.dt == traj.dt
         assert back.blowup_time is None
-        assert back.odd_projection == traj.odd_projection
         assert back.y_grid == traj.y_grid
+        # flags: bit 1 (odd projection) always set, bit 0 (blow-up) clear
+        assert struct.unpack_from("<I", path.read_bytes(), header_offset("flags")) == (2,)
 
     def test_blowup_flag_round_trip(self, tmp_path):
         traj = make_trajectory(with_blowup=True)
@@ -167,6 +168,7 @@ class TestRoundTrip:
         run = integrate_perturbed(
             NonlinearityParams(alpha=0.5, lam=1.0), lambda y: y.astype(complex), None,
             T=0.01, grid=Grid1D(64, 1.0), dt=1e-5,
+            phi0_prime=lambda y: np.ones_like(y, dtype=complex),
         )
         with pytest.raises(IoError, match="OdeRun"):
             save_trajectory(run, tmp_path / "run.rglb")
@@ -270,35 +272,38 @@ class TestCorruption:
             load_trajectory(path)
         assert "snapshots" in str(err.value)
 
-    @pytest.mark.parametrize("at, patch", [
-        (header_offset("alpha"), struct.pack("<d", 5.0)),
-        (8, struct.pack("<I", 1)),  # the kind field of a trajectory reads 1
-        (N_POINTS_OFFSET, struct.pack("<I", 2**32 - 1)),
+    @pytest.mark.parametrize("at, patch, offset", [
+        (header_offset("alpha"), struct.pack("<d", 5.0), 40),
+        (8, struct.pack("<I", 1), 8),  # the kind field of a trajectory reads 1
+        (N_POINTS_OFFSET, struct.pack("<I", 2**32 - 1), 20),
         # a valid Grid1D whose snapshots the file is far too short to hold: the
         # size comes from the file, never from the header
-        (N_POINTS_OFFSET, struct.pack("<I", 2**30)),
-        (HALF_LENGTH_OFFSET, struct.pack("<d", math.inf)),
-        (GRID_COUNT_OFFSET, struct.pack("<I", 2)),
-        (header_offset("scheme"), struct.pack("<I", 7)),
-        (header_offset("scheme"), struct.pack("<I", 1)),  # the RK4 code of the ODE runs
-        (header_offset("dt"), struct.pack("<d", math.nan)),
-        (header_offset("dt"), struct.pack("<d", math.inf)),
-        (header_offset("dt"), struct.pack("<d", 0.0)),
-        (header_offset("dt"), struct.pack("<d", -1.0)),
-        (HEADER_LENGTH, struct.pack("<d", math.nan)),  # the first time stamp
-        (HEADER_LENGTH + 8, struct.pack("<d", 0.0)),  # times 0, 0, 0.2
+        (N_POINTS_OFFSET, struct.pack("<I", 2**30), HEADER_LENGTH + 24),
+        (HALF_LENGTH_OFFSET, struct.pack("<d", math.inf), 20),
+        (GRID_COUNT_OFFSET, struct.pack("<I", 2), 8),
+        (header_offset("scheme"), struct.pack("<I", 7), 72),
+        (header_offset("scheme"), struct.pack("<I", 1), 72),  # the RK4 code of the ODE runs
+        (header_offset("flags"), struct.pack("<I", 0), 76),  # every run is odd-projected
+        (header_offset("dt"), struct.pack("<d", math.nan), 32),
+        (header_offset("dt"), struct.pack("<d", math.inf), 32),
+        (header_offset("dt"), struct.pack("<d", 0.0), 32),
+        (header_offset("dt"), struct.pack("<d", -1.0), 32),
+        (HEADER_LENGTH, struct.pack("<d", math.nan), 112),  # the first time stamp
+        (HEADER_LENGTH + 8, struct.pack("<d", 0.0), 112),  # times 0, 0, 0.2
     ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_grid", "huge_power_of_two_grid",
             "infinite_half_length", "two_grids", "unknown_scheme", "trajectory_with_rk4_scheme",
-            "nan_dt", "infinite_dt", "zero_dt", "negative_dt",
+            "no_odd_projection_flag", "nan_dt", "infinite_dt", "zero_dt", "negative_dt",
             "nan_time_stamp", "repeated_time_stamp"])
-    def test_bad_header_field_is_format_error(self, tmp_path, at, patch):
+    def test_bad_header_field_is_format_error(self, tmp_path, at, patch, offset):
+        # the error points at the field that failed
         path = tmp_path / "run.rglb"
         save_trajectory(tiny_trajectory(), path)
         blob = bytearray(path.read_bytes())
         blob[at:at + len(patch)] = patch
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             load_trajectory(path)
+        assert err.value.offset == offset
 
     @settings(deadline=None, database=None, max_examples=500,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
