@@ -26,7 +26,6 @@ from .grids import (
     odd_part,
     reflect_y,
     spectral_derivative,
-    trig_interpolate,
 )
 from .numerics import (
     RegressionFit,
@@ -66,7 +65,6 @@ from .diagnostics import (
     ScalingParams,
     SobolevIndex,
     appendix_inequality_checks,
-    consistency_report,
     duhamel_fifth_derivative_rate,
     hs_norm,
     illposedness_exponent_report,

@@ -35,7 +35,6 @@ from .grids import (
     ladder_increments,
     laplacian_symbol,
     spectral_derivative,
-    trig_interpolate,
 )
 from .kernels import c_alpha, graded_fifth_derivatives
 from .numerics import RegressionFit, central_difference, loglog_fit, trapezoid_weights
@@ -55,7 +54,6 @@ __all__ = [
     "scaling_transform",
     "illposedness_exponent_report",
     "appendix_inequality_checks",
-    "consistency_report",
 ]
 
 
@@ -462,20 +460,21 @@ def appendix_inequality_checks(seed_count: int, seed: int = 2026) -> InequalityR
         u_vals = _band_limited_field(rng, grid, modes=8)
         u = GridFunction(grid, u_vals)
         pts = rng.uniform(-np.pi, np.pi, size=16)
-        u_p = trig_interpolate(u, pts)
+        interp = TrigInterpolant(u)
+        u_p = interp(pts)
         mask = np.abs(u_p) >= 0.1 * np.max(np.abs(u_vals))
         if not np.any(mask):
             continue
         pts = pts[mask]
         u_p = u_p[mask]
-        du_p = trig_interpolate(spectral_derivative(u, 1), pts)
+        du_p = TrigInterpolant(spectral_derivative(u, 1))(pts)
         formula = (
             lam * (alpha + 2.0) / 2.0 * np.abs(u_p) ** alpha * du_p
             + lam * alpha / 2.0 * np.abs(u_p) ** (alpha - 2.0) * u_p**2 * np.conj(du_p)
         )
 
         def f_of(x):
-            v = trig_interpolate(u, x)
+            v = interp(x)
             return lam * np.abs(v) ** alpha * v
 
         fd = central_difference(f_of, pts)
@@ -499,34 +498,3 @@ def appendix_inequality_checks(seed_count: int, seed: int = 2026) -> InequalityR
                                   n_fields_c, worst_c, 2.0, worst_c <= 2.0))
 
     return InequalityReport(seed=seed, checks=checks)
-
-
-# ---------------------------------------------------------------------------
-# Combined trajectory record
-
-
-@dataclass
-class ConsistencyRecord:
-    scan: ScanReport
-    rate: DuhamelRateReport
-    scan_ok: bool
-    rate_ok: bool
-
-    @property
-    def combined_pass(self) -> bool:
-        return self.scan_ok and self.rate_ok
-
-
-def consistency_report(traj: Trajectory, t: float, tau_ladder, y_max: float,
-                       tolerance: float = 0.1) -> ConsistencyRecord:
-    """The two exponents of the same trajectory must tell one story:
-    increment exponent of d^3_y u near alpha, divergence exponent of the
-    smoothed fifth derivative near -(2 - alpha)/2."""
-    alpha = traj.params.alpha
-    scan = third_derivative_holder_scan(traj, t, [], y_max)
-    probe = DuhamelProbe(traj=traj, t=t, tau_ladder=tau_ladder)
-    rate = duhamel_fifth_derivative_rate(probe)
-    scan_ok = abs(scan.increment_fit.slope - alpha) <= tolerance
-    rate_ok = (abs(rate.law_exponent + (2.0 - alpha) / 2.0) <= tolerance
-               and not rate.law_fit_at_edge)
-    return ConsistencyRecord(scan=scan, rate=rate, scan_ok=scan_ok, rate_ok=rate_ok)

@@ -23,12 +23,12 @@ from .grids import (
     Grid1D,
     GridFunction,
     _as_grid,
-    dyadic_ladder,
+    ladder_increments,
     laplacian_symbol,
     odd_part,
     spectral_derivative,
 )
-from .numerics import RegressionFit, _time_index, loglog_fit, snapshot_steps, step_count
+from .numerics import RegressionFit, _time_index, snapshot_steps, step_count
 from .ode import NonlinearityParams, exact_flow
 
 __all__ = [
@@ -263,10 +263,11 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float) -> Remaind
     ratios = np.abs(w_lin[mask]) / (bound_c * y[mask] ** 2 + 1e-300)
     bound_max_ratio = float(np.max(ratios))
 
-    idx, ys = dyadic_ladder(grid, y_max)
+    # u, and so w_tilde, is exactly 0 at the node y = 0, so the increments are |w_tilde|
+    _, _, decay_fit, _ = ladder_increments(grid, w_tilde, y_max, [])
     return RemainderReport(
         t=float(traj.times[i]),
         w_tilde=GridFunction(traj.grid, w_tilde, allow_nonfinite=True),
         bound_max_ratio=bound_max_ratio,
-        decay_fit=loglog_fit(ys, np.abs(w_tilde[j0 + idx])),
+        decay_fit=decay_fit,
     )

@@ -27,7 +27,6 @@ __all__ = [
     "derivative_multiplier",
     "spectral_derivative",
     "TrigInterpolant",
-    "trig_interpolate",
     "reflect_y",
     "odd_part",
     "dyadic_ladder",
@@ -205,11 +204,6 @@ class TrigInterpolant:
         vals += self._nyquist * half.real
         vals = vals.reshape((signs,) + pts.shape)
         return vals if mirrored else vals[0]
-
-
-def trig_interpolate(u: GridFunction, points: np.ndarray) -> np.ndarray:
-    """One-shot evaluation of the trigonometric interpolant (see TrigInterpolant)."""
-    return TrigInterpolant(u)(points)
 
 
 def reflect_y(values: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Scalar numeric services: quadrature, time stepping, Gaussian moments, log-log fits.
+"""Scalar numeric services: quadrature, the trapezoid rule (weights and the cumulative
+integral), time stepping, Gaussian moments, log-log fits.
 
 The quadrature is a Gauss-Kronrod 7-15 pair with deterministic bisection,
 one level per integrand call; complex-valued integrands are supported
@@ -110,6 +111,14 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
     weights[:-1] += 0.5 * dtimes
     weights[1:] += 0.5 * dtimes
     return weights
+
+
+def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid along axis 0, starting at 0."""
+    dt = np.diff(times)[:, None]
+    out = np.zeros_like(values)
+    np.cumsum(0.5 * dt * (values[1:] + values[:-1]), axis=0, out=out[1:])
+    return out
 
 
 def central_difference(func, y: np.ndarray, step: float = 1e-3) -> np.ndarray:

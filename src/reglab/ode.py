@@ -26,7 +26,7 @@ from .errors import (
     StepSizeError,
 )
 from .grids import Grid1D, _as_grid, ladder_columns, ladder_increments
-from .numerics import RegressionFit, _time_index, snapshot_steps, step_count
+from .numerics import RegressionFit, _cumtrapz, _time_index, snapshot_steps, step_count
 
 __all__ = [
     "NonlinearityParams",
@@ -304,14 +304,6 @@ def integrate_perturbed(
     return make_run(times[kept], ws, vs)
 
 
-def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, starting at 0."""
-    dt = np.diff(times)[:, None]
-    out = np.zeros_like(values)
-    np.cumsum(0.5 * dt * (values[1:] + values[:-1]), axis=0, out=out[1:])
-    return out
-
-
 def integrating_factor(run: OdeRun) -> np.ndarray:
     """Accumulated exponent A(t, y) = lam*(alpha+2)/2 * int_0^t |w(s, y)|^alpha ds,
     [time, space], by the trapezoid rule."""
@@ -338,7 +330,8 @@ def representation_check(run: OdeRun, A: np.ndarray) -> float:
         f = np.zeros_like(run.w)
     else:
         y = run.grid.points[run.columns]
-        f = np.stack([np.asarray(run.h_y(t, y), dtype=np.complex128) for t in run.times])
+        f = np.stack([np.broadcast_to(np.asarray(run.h_y(t, y), dtype=np.complex128), y.shape)
+                      for t in run.times])
 
     mag = np.abs(run.w)
     g = lam * (0.5 * alpha) * _conj_factor(run.w, mag, mag**alpha) * np.conj(run.v) + f

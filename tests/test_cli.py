@@ -376,6 +376,34 @@ class TestExperiments:
         assert report["empirical_a"] > 0
         assert (out / "duhamel-rate.rate.csv").exists()
 
+    def test_duhamel_rate_edge_flag_fails_the_verdict(self, tmp_path, monkeypatch):
+        import reglab.diagnostics as diagnostics
+
+        fit = diagnostics._fit_divergence_law
+        monkeypatch.setattr(diagnostics, "_fit_divergence_law",
+                            lambda *args: (fit(*args)[0], True))
+        out = tmp_path / "out"
+        # a tolerance scale of 100 accepts any exponent, so only the flag can fail it
+        code = run_cli(["--experiment", "duhamel-rate", "--grid-n", "512",
+                        "--tolerance-scale", "100", "--out-dir", str(out)])
+        assert code == 1
+        report = json.loads((out / "duhamel-rate.json").read_text())
+        byname = {c["name"]: c for c in report["checks"]}
+        assert not byname["divergence_law_exponent"]["passed"]
+        assert not byname["scan_rate_consistency"]["passed"]
+        assert byname["synthetic_slice_closed_form_max_rel_err"]["passed"]
+        assert report["law_fit_at_edge"] is True
+
+    def test_third_derivative_scan_sweep_ends_at_the_checked_scan(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["--experiment", "third-derivative-scan", "--grid-n", "512",
+                        "--out-dir", str(out)]) == 0
+        report = json.loads((out / "third-derivative-scan.json").read_text())
+        byname = {c["name"]: c for c in report["checks"]}
+        t_last, slope_last = report["tables"]["t_sweep"]["rows"][-1]
+        assert t_last == report["config"]["t_final"]
+        assert slope_last == byname["third_derivative_increment_exponent"]["measured"]
+
     def test_blowup_exits_4(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli([

@@ -196,7 +196,8 @@ class TestDivergenceLawFit:
             assert at_edge
             assert abs(beta_hat - edge) <= 0.01
 
-    def test_edge_flag_fails_the_rate(self, monkeypatch):
+    def test_edge_flag_reaches_the_rate_report(self, monkeypatch):
+        # the verdict it fails is made by the CLI (tests/test_cli.py)
         import reglab.diagnostics as diagnostics
 
         traj = standard_run(n=512, dt=2.5e-5, snapshot_every=1)
@@ -204,11 +205,8 @@ class TestDivergenceLawFit:
         fit = diagnostics._fit_divergence_law
         monkeypatch.setattr(diagnostics, "_fit_divergence_law",
                             lambda *args: (fit(*args)[0], True))
-        # a tolerance of 10 accepts any exponent, so only the flag can fail it
-        record = diagnostics.consistency_report(traj, 0.02, taus, tolerance=10.0, y_max=0.5)
-        assert record.rate.law_fit_at_edge
-        assert not record.rate_ok
-        assert not record.combined_pass
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj, 0.02, taus))
+        assert rate.law_fit_at_edge
 
 
 def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
@@ -431,18 +429,17 @@ class TestIllposednessReport:
         assert rep.verdict == "inconclusive"
 
 
-class TestConsistencyRecord:
-    def test_combined_flag_on_real_run(self):
-        from reglab.diagnostics import consistency_report
-
+class TestScanRateConsistency:
+    def test_scan_and_rate_agree_on_real_run(self):
+        # one trajectory, two exponents: the increment exponent of d^3_y u near
+        # alpha, the divergence law of the smoothed d^5_y near -(2 - alpha)/2
         traj = standard_run(n=512, dt=2.5e-5, snapshot_every=1)
         taus = 0.02 + np.geomspace(1e-4, 3e-3, 6)
-        record = consistency_report(traj, 0.02, taus, y_max=0.5)
-        assert record.combined_pass == (record.scan_ok and record.rate_ok)
-        assert record.scan_ok
-        assert record.rate_ok
-        assert abs(record.scan.increment_fit.slope - 0.5) <= 0.1
-        assert abs(record.rate.law_exponent + 0.75) <= 0.1
+        scan = third_derivative_holder_scan(traj, 0.02, [], y_max=0.5)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj, 0.02, taus))
+        assert abs(scan.increment_fit.slope - 0.5) <= 0.1
+        assert abs(rate.law_exponent + 0.75) <= 0.1
+        assert not rate.law_fit_at_edge
 
 
 class TestDuhamelRateMiddleAlpha:

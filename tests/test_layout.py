@@ -91,6 +91,19 @@ def test_only_grids_tests_for_grid1d():
     assert offenders == []
 
 
+def test_only_grids_walks_the_ladder():
+    # grids holds the dyadic ladder and the one increment fit on it; every other
+    # module calls ladder_increments or ladder_columns instead of the ladder itself
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "grids.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "dyadic_ladder" in _names(node.func):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_benchmark_tracer_resolves_its_names(monkeypatch):
     # the benchmark's tracer names package functions and methods; building it
     # (without installing it) fails if one of them is removed or renamed

@@ -609,6 +609,20 @@ class TestRepresentationCheck:
         res = representation_check(run, integrating_factor(run))
         assert res <= 1e-6
 
+    def test_scalar_h_y_is_broadcast_over_the_columns(self):
+        # integrate_perturbed accepts a scalar h_y; the check must read it as a row
+        def run_with(h_y):
+            return integrate_perturbed(
+                NonlinearityParams(0.5, 1.0), lambda y: y.astype(complex),
+                lambda t, y: 0.0, T=0.01, grid=Grid1D(64, 1.0), dt=1e-5,
+                phi0_prime=unit_slope, h_y=h_y,
+            )
+
+        scalar = run_with(lambda t, y: 0.0)
+        array = run_with(lambda t, y: np.zeros_like(y, dtype=complex))
+        assert (representation_check(scalar, integrating_factor(scalar))
+                == representation_check(array, integrating_factor(array)))
+
 
 class TestSnapshotThinning:
     def run_every(self, every, T=0.01, dt=1e-5, **kwargs):
