@@ -15,8 +15,9 @@ Experiments (``--experiment``):
 Every ExperimentConfig field is both a config key and a flag (``grid_n`` and
 ``--grid-n``).  Configuration comes from a flat key = value file with
 optional [sections] (sections are organizational only; keys are flat),
-overridden by flags (flag wins).  Exit codes: 0 all checks passed, 1 some
-check failed, 2 bad configuration, 3 numerical failure, 4 blow-up.
+overridden by flags (flag wins).  An option that the experiment does not read
+(``_READS``) must keep its default.  Exit codes: 0 all checks passed, 1 some
+check failed, 2 bad configuration, 3 numerical or I/O failure, 4 blow-up.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ from .diagnostics import (
     synthetic_slice_check,
     third_derivative_holder_scan,
 )
-from .errors import BlowUpError, ConfigError, DomainError, RegLabError, StepSizeError
+from .errors import BlowUpError, ConfigError, DomainError, IoError, RegLabError, StepSizeError
 from .evolution import make_odd_bump, solve
 from .grids import Grid1D, GridFunction, ladder_columns
 from .kernels import c_alpha, fifth_derivative_at_zero, odd_power_probe
 from .numerics import _time_index, gaussian_moment, step_count
 from .ode import NonlinearityParams, holder_defect, integrate_perturbed
-from .trajio import save_trajectory, write_report
+from .trajio import _make_dir, save_trajectory, write_report
 
 
 @dataclass
@@ -90,6 +91,11 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}' "
                               f"(choose from {', '.join(EXPERIMENTS)})")
+        unread = [f"--{key.replace('_', '-')} (got {getattr(self, key)})" for key in _OPTIONS
+                  if key not in _READS[self.experiment]
+                  and getattr(self, key) != getattr(ExperimentConfig, key)]
+        if unread:
+            raise ConfigError(f"{self.experiment} does not read {', '.join(unread)}")
         for key, kind in _FIELD_TYPES.items():  # NaN passes every <= 0 check below
             if kind is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
@@ -99,10 +105,9 @@ class ExperimentConfig:
             self.params()
             Grid1D(self.grid_n, self.domain_l)
             step_count(self.t_final, self.dt)
+            make_odd_bump(1, self.amplitude, self.support_radius)
         except (DomainError, StepSizeError) as err:
             raise ConfigError(str(err)) from None
-        if self.amplitude <= 0 or self.support_radius <= 0:
-            raise ConfigError("amplitude and support_radius must be positive")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
         if self.sobolev_s < 0:
@@ -116,6 +121,21 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
+_OPTIONS = tuple(key for key in _FIELD_TYPES if key not in ("experiment", "out_dir"))
+_MODEL = {"alpha", "lambda_re", "lambda_im", "theta"}
+_SOLVED = _MODEL | {"grid_n", "domain_l", "dt", "t_final", "amplitude", "support_radius"}
+# The options each experiment reads.  ode-defect pins y to [-1, 1) (criterion 04) and keeps
+# only the rows its ladder reads; third-derivative-scan and duhamel-rate fix their strides.
+_READS = {
+    "verify-kernel": {"alpha", "seed", "tolerance_scale"},
+    "ode-defect": _MODEL | {"grid_n", "dt", "t_final", "tolerance_scale"},
+    "simulate": _SOLVED | {"snapshot_every"},
+    "third-derivative-scan": _SOLVED | {"tolerance_scale"},
+    "duhamel-rate": _SOLVED | {"tolerance_scale"},
+    "scaling-report": {"alpha", "grid_n", "domain_l", "sobolev_s", "dimension_n",
+                       "tolerance_scale"},
+    "inequality-suite": {"seed"},
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -178,15 +198,6 @@ def _check(name, measured, expected, tolerance, provenance, passed=None):
     }
 
 
-def _reject_option(cfg: ExperimentConfig, name: str, reason: str) -> None:
-    """ConfigError when option ``name`` is not its default: the experiment fixes it,
-    so a given value would be reported but ignored."""
-    value = getattr(cfg, name)
-    if value != getattr(ExperimentConfig, name):
-        raise ConfigError(f"{cfg.experiment} {reason} and takes no "
-                          f"--{name.replace('_', '-')} (got {value})")
-
-
 def _report_skeleton(cfg: ExperimentConfig) -> dict:
     return {
         "experiment": cfg.experiment,
@@ -246,8 +257,6 @@ def run_verify_kernel(cfg: ExperimentConfig) -> dict:
 
 
 def run_ode_defect(cfg: ExperimentConfig) -> dict:
-    _reject_option(cfg, "domain_l", "samples y on [-1, 1)")  # criterion 04 pins y
-    _reject_option(cfg, "snapshot_every", "keeps only the rows its ladder reads")
     report = _report_skeleton(cfg)
     grid = Grid1D(cfg.grid_n, 1.0)
     T = cfg.t_final
@@ -336,7 +345,7 @@ def _solve_numerics(cfg: ExperimentConfig, traj) -> dict:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     report = _report_skeleton(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_dir(cfg.out_dir)
     path = os.path.join(cfg.out_dir, "trajectory.rglb")
     blowup = None
     try:
@@ -372,7 +381,6 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
 
 def run_third_derivative_scan(cfg: ExperimentConfig) -> dict:
-    _reject_option(cfg, "snapshot_every", "stores four snapshots per run")
     report = _report_skeleton(cfg)
     y_max = 0.25 * cfg.support_radius
     n_steps = step_count(cfg.t_final, cfg.dt)
@@ -411,7 +419,6 @@ def run_third_derivative_scan(cfg: ExperimentConfig) -> dict:
 
 
 def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
-    _reject_option(cfg, "snapshot_every", "stores every step")
     report = _report_skeleton(cfg)
     traj = _standard_solve(cfg, snapshot_every=1)
     taus = cfg.t_final + np.geomspace(1e-4, 3e-3, 8)
@@ -573,6 +580,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         report = run(cfg)
+        path = write_report(report, cfg.out_dir, cfg.experiment)
     except (ConfigError, StepSizeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -580,10 +588,10 @@ def main(argv=None) -> int:
         print(f"blow-up at t = {err.time:.6g}: {err}", file=sys.stderr)
         return 4
     except RegLabError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+        print(f"{'I/O' if isinstance(err, IoError) else 'numerical'} failure: {err}",
+              file=sys.stderr)
         return 3
 
-    path = write_report(report, cfg.out_dir, cfg.experiment)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"[{status}] {check['name']}: measured={check['measured']:.6g} "

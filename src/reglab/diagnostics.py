@@ -364,9 +364,6 @@ def scaling_transform(phi: GridFunction, params: ScalingParams) -> GridFunction:
 class ScalingVerdict:
     """Sign arithmetic of the dilation exponent 2/alpha + s - N/2."""
 
-    alpha: float
-    N: int
-    s: float
     exponent: float
     verdict: str       # "applies" | "does not apply" | "inconclusive"
     dimension_condition: bool  # N > 11 + 4/alpha
@@ -384,10 +381,8 @@ def illposedness_exponent_report(alpha: float, N: int, s: float) -> ScalingVerdi
         verdict = "applies"
     else:
         verdict = "does not apply"
-    return ScalingVerdict(
-        alpha=alpha, N=N, s=s, exponent=exponent, verdict=verdict,
-        dimension_condition=bool(N > 11.0 + 4.0 / alpha),
-    )
+    return ScalingVerdict(exponent=exponent, verdict=verdict,
+                          dimension_condition=bool(N > 11.0 + 4.0 / alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +400,6 @@ class InequalityCheck:
 
 @dataclass
 class InequalityReport:
-    seed: int
     checks: list
 
     @property
@@ -423,7 +417,7 @@ def _band_limited_field(rng, grid, modes: int) -> np.ndarray:
     return np.fft.ifft(coeffs * grid.n_points)
 
 
-def appendix_inequality_checks(seed_count: int, seed: int = 2026) -> InequalityReport:
+def appendix_inequality_checks(seed_count: int, seed: int) -> InequalityReport:
     """Randomized verification of the three elementary estimates.
 
     (a) | |z1|^a - |z2|^a | <= |z1 - z2|^a for a in (0, 1], with constant 1;
@@ -497,4 +491,4 @@ def appendix_inequality_checks(seed_count: int, seed: int = 2026) -> InequalityR
     checks.append(InequalityCheck("gradient_interpolation_bound",
                                   n_fields_c, worst_c, 2.0, worst_c <= 2.0))
 
-    return InequalityReport(seed=seed, checks=checks)
+    return InequalityReport(checks=checks)

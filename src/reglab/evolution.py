@@ -42,6 +42,8 @@ __all__ = [
     "remainder_decomposition",
 ]
 
+_BLOWUP_FACTOR = 1e6  # sup-norm growth over the initial data that counts as blow-up
+
 
 @dataclass(frozen=True)
 class InitialData:
@@ -151,8 +153,6 @@ def solve(
     T: float,
     dt: float,
     snapshot_every: int = 1,
-    *,
-    blowup_factor: float = 1e6,
 ) -> Trajectory:
     """March the splitting scheme to time T, recording snapshots.
 
@@ -162,15 +162,13 @@ def solve(
     written into one preallocated block that the trajectory returns.
     Raises :class:`BlowUpError` (with the truncated trajectory attached, which
     owns a copy of the rows recorded so far) when the sup norm exceeds
-    ``blowup_factor`` times its initial value or a nonlinear substep reaches
-    its exact blow-up time.
+    ``_BLOWUP_FACTOR`` = 1e6 times its initial value or a nonlinear substep
+    reaches its exact blow-up time.
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
     n_steps = step_count(T, dt)
     steps = snapshot_steps(n_steps, snapshot_every)
-    if not (blowup_factor > 1):
-        raise DomainError(f"blowup_factor must exceed 1, got {blowup_factor}")
     grid = _as_grid(grid)
     if phi.support_radius > grid.half_length:
         raise DomainError("initial-data support exceeds the torus")
@@ -206,12 +204,12 @@ def solve(
                            t_blow) from None
         vals = odd_part(vals)
         peak = float(np.max(np.abs(vals)))
-        if not np.isfinite(peak) or peak > blowup_factor * peak0:
+        if not np.isfinite(peak) or peak > _BLOWUP_FACTOR * peak0:
             # the schedule ends at the last step, so the slot at row is still free
             if np.all(np.isfinite(vals)):
                 times[row], values[row] = k * dt, vals
                 row += 1
-            raise blown_up(f"amplitude exceeded {blowup_factor:.1g} x initial at t = {k * dt:.6g}",
+            raise blown_up(f"amplitude exceeded {_BLOWUP_FACTOR:.1g} x initial at t = {k * dt:.6g}",
                            k * dt)
         if steps[row] == k:
             values[row] = vals

@@ -78,11 +78,11 @@ class KernelProbe:
                 )
 
 
-def odd_power_probe(alpha: float, sigma: float, scale: complex = 1.0) -> KernelProbe:
-    """Probe for psi(y) = scale * |y|^alpha * y."""
+def odd_power_probe(alpha: float, sigma: float) -> KernelProbe:
+    """Probe for psi(y) = |y|^alpha * y."""
 
     def psi(y):
-        return scale * np.abs(y) ** alpha * y
+        return np.abs(y) ** alpha * y
 
     return KernelProbe(psi=psi, sigma=sigma, m=alpha + 1.0)
 

@@ -53,10 +53,10 @@ _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 # Most open intervals per call of f.  Normal levels fit whole; a wider level is
 # taken from the left in batches, which bounds memory if f never converges.
 _BATCH = 1024
+_MAX_DEPTH = 40  # bisection levels before an interval counts as singular
 
 
-def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
-                        max_depth: int = 40) -> complex:
+def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10) -> complex:
     """Integrate a (possibly complex-valued) function over [a, b].
 
     f must be vectorized: it takes the 1-D node array and returns an array
@@ -64,7 +64,7 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
 
     Deterministic bisection: an interval is split until the local
     Kronrod-Gauss discrepancy is below its share of the tolerance, down to
-    ``max_depth`` levels.  All open intervals of one level are evaluated in
+    ``_MAX_DEPTH`` = 40 levels.  All open intervals of one level are evaluated in
     a single call of f, and the accepted panels are summed left to right.
     Raises :class:`NonConvergence` if any interval is still unresolved at
     the cap, which signals a singular integrand.
@@ -94,7 +94,7 @@ def adaptive_quadrature(f, a: float, b: float, rel_tol: float = 1e-10,
         for i in range(len(batch)):
             if done[i]:
                 panels.append((lo[i], kronrod[i]))
-            elif depth[i] >= max_depth:
+            elif depth[i] >= _MAX_DEPTH:
                 raise NonConvergence(f"quadrature did not converge on [{lo[i]}, {hi[i]}] "
                                      f"at depth {depth[i]}")
             else:

@@ -135,6 +135,7 @@ def exact_second_derivative(params: NonlinearityParams, x: float, t: float) -> c
 
 
 _TINY = float(np.finfo(float).tiny)
+_MAX_AMPLITUDE = 1e6  # a larger |w| in integrate_perturbed counts as blow-up
 _SUBNORMAL_SCALE = 2.0**54  # exact, and lifts |w| >= 2^-1074 above _TINY
 
 
@@ -181,7 +182,6 @@ def integrate_perturbed(
     *,
     phi0_prime,
     h_y=None,
-    max_amplitude: float = 1e6,
     snapshot_every: int = 1,
     columns=None,
 ) -> OdeRun:
@@ -202,7 +202,7 @@ def integrate_perturbed(
     indices that include ``grid.zero_index``; :class:`DomainError` otherwise)
     integrates only those columns, each exactly as in the full-width run; the
     callables are then evaluated at those points only, and the blow-up check
-    (``max_amplitude``) sees only those columns.  None integrates every one.
+    (|w| > ``_MAX_AMPLITUDE`` = 1e6) sees only those columns.  None integrates all.
     """
     if (h_forcing is None) != (h_y is None):
         raise DomainError("h_y, the y-derivative of h_forcing, is given exactly when h_forcing is")
@@ -289,12 +289,12 @@ def integrate_perturbed(
         lo = hi
         w[j0] = 0.0
         peak = float(np.max(np.abs(w)))
-        if not np.isfinite(peak) or peak > max_amplitude:
+        if not np.isfinite(peak) or peak > _MAX_AMPLITUDE:
             partial = make_run(np.append(times[kept[:row]], times[k + 1]),
                                np.vstack([ws[:row], w[None, :]]),
                                np.vstack([vs[:row], v[None, :]]))
             raise BlowUpError(
-                f"amplitude exceeded {max_amplitude:.3g} at t = {times[k + 1]:.6g}",
+                f"amplitude exceeded {_MAX_AMPLITUDE:.3g} at t = {times[k + 1]:.6g}",
                 time=float(times[k + 1]), partial=partial,
             )
         if kept[row] == k + 1:

@@ -83,6 +83,14 @@ def _atomic_write(path: str, *parts) -> None:
         raise IoError(f"cannot write {path}: {err}") from err
 
 
+def _make_dir(path) -> None:
+    """Create directory ``path`` and its parents if missing; IoError if that fails."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise IoError(f"cannot create directory {path}: {err}") from err
+
+
 def _header_and_payload(traj) -> tuple[tuple, dict]:
     if not isinstance(traj, Trajectory):
         raise IoError(f"cannot serialize object of type {type(traj).__name__}")
@@ -250,7 +258,7 @@ def write_report(report: dict, out_dir, name: str) -> str:
     data lives under the isolated top-level "timing" key.
     """
     validate_report(report)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     json_path = os.path.join(os.fspath(out_dir), f"{name}.json")
     text = json.dumps(report, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
     _atomic_write(json_path, text.encode("utf-8"))

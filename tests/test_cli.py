@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reglab.cli as cli
 from reglab.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -53,12 +54,15 @@ class TestConfigHandling:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)
                                      if f.type in (float, "float")])
-    def test_non_finite_float_exits_2_and_writes_nothing(self, tmp_path, key, value):
+    def test_non_finite_float_exits_2_and_writes_nothing(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
         flag = "--" + key.replace("_", "-")
-        code = run_cli(["--experiment", "simulate", f"{flag}={value}", "--out-dir", str(out)])
+        # each on an experiment that reads it, so the finiteness check is what fails
+        experiment = "scaling-report" if key in ("sobolev_s", "tolerance_scale") else "simulate"
+        code = run_cli(["--experiment", experiment, f"{flag}={value}", "--out-dir", str(out)])
         assert code == 2
         assert not out.exists()
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment", ["verify-kernel", "inequality-suite"])
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, experiment):
@@ -73,7 +77,7 @@ class TestConfigHandling:
     def test_config_file_with_sections(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
-            "[run]\nexperiment = scaling-report\nseed = 7\n"
+            "[run]\nexperiment = scaling-report\ngrid_n = 512\n"
             "[params]\nalpha = 1.0\nsobolev_s = 5.5\ndimension_n = 16\n"
         )
         parser = make_parser()
@@ -83,7 +87,7 @@ class TestConfigHandling:
         assert cfg.alpha == 1.0
         assert cfg.sobolev_s == 5.5
         assert cfg.dimension_n == 16
-        assert cfg.seed == 7
+        assert cfg.grid_n == 512
 
     def test_flag_overrides_config(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -122,8 +126,8 @@ class TestConfigHandling:
         assert sorted(argv[2] for argv in readme_commands()) == sorted(EXPERIMENTS)
 
     def test_validation_catches_bad_grid(self):
-        cfg = ExperimentConfig(experiment="verify-kernel", grid_n=100)
-        with pytest.raises(ConfigError):
+        cfg = ExperimentConfig(experiment="simulate", grid_n=100)
+        with pytest.raises(ConfigError, match="power of two"):
             cfg.validate()
 
     def test_non_integral_horizon_exits_2_and_writes_nothing(self, tmp_path):
@@ -135,9 +139,8 @@ class TestConfigHandling:
         ])
         assert code == 2
         assert not out.exists()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="verify-kernel", t_final=1.04e-3,
-                             dt=1e-4).validate()
+        with pytest.raises(ConfigError, match="integer multiple"):
+            ExperimentConfig(experiment="simulate", t_final=1.04e-3, dt=1e-4).validate()
 
     def test_tolerance_override_loosens_checks(self, tmp_path):
         # a huge scale cannot turn a passing check into a failure
@@ -152,6 +155,114 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="verify-kernel",
                              tolerance_scale=-1.0).validate()
+
+
+MODEL = {"alpha", "lambda_re", "lambda_im", "theta"}
+SOLVED = MODEL | {"grid_n", "domain_l", "dt", "t_final", "amplitude", "support_radius"}
+# the options each experiment reads; every other one must keep its default
+READS = {
+    "verify-kernel": {"alpha", "seed", "tolerance_scale"},
+    "ode-defect": MODEL | {"grid_n", "dt", "t_final", "tolerance_scale"},
+    "simulate": SOLVED | {"snapshot_every"},
+    "third-derivative-scan": SOLVED | {"tolerance_scale"},
+    "duhamel-rate": SOLVED | {"tolerance_scale"},
+    "scaling-report": {"alpha", "grid_n", "domain_l", "sobolev_s", "dimension_n",
+                       "tolerance_scale"},
+    "inequality-suite": {"seed"},
+}
+# a valid value away from the default, for each of the 15 options
+OTHER_VALUE = {
+    "alpha": "1.0", "lambda_re": "0.5", "lambda_im": "0.5", "theta": "0.5",
+    "grid_n": "512", "domain_l": "8", "dt": "1e-5", "t_final": "0.01", "seed": "7",
+    "amplitude": "8", "support_radius": "1.5", "snapshot_every": "5",
+    "sobolev_s": "2.0", "dimension_n": "2", "tolerance_scale": "2.0",
+}
+PAIRS = [(e, key) for e in READS for key in OTHER_VALUE]
+READ_PAIRS = [(e, key) for e, key in PAIRS if key in READS[e]]
+UNREAD_PAIRS = [(e, key) for e, key in PAIRS if key not in READS[e]]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestOptionContract:
+    def test_the_declared_table_is_the_contract(self):
+        assert set(OTHER_VALUE) == {f.name for f in fields(ExperimentConfig)} - {
+            "experiment", "out_dir"}
+        assert cli._READS == READS
+        assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (51, 54)
+
+    @pytest.mark.parametrize("experiment, key", READ_PAIRS)
+    def test_read_option_is_accepted(self, experiment, key):
+        args = ["--experiment", experiment, flag(key), OTHER_VALUE[key]]
+        cfg = build_config(make_parser().parse_args(args))
+        assert getattr(cfg, key) != getattr(ExperimentConfig, key)
+
+    @pytest.mark.parametrize("experiment, key", UNREAD_PAIRS)
+    def test_unread_option_exits_2_and_writes_nothing(self, tmp_path, capsys, experiment, key):
+        out = tmp_path / "out"
+        code = run_cli(["--experiment", experiment, flag(key), OTHER_VALUE[key],
+                        "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert f"does not read {flag(key)} " in capsys.readouterr().err
+
+    def test_unread_option_is_named_before_cross_field_checks(self, capsys):
+        # scaling-report reads no dt, so T/dt is never its problem
+        assert run_cli(["--experiment", "scaling-report", "--dt", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert "does not read --dt (got 0.3)" in err
+        assert "integer multiple" not in err
+
+    # configs small enough to run every experiment in a few seconds
+    CENSUS = {
+        "verify-kernel": {},
+        "ode-defect": {"grid_n": 256},
+        "simulate": {"grid_n": 256, "t_final": 2e-3},
+        "third-derivative-scan": {"grid_n": 512},
+        "duhamel-rate": {"grid_n": 512},
+        "scaling-report": {},
+        "inequality-suite": {},
+    }
+
+    @pytest.mark.parametrize("experiment", list(CENSUS))
+    def test_each_experiment_reads_exactly_its_options(self, tmp_path, monkeypatch, experiment):
+        # record every option read during the run, except the copy into the
+        # report's config block
+        reads, copying = set(), []
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in OTHER_VALUE and not copying:
+                    reads.add(name)
+                return object.__getattribute__(self, name)
+
+        skeleton = cli._report_skeleton
+
+        def copy_config(cfg):
+            copying.append(True)
+            try:
+                return skeleton(cfg)
+            finally:
+                copying.pop()
+
+        monkeypatch.setattr(cli, "_report_skeleton", copy_config)
+        cfg = Recording(experiment=experiment, out_dir=str(tmp_path),
+                        **self.CENSUS[experiment])
+        cli._RUNNERS[experiment](cfg)
+        assert reads == READS[experiment]
+
+    @pytest.mark.parametrize("experiment", ["verify-kernel", "simulate"])
+    def test_unwritable_out_dir_exits_3(self, tmp_path, capsys, experiment):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        out = blocker / "out"
+        # simulate creates the directory for its trajectory before it solves
+        assert run_cli(["--experiment", experiment, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 class TestExperiments:

@@ -492,4 +492,4 @@ class TestAppendixInequalities:
 
     def test_seed_count_validation(self):
         with pytest.raises(DomainError):
-            appendix_inequality_checks(50)
+            appendix_inequality_checks(50, seed=7)

@@ -174,30 +174,32 @@ class TestSolve:
         assert traj.blowup_time is None
         assert traj.times[-1] == pytest.approx(0.05)
 
+    BLOWUP_DT = 5e-3
+
+    def blow_up(self):
+        # a large amplitude at a small alpha: the sup norm passes 1e6 x its initial
+        # value at step 257 (t = 1.285), between two scheduled rows
+        params = heat_params(alpha=0.2, lam=1.0)
+        bump = make_odd_bump(1, 1e4, 2.0)
+        with pytest.raises(BlowUpError, match="amplitude exceeded 1e\\+06") as err:
+            solve(params, bump, Grid1D(512, 4.0), T=2.0, dt=self.BLOWUP_DT, snapshot_every=10)
+        return err.value
+
     def test_blowup_detection(self):
-        # large amplitude makes the pointwise ODE blow up quickly
-        params = heat_params(alpha=0.5, lam=1.0)
-        g = Grid1D(512, 4.0)
-        bump = make_odd_bump(1, 1e4, 1.0)
-        with pytest.raises(BlowUpError) as err:
-            solve(params, bump, g, T=2.0, dt=1e-3, snapshot_every=10,
-                  blowup_factor=50.0)
-        assert err.value.partial is not None
-        assert err.value.partial.blowup_time == err.value.time
+        err = self.blow_up()
+        assert round(err.time / self.BLOWUP_DT) == 257
+        assert err.partial is not None
+        assert err.partial.blowup_time == err.time
 
     def test_amplitude_blowup_partial_owns_its_rows(self):
         # the monitor trips at a step between two scheduled ones; that step is
         # recorded as the last row, in a copy that does not pin the solver's block
-        params = heat_params(alpha=0.5, lam=1.0)
-        g = Grid1D(512, 4.0)
-        bump = make_odd_bump(1, 1e4, 1.0)
-        dt = 1e-3
-        with pytest.raises(BlowUpError, match="amplitude exceeded") as err:
-            solve(params, bump, g, T=2.0, dt=dt, snapshot_every=10, blowup_factor=50.0)
-        partial = err.value.partial
-        assert round(err.value.time / dt) % 10 != 0
+        dt = self.BLOWUP_DT
+        err = self.blow_up()
+        partial = err.partial
+        assert round(err.time / dt) % 10 != 0
         assert len(partial.times) == len(partial.values)
-        assert partial.times[-1] == err.value.time
+        assert partial.times[-1] == err.time
         assert partial.times[:-1].tolist() == (dt * (10 * np.arange(len(partial.times) - 1))).tolist()
         assert np.all(np.isfinite(partial.values))
         assert partial.values.base is None and partial.times.base is None
@@ -217,14 +219,6 @@ class TestSolve:
         assert err.value.partial.blowup_time == err.value.time
         assert err.value.partial.values.base is None
         assert f"t = {err.value.time:.6g}" in str(err.value)  # absolute, not per half step
-
-    @pytest.mark.parametrize("factor", [float("nan"), 1.0, 0.5, -1.0])
-    def test_blowup_factor_must_exceed_one(self, factor):
-        params = heat_params()
-        g = Grid1D(256, 4.0)
-        bump = make_odd_bump(1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            solve(params, bump, g, T=0.01, dt=1e-3, blowup_factor=factor)
 
     def test_under_resolved_bump(self):
         params = heat_params()

@@ -10,6 +10,7 @@ from reglab.errors import DegenerateInput, DomainError, NonConvergence, StepSize
 from reglab.numerics import (
     _GAUSS_W,
     _KRONROD_W,
+    _MAX_DEPTH,
     _NODES,
     adaptive_quadrature,
     central_difference,
@@ -23,7 +24,7 @@ from reglab.numerics import (
 SQRT_PI = math.sqrt(math.pi)
 
 
-def depth_first_gk15(f, a, b, rel_tol=1e-10, max_depth=40):
+def depth_first_gk15(f, a, b, rel_tol=1e-10):
     """Reference: recursive depth-first GK15 bisection, one call of f per panel.
 
     Same panel rule and verdicts as :func:`adaptive_quadrature`; returns the
@@ -44,7 +45,7 @@ def depth_first_gk15(f, a, b, rel_tol=1e-10, max_depth=40):
         value, err = panel(lo, hi)
         if err <= tol or err <= 1e-16 * scale:
             return [value], depth
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise NonConvergence(f"unresolved on [{lo}, {hi}] at depth {depth}")
         mid = 0.5 * (lo + hi)
         left, d_left = bisect(lo, mid, 0.5 * tol, depth + 1)
@@ -102,8 +103,7 @@ class TestAdaptiveQuadrature:
 
     def test_nonconvergence_on_strong_singularity(self):
         with pytest.raises(NonConvergence):
-            adaptive_quadrature(lambda y: np.abs(y) ** -0.999, 0.0, 1.0,
-                                1e-10, max_depth=25)
+            adaptive_quadrature(lambda y: np.abs(y) ** -0.999, 0.0, 1.0, 1e-10)
 
     def test_invalid_interval_and_tolerance(self):
         with pytest.raises(DomainError):
@@ -145,9 +145,9 @@ class TestLevelBatching:
     def test_singularity_fails_under_both(self):
         f = lambda y: np.abs(y) ** -0.999
         with pytest.raises(NonConvergence):
-            depth_first_gk15(f, 0.0, 1.0, 1e-10, max_depth=25)
+            depth_first_gk15(f, 0.0, 1.0, 1e-10)
         with pytest.raises(NonConvergence):
-            adaptive_quadrature(f, 0.0, 1.0, 1e-10, max_depth=25)
+            adaptive_quadrature(f, 0.0, 1.0, 1e-10)
 
     def test_one_integrand_call_per_level(self):
         calls = []
@@ -174,7 +174,7 @@ class TestLevelBatching:
 
         with pytest.raises(NonConvergence):
             adaptive_quadrature(nowhere, 0.0, 1.0)
-        assert sum(points) <= 41 * 1024 * 15
+        assert sum(points) <= (_MAX_DEPTH + 1) * 1024 * 15
         assert max(points) <= 1024 * 15
 
 

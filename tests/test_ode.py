@@ -352,14 +352,11 @@ class TestIntegratePerturbed:
             t_star = 1.0 / (alpha * L**alpha)
             T = 1.2 * t_star
             dt = 1e-3 * T
-            # threshold the exact solution crosses one step before t*
-            bound = L * (dt / t_star) ** (-1.0 / alpha)
             with pytest.raises(BlowUpError) as err:
                 integrate_perturbed(
                     params, lambda y: y.astype(complex), None,
                     T=T, grid=grid, dt=dt,
                     phi0_prime=lambda y: np.ones_like(y, dtype=complex),
-                    max_amplitude=bound,
                 )
             assert abs(err.value.time - t_star) <= 2.0 * dt
             assert err.value.partial is not None
@@ -656,8 +653,9 @@ class TestSnapshotThinning:
             representation_check(run, integrating_factor(run))
 
     def test_blowup_partial_ends_at_the_failing_step(self):
+        # phi0 = y blows up at t* = 2 at y = -1, so the run to T = 2.5 passes the cap
         with pytest.raises(BlowUpError) as err:
-            self.run_every(7, T=1.0, dt=1e-3, max_amplitude=1.5)
+            self.run_every(7, T=2.5, dt=1e-3)
         partial = err.value.partial
         assert np.all(np.diff(partial.times[:-1]) == pytest.approx(7e-3))
         assert partial.times[-1] == pytest.approx(err.value.time)
@@ -745,16 +743,17 @@ class TestColumnRestriction:
             holder_defect(part, 0.01, [0.5], y_max=0.75)
 
     def test_blowup_check_sees_only_the_integrated_columns(self):
-        # phi0 = y blows up first at |y| = 1; columns near 0 stay far below the cap
+        # phi0 = y blows up first at |y| = 1, at t* = 2; at |y| <= 1/16, t* >= 8, so
+        # columns near 0 stay far below the cap up to T = 2.5
         near_zero = Grid1D(32, 1.0).zero_index + np.arange(-1, 2)
-        kwargs = dict(T=1.0, grid=Grid1D(32, 1.0), dt=1e-3, max_amplitude=1.5,
+        kwargs = dict(T=2.5, grid=Grid1D(32, 1.0), dt=1e-3,
                       phi0_prime=lambda y: np.ones_like(y, dtype=complex))
         params = NonlinearityParams(alpha=0.5, lam=1.0)
         with pytest.raises(BlowUpError):
             integrate_perturbed(params, lambda y: y.astype(complex), None, **kwargs)
         run = integrate_perturbed(params, lambda y: y.astype(complex), None,
                                   columns=near_zero, **kwargs)
-        assert run.w.shape == (1001, 3)
+        assert run.w.shape == (2501, 3)
 
 
 class TestHolderDefect:
