@@ -36,6 +36,7 @@ __all__ = [
     "Trajectory",
     "RemainderReport",
     "make_odd_bump",
+    "check_support",
     "sample_initial_data",
     "solve",
     "dy_at_zero",
@@ -85,6 +86,16 @@ def make_odd_bump(dimension: int, amplitude: float, support_radius: float) -> In
         return amplitude * y * _bump_window(y**2 / radius_sq)
 
     return InitialData(support_radius=float(support_radius), func=func)
+
+
+def check_support(support_radius: float, grid: Grid1D) -> None:
+    """The geometry :func:`solve` needs: the support inside [-L, L]
+    (DomainError) and at least 32 grid points across the radius (ResolutionError)."""
+    if support_radius > grid.half_length:
+        raise DomainError("initial-data support exceeds the torus")
+    if support_radius / grid.spacing < 32.0:
+        raise ResolutionError(f"bump under-resolved: {support_radius / grid.spacing:.1f} "
+                              "points across support_radius (need >= 32)")
 
 
 def sample_initial_data(data: InitialData, grid: Grid1D) -> GridFunction:
@@ -170,13 +181,7 @@ def solve(
     n_steps = step_count(T, dt)
     steps = snapshot_steps(n_steps, snapshot_every)
     grid = _as_grid(grid)
-    if phi.support_radius > grid.half_length:
-        raise DomainError("initial-data support exceeds the torus")
-    if phi.support_radius / grid.spacing < 32.0:
-        raise ResolutionError(
-            f"bump under-resolved: {phi.support_radius / grid.spacing:.1f} "
-            "points across support_radius (need >= 32)"
-        )
+    check_support(phi.support_radius, grid)
 
     u = sample_initial_data(phi, grid)
     vals = odd_part(u.values)

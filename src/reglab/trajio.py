@@ -61,6 +61,8 @@ _SCHEME_STRANG = 0
 _FLAG_BLOWUP = 1
 _FLAG_ODD_PROJECTION = 2
 
+_HEADER = struct.Struct("<4s5Id5d2I3dQ")  # magic to n_times of the layout above: 112 bytes
+
 
 def _atomic_write(path: str, *parts) -> None:
     """Write the byte buffers ``parts`` in order, as one atomic file."""
@@ -98,15 +100,10 @@ def _header_and_payload(traj) -> tuple[tuple, dict]:
     blowup = traj.blowup_time if traj.blowup_time is not None else math.nan
     grid, params = traj.grid, traj.params
 
-    header = bytearray()
-    header += MAGIC
-    header += struct.pack("<IIIIId", FORMAT_VERSION, _KIND_TRAJECTORY, 1, 1,
-                          grid.n_points, grid.half_length)
-    header += struct.pack("<5d", traj.dt, params.alpha, params.lam.real,
-                          params.lam.imag, params.theta)
-    header += struct.pack("<II", _SCHEME_STRANG, flags)
-    header += struct.pack("<3d", blowup, 0.0, 0.0)
-    header += struct.pack("<Q", len(traj.times))
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, _KIND_TRAJECTORY, 1, 1, grid.n_points,
+                          grid.half_length, traj.dt, params.alpha, params.lam.real,
+                          params.lam.imag, params.theta, _SCHEME_STRANG, flags, blowup,
+                          0.0, 0.0, len(traj.times))
 
     # the snapshot block goes to the file as a view, never as a bytes copy
     snapshots = memoryview(np.ascontiguousarray(traj.values, dtype="<c16")).cast("B")
@@ -138,25 +135,6 @@ def save_trajectory(traj, path) -> None:
                   (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-class _Reader:
-    """Sections of a byte array, each handed out as a view of it."""
-
-    def __init__(self, blob: np.ndarray):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, n: int, section: str) -> np.ndarray:
-        if self.offset + n > len(self.blob):
-            raise FormatError(f"truncated file: missing section '{section}'",
-                              offset=self.offset)
-        out = self.blob[self.offset:self.offset + n]
-        self.offset += n
-        return out
-
-    def unpack(self, fmt: str, section: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), section))
-
-
 def _read_aligned(path: str) -> np.ndarray:
     """The whole file as one uint8 array, read once with ``readinto``.
 
@@ -186,28 +164,25 @@ def load_trajectory(path):
     path = os.fspath(path)
     blob = _read_aligned(path)
 
-    r = _Reader(blob)
-    magic = r.take(4, "magic").tobytes()
+    magic = blob[:4].tobytes()
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    (version,) = r.unpack("<I", "version")
+    if len(blob) < _HEADER.size:
+        raise FormatError(f"truncated file: missing section 'header' ({len(blob)} of "
+                          f"{_HEADER.size} bytes)", offset=0)
+    (_, version, kind, n_grids, n_channels, n_points, half_len, dt, alpha, lam_re, lam_im,
+     theta, scheme_code, flags, blowup, _, _, n_times) = _HEADER.unpack_from(blob)
     if version != FORMAT_VERSION:
         raise VersionError(
             f"unsupported format version {version} (expected {FORMAT_VERSION})"
         )
-    kind, n_grids, n_channels = r.unpack("<III", "dimensions")
     if (kind, n_grids, n_channels) != (_KIND_TRAJECTORY, 1, 1):
         raise FormatError(f"kind {kind}, grid count {n_grids}, channel count {n_channels} "
                           "is not a trajectory on one grid", offset=8)
-    n_points, half_len = r.unpack("<Id", "grid")
-    dt, alpha, lam_re, lam_im, theta = r.unpack("<5d", "parameters")
-    scheme_code, flags = r.unpack("<II", "scheme/flags")
     if scheme_code != _SCHEME_STRANG:
         raise FormatError(f"scheme code {scheme_code} is not Strang splitting", offset=72)
     if not flags & _FLAG_ODD_PROJECTION:
         raise FormatError(f"flags {flags:#x} lack the odd-projection bit", offset=76)
-    blowup, _, _ = r.unpack("<3d", "blow-up/z0")
-    (n_times,) = r.unpack("<Q", "n_times")
 
     def checked(offset, build):
         """build(), with a DomainError reported as a FormatError at ``offset``."""
@@ -220,10 +195,15 @@ def load_trajectory(path):
     if not (0.0 < dt < math.inf):
         raise FormatError(f"invalid header: dt must be finite and positive, got {dt}", offset=32)
     params = checked(40, lambda: NonlinearityParams(alpha, complex(lam_re, lam_im), theta))
-    times = r.take(8 * n_times, "times").view("<f8")
-    snaps = r.take(16 * n_times * n_points, "snapshots").view("<c16")
-    if r.offset != len(blob):
-        raise FormatError("trailing bytes after snapshots", offset=r.offset)
+    mid = _HEADER.size + 8 * n_times  # where the times end and the snapshots start
+    end = mid + 16 * n_times * n_points
+    for section, start, stop in (("times", _HEADER.size, mid), ("snapshots", mid, end)):
+        if stop > len(blob):
+            raise FormatError(f"truncated file: missing section '{section}'", offset=start)
+    if end != len(blob):
+        raise FormatError("trailing bytes after snapshots", offset=end)
+    times = blob[_HEADER.size:mid].view("<f8")
+    snaps = blob[mid:end].view("<c16")
     blowup_time = None if math.isnan(blowup) else blowup
     return checked(112, lambda: Trajectory(params, grid, times, snaps.reshape(n_times, n_points),
                                            dt, blowup_time))

@@ -58,7 +58,7 @@ class TestConfigHandling:
         out = tmp_path / "out"
         flag = "--" + key.replace("_", "-")
         # each on an experiment that reads it, so the finiteness check is what fails
-        experiment = "scaling-report" if key in ("sobolev_s", "tolerance_scale") else "simulate"
+        experiment = "scaling-report" if key == "sobolev_s" else "simulate"
         code = run_cli(["--experiment", experiment, f"{flag}={value}", "--out-dir", str(out)])
         assert code == 2
         assert not out.exists()
@@ -108,7 +108,7 @@ class TestConfigHandling:
     def test_one_flag_per_config_field(self):
         dests = {a.dest for a in make_parser()._actions} - {"help"}
         assert dests == {f.name for f in fields(ExperimentConfig)} | {"config"}
-        assert len(fields(ExperimentConfig)) == 17
+        assert len(fields(ExperimentConfig)) == 16
 
     def test_config_value_takes_field_type(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -142,40 +142,65 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="integer multiple"):
             ExperimentConfig(experiment="simulate", t_final=1.04e-3, dt=1e-4).validate()
 
-    def test_tolerance_override_loosens_checks(self, tmp_path):
-        # a huge scale cannot turn a passing check into a failure
+    def test_tolerance_scale_flag_is_gone(self, tmp_path):
+        # every check runs at its pinned tolerance; no option loosens it
         out = tmp_path / "out"
-        code = run_cli([
-            "--experiment", "verify-kernel", "--alpha", "0.5",
-            "--tolerance-scale", "100.0", "--out-dir", str(out),
-        ])
-        assert code == 0
-        report = json.loads((out / "verify-kernel.json").read_text())
-        assert report["config"]["tolerance_scale"] == 100.0
-        with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="verify-kernel",
-                             tolerance_scale=-1.0).validate()
+        with pytest.raises(SystemExit) as err:
+            run_cli(["--experiment", "verify-kernel", "--tolerance-scale", "2",
+                     "--out-dir", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_tolerance_scale_config_key_is_unknown(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("experiment = verify-kernel\ntolerance_scale = 2\n")
+        args = make_parser().parse_args(["--config", str(cfg_file)])
+        with pytest.raises(ConfigError, match="unknown config key 'tolerance_scale'"):
+            build_config(args)
+
+    def test_percent_in_config_value_is_literal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("experiment = inequality-suite\nout_dir = out%x\n")
+        assert run_cli(["--config", str(cfg_file)]) == 0
+        assert (tmp_path / "out%x" / "inequality-suite.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "simulate", "--support-radius", "5", "--domain-l", "4"],
+        ["--experiment", "simulate", "--grid-n", "64"],
+        ["--experiment", "duhamel-rate", "--support-radius", "5", "--domain-l", "4"],
+    ], ids=["simulate_support_exceeds_torus", "simulate_under_resolved",
+            "duhamel_rate_support_exceeds_torus"])
+    def test_bump_that_cannot_fit_the_grid_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                      argv):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert re.search("exceeds the torus|under-resolved", capsys.readouterr().err)
+
+    def test_bump_geometry_binds_only_experiments_with_a_bump(self):
+        # scaling-report reads --domain-l but no --support-radius
+        ExperimentConfig(experiment="scaling-report", domain_l=1.0).validate()
 
 
 MODEL = {"alpha", "lambda_re", "lambda_im", "theta"}
 SOLVED = MODEL | {"grid_n", "domain_l", "dt", "t_final", "amplitude", "support_radius"}
 # the options each experiment reads; every other one must keep its default
 READS = {
-    "verify-kernel": {"alpha", "seed", "tolerance_scale"},
-    "ode-defect": MODEL | {"grid_n", "dt", "t_final", "tolerance_scale"},
+    "verify-kernel": {"alpha", "seed"},
+    "ode-defect": MODEL | {"grid_n", "dt", "t_final"},
     "simulate": SOLVED | {"snapshot_every"},
-    "third-derivative-scan": SOLVED | {"tolerance_scale"},
-    "duhamel-rate": SOLVED | {"tolerance_scale"},
-    "scaling-report": {"alpha", "grid_n", "domain_l", "sobolev_s", "dimension_n",
-                       "tolerance_scale"},
+    "third-derivative-scan": SOLVED,
+    "duhamel-rate": SOLVED,
+    "scaling-report": {"alpha", "grid_n", "domain_l", "sobolev_s", "dimension_n"},
     "inequality-suite": {"seed"},
 }
-# a valid value away from the default, for each of the 15 options
+# a valid value away from the default, for each of the 14 options
 OTHER_VALUE = {
     "alpha": "1.0", "lambda_re": "0.5", "lambda_im": "0.5", "theta": "0.5",
     "grid_n": "512", "domain_l": "8", "dt": "1e-5", "t_final": "0.01", "seed": "7",
     "amplitude": "8", "support_radius": "1.5", "snapshot_every": "5",
-    "sobolev_s": "2.0", "dimension_n": "2", "tolerance_scale": "2.0",
+    "sobolev_s": "2.0", "dimension_n": "2",
 }
 PAIRS = [(e, key) for e in READS for key in OTHER_VALUE]
 READ_PAIRS = [(e, key) for e, key in PAIRS if key in READS[e]]
@@ -191,7 +216,18 @@ class TestOptionContract:
         assert set(OTHER_VALUE) == {f.name for f in fields(ExperimentConfig)} - {
             "experiment", "out_dir"}
         assert cli._READS == READS
-        assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (51, 54)
+        assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (46, 52)
+
+    def test_readme_table_states_the_contract(self):
+        # each row of README's option table lists its experiment's flags, "model"
+        # standing for the four model options
+        rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(), re.M)
+        table = {}
+        for experiment, cell in rows:
+            items = cell.split(", ")
+            table[experiment] = {item.strip("`-").replace("-", "_") for item in items
+                                 if item != "model"} | (MODEL if "model" in items else set())
+        assert table == cli._READS
 
     @pytest.mark.parametrize("experiment, key", READ_PAIRS)
     def test_read_option_is_accepted(self, experiment, key):
@@ -276,6 +312,7 @@ class TestExperiments:
         report = json.loads((out / "verify-kernel.json").read_text())
         validate_report(report)
         byname = {c["name"]: c for c in report["checks"]}
+        assert "seed" not in report and report["config"]["seed"] == 3  # stated once
         c1 = byname["c_alpha_at_one"]
         assert c1["passed"]
         assert abs(c1["measured"] - 8.0 / np.sqrt(np.pi)) <= 1e-9
@@ -494,13 +531,15 @@ class TestExperiments:
         monkeypatch.setattr(diagnostics, "_fit_divergence_law",
                             lambda *args: (fit(*args)[0], True))
         out = tmp_path / "out"
-        # a tolerance scale of 100 accepts any exponent, so only the flag can fail it
         code = run_cli(["--experiment", "duhamel-rate", "--grid-n", "512",
-                        "--tolerance-scale", "100", "--out-dir", str(out)])
+                        "--out-dir", str(out)])
         assert code == 1
         report = json.loads((out / "duhamel-rate.json").read_text())
         byname = {c["name"]: c for c in report["checks"]}
-        assert not byname["divergence_law_exponent"]["passed"]
+        law = byname["divergence_law_exponent"]
+        # the exponent is inside its tolerance, so only the flag can fail it
+        assert abs(law["measured"] - law["expected"]) <= law["tolerance"]
+        assert not law["passed"]
         assert not byname["scan_rate_consistency"]["passed"]
         assert byname["synthetic_slice_closed_form_max_rel_err"]["passed"]
         assert report["law_fit_at_edge"] is True
