@@ -68,13 +68,9 @@ def _bump_window(r_squared: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_odd_bump(dimension: int, amplitude: float, support_radius: float) -> InitialData:
+def make_odd_bump(amplitude: float, support_radius: float) -> InitialData:
     """Smooth compactly supported profile amplitude * y * exp(-1/(1-r^2)), r = y/radius,
-    odd in y with d/dy at the origin equal to amplitude/e.
-
-    Fields are 1D, so ``dimension`` must be 1."""
-    if dimension != 1:
-        raise DomainError(f"dimension must be 1, got {dimension}")
+    odd in y with d/dy at the origin equal to amplitude/e."""
     if not (amplitude > 0):
         raise DomainError(f"amplitude must be positive, got {amplitude}")
     if not (support_radius > 0):
@@ -135,8 +131,6 @@ class Trajectory:
     blowup_time: float | None = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.values):
-            raise DomainError("times and snapshots misaligned")
         if np.shape(self.values) != (len(self.times), _as_grid(self.grid).n_points):
             raise SizeMismatch(f"snapshots of shape {np.shape(self.values)} on "
                                f"{len(self.times)} times and {self.grid.n_points} points")
@@ -151,7 +145,7 @@ class Trajectory:
         return self.grid
 
     def snapshot(self, i: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[i], allow_nonfinite=True)
+        return GridFunction(self.grid, self.values[i])
 
     def index_of_time(self, t: float) -> int:
         return _time_index(self.times, t, self.dt)
@@ -267,10 +261,10 @@ def remainder_decomposition(traj: Trajectory, t: float, y_max: float) -> Remaind
     bound_max_ratio = float(np.max(ratios))
 
     # u, and so w_tilde, is exactly 0 at the node y = 0, so the increments are |w_tilde|
-    _, _, decay_fit, _ = ladder_increments(grid, w_tilde, y_max, [])
+    _, _, decay_fit = ladder_increments(grid, w_tilde, y_max)
     return RemainderReport(
         t=float(traj.times[i]),
-        w_tilde=GridFunction(traj.grid, w_tilde, allow_nonfinite=True),
+        w_tilde=GridFunction(traj.grid, w_tilde),
         bound_max_ratio=bound_max_ratio,
         decay_fit=decay_fit,
     )

@@ -92,19 +92,18 @@ def _as_grid(grid) -> Grid1D:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a 1D grid."""
+    """Finite complex samples on a 1D grid (:class:`DomainError` for NaN or Inf)."""
 
     grid: Grid1D
     values: np.ndarray
-    allow_nonfinite: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
         expected = (_as_grid(self.grid).n_points,)
         if values.shape != expected:
             raise SizeMismatch(f"values shape {values.shape} != grid shape {expected}")
-        if not self.allow_nonfinite and not np.all(np.isfinite(values)):
-            raise DomainError("GridFunction values contain NaN/Inf (not flagged as blown up)")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("GridFunction values contain NaN/Inf")
         object.__setattr__(self, "values", values)
 
 
@@ -137,7 +136,7 @@ def spectral_derivative(u: GridFunction, order: int = 1) -> GridFunction:
     """Differentiate via the (i*xi)^order multiplier."""
     coeffs = np.fft.fft(u.values)
     coeffs *= derivative_multiplier(u.grid, order)
-    return GridFunction(grid=u.grid, values=np.fft.ifft(coeffs), allow_nonfinite=True)
+    return GridFunction(grid=u.grid, values=np.fft.ifft(coeffs))
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
@@ -238,11 +237,10 @@ def ladder_columns(grid: Grid1D, y_max: float) -> np.ndarray:
     return grid.zero_index + np.unique(np.append(0, dyadic_ladder(grid, y_max)[0]))
 
 
-def ladder_increments(grid: Grid1D, column, y_max: float, exponents):
-    """(ys, q, log-log fit of q, {e: log-log fit of q/y^e}) for the increments
-    q_k = |column(y_k) - column(0)| on the dyadic ladder of y offsets."""
+def ladder_increments(grid: Grid1D, column, y_max: float):
+    """(ys, q, log-log fit of q) for the increments q_k = |column(y_k) - column(0)|
+    on the dyadic ladder of y offsets."""
     j0 = grid.zero_index
     idx, ys = dyadic_ladder(grid, y_max)
     q = np.abs(column[j0 + idx] - column[j0])
-    fits = {e: loglog_fit(ys, q / ys**e) for e in map(float, np.atleast_1d(exponents))}
-    return ys, q, loglog_fit(ys, q), fits
+    return ys, q, loglog_fit(ys, q)

@@ -14,7 +14,7 @@ is defined as 0 at w = 0 (its modulus is |w|^alpha -> 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -349,40 +349,34 @@ class HolderDefectReport:
     ys: np.ndarray
     increments: np.ndarray
     increment_fit: RegressionFit
-    fits: dict = field(default_factory=dict)  # exponent -> RegressionFit of q/y^ell
-    liminf_proxy: float = 0.0
-    theory_lower_bound: float = 0.0
+    liminf_proxy: float
+    theory_lower_bound: float
 
 
-def holder_defect(run: OdeRun, t: float, exponents, y_max: float = 0.5) -> HolderDefectReport:
+def holder_defect(run: OdeRun, t: float, y_max: float = 0.5) -> HolderDefectReport:
     """Fit |v(t, y) - v(t, 0)| against y on a dyadic ladder near y = 0.
 
-    The raw fit slope is the measured increment exponent (the singularity
-    mechanism predicts alpha when phi'(0) != 0).  For each requested
-    exponent ell the fit of q(y)/y^ell is returned as well: a negative slope
-    for ell > alpha is the discrete signature that the ell-Hoelder windowed
-    seminorm diverges as the window shrinks.  A run restricted to some
-    columns must hold y = 0 and every ladder point (:class:`DegenerateInput`).
+    The fit slope is the measured increment exponent (the singularity
+    mechanism predicts alpha when phi'(0) != 0).  Least squares is linear in
+    log q, so q(y)/y^ell fits with the slope less ell: every ell-Hoelder
+    seminorm with ell above the exponent diverges as the window shrinks.  A run
+    restricted to some columns must hold y = 0 and every ladder point
+    (:class:`DegenerateInput`).
     """
     it = _time_index(run.times, t, run.dt)
-    exponents = [float(e) for e in np.atleast_1d(exponents)]
-    if any(not (0.0 < e <= 1.0) for e in exponents):
-        raise DomainError("exponents must lie in (0, 1]")
-
     missing = np.setdiff1d(ladder_columns(run.grid, y_max), run.columns)
     if missing.size:
         raise DegenerateInput(f"the ladder from y_max={y_max} reads grid columns "
                               f"{missing.tolist()}, which the run did not integrate")
     column = np.zeros(run.grid.n_points, dtype=run.v.dtype)
     column[run.columns] = run.v[it]
-    ys, q, increment_fit, fits = ladder_increments(run.grid, column, y_max, exponents)
+    ys, q, increment_fit = ladder_increments(run.grid, column, y_max)
     alpha = run.params.alpha
     return HolderDefectReport(
         t=float(run.times[it]),
         ys=ys,
         increments=q,
         increment_fit=increment_fit,
-        fits=fits,
         liminf_proxy=float(np.min(q / ys**alpha)),
         theory_lower_bound=float(
             run.times[it] * abs(run.params.lam) * abs(run.z0) ** (alpha + 1.0) / 2.0

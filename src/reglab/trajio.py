@@ -21,8 +21,8 @@ File layout (all little-endian):
 
 A file whose kind, channel count or scheme differs from these values, or
 whose flags lack bit 1, is a FormatError, as is one whose grid, dt,
-parameters or time stamps no Trajectory can hold; its offset is that of
-the failing field.
+parameters or time stamps no Trajectory can hold, or one with a NaN or
+infinite snapshot value; its offset is that of the failing field or value.
 Snapshot payloads are written with numpy's little-endian complex128 codec,
 so a save/load round trip is bit-exact.  A JSON sidecar (<path>.json)
 duplicates the metadata for humans.  Writes are atomic: a uniquely named
@@ -159,8 +159,8 @@ def load_trajectory(path):
     """Load a file written by :func:`save_trajectory` (bit-exact round trip).
 
     The file is read once; times and snapshots are writable views of that
-    buffer.  Raises FormatError or VersionError on a corrupt file, IoError
-    if unreadable."""
+    buffer.  Raises FormatError or VersionError on a corrupt file (a NaN or
+    infinite snapshot value included), IoError if unreadable."""
     path = os.fspath(path)
     blob = _read_aligned(path)
 
@@ -205,8 +205,14 @@ def load_trajectory(path):
     times = blob[_HEADER.size:mid].view("<f8")
     snaps = blob[mid:end].view("<c16")
     blowup_time = None if math.isnan(blowup) else blowup
-    return checked(112, lambda: Trajectory(params, grid, times, snaps.reshape(n_times, n_points),
+    traj = checked(112, lambda: Trajectory(params, grid, times, snaps.reshape(n_times, n_points),
                                            dt, blowup_time))
+    for k in range(0, n_times, 64):  # 64 rows at a time: no mask the size of the block
+        finite = np.isfinite(traj.values[k:k + 64])
+        if not finite.all():
+            i = k * n_points + int(np.argmin(finite))
+            raise FormatError(f"snapshot value {i} is not finite", offset=mid + 16 * i)
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class budget:
 def standard_solve(alpha, lam=1.0, n=1024, dt=2.5e-5, snapshot_every=1):
     params = NonlinearityParams(alpha=alpha, lam=lam, theta=0.0)
     grid = Grid1D(n, L_STD)
-    bump = make_odd_bump(1, AMPLITUDE, RADIUS)
+    bump = make_odd_bump(AMPLITUDE, RADIUS)
     return solve(params, bump, grid, T=T_STD, dt=dt,
                  snapshot_every=snapshot_every)
 
@@ -147,7 +147,7 @@ def test_criterion_04_ode_defect_exponent():
                 params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=dt,
                 phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
             )
-            rep = holder_defect(run, T, [alpha])
+            rep = holder_defect(run, T)
             results.append((alpha, "t*y^3" if h else "0",
                             rep.increment_fit.slope))
     control = integrate_perturbed(
@@ -155,7 +155,7 @@ def test_criterion_04_ode_defect_exponent():
         h_forced, T=T, grid=grid, dt=dt,
         phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_forced_y,
     )
-    control_slope = holder_defect(control, T, [0.5]).increment_fit.slope
+    control_slope = holder_defect(control, T).increment_fit.slope
     defect_ok = all(abs(slope - alpha) <= 0.05 for alpha, _, slope in results)
     control_ok = control_slope >= 0.99
     passed = defect_ok and control_ok
@@ -193,11 +193,11 @@ def test_criterion_06_third_derivative_exponent():
     dt = 2e-5
     final_only = int(round(T_STD / dt))
     run_1024 = standard_solve(0.5, dt=dt, snapshot_every=final_only)
-    scan_1024 = third_derivative_holder_scan(run_1024, T_STD, [0.9], y_max=y_max)
+    scan_1024 = third_derivative_holder_scan(run_1024, T_STD, y_max=y_max)
     run_2048 = standard_solve(0.5, n=2048, dt=dt, snapshot_every=final_only)
-    scan_2048 = third_derivative_holder_scan(run_2048, T_STD, [0.9], y_max=y_max)
+    scan_2048 = third_derivative_holder_scan(run_2048, T_STD, y_max=y_max)
     control = standard_solve(0.5, lam=0.0, dt=dt, snapshot_every=final_only)
-    scan_ctrl = third_derivative_holder_scan(control, T_STD, [0.9], y_max=y_max)
+    scan_ctrl = third_derivative_holder_scan(control, T_STD, y_max=y_max)
 
     s1, s2 = scan_1024.increment_fit.slope, scan_2048.increment_fit.slope
     exponent_ok = abs(s1 - 0.5) <= 0.1
@@ -281,7 +281,7 @@ def test_criterion_09_scaling_law():
 def test_criterion_10_conservation_symmetry_order():
     clock = budget(120.0)
     grid = Grid1D(512, 4.0)
-    bump = make_odd_bump(1, 1.0, 1.0)
+    bump = make_odd_bump(1.0, 1.0)
 
     nls = NonlinearityParams(alpha=0.5, lam=1j, theta=np.pi / 2)
     traj = solve(nls, bump, grid, T=0.1, dt=5e-4, snapshot_every=20)
@@ -323,7 +323,7 @@ def test_criterion_10_conservation_symmetry_order():
 
 def test_criterion_11_appendix_inequalities():
     clock = budget(30.0)
-    rep = appendix_inequality_checks(1000, seed=20260810)
+    rep = appendix_inequality_checks(seed=20260810)
     byname = {c.name: c for c in rep.checks}
     grad = byname["nonlinearity_gradient_formula"]
     detail = ", ".join(f"{c.name}={c.max_ratio:.3g}" for c in rep.checks)
@@ -353,7 +353,7 @@ def test_criterion_12_reproducibility(tmp_path):
 
     params = NonlinearityParams(alpha=0.5, lam=1.0)
     grid = Grid1D(256, 4.0)
-    bump = make_odd_bump(1, 1.0, 1.0)
+    bump = make_odd_bump(1.0, 1.0)
     traj = solve(params, bump, grid, T=0.01, dt=1e-3, snapshot_every=2)
     path = tmp_path / "traj.rglb"
     save_trajectory(traj, path)

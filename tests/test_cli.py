@@ -431,9 +431,9 @@ class TestExperiments:
 
         smooth = (lambda t, y: t * (y * y * y), lambda t, y: 3.0 * t * y**2)
         unforced = full_run(1.0)
-        sweep = [holder_defect(unforced, f * T, []) for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
-        forced = holder_defect(full_run(1.0, *smooth), T, [])
-        control = holder_defect(full_run(0.0, *smooth), T, [])
+        sweep = [holder_defect(unforced, f * T) for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+        forced = holder_defect(full_run(1.0, *smooth), T)
+        control = holder_defect(full_run(0.0, *smooth), T)
         ladder = [[float(y), float(a), float(b), float(c)] for y, a, b, c in zip(
             sweep[-1].ys, sweep[-1].increments, forced.increments, control.increments)]
         t_sweep = [[float(r.t), float(r.increment_fit.slope), float(r.liminf_proxy),
@@ -441,7 +441,7 @@ class TestExperiments:
         assert report["tables"]["ladder"]["rows"] == ladder
         assert report["tables"]["t_sweep"]["rows"] == t_sweep
         # y = 0 and the five ladder points y = 4h ... 0.5 of 256 columns
-        expect = {"rk4_steps": 1000, "columns_integrated": 6, "grid_n": 256}
+        expect = {"rk4_steps": 1000, "columns_integrated": 6}
         assert report["numerics"] == {
             "unforced": {**expect, "rows_kept": 6},
             "forced": {**expect, "rows_kept": 2},
@@ -568,6 +568,21 @@ class TestExperiments:
         # truncated trajectory still persisted and loadable
         traj = load_trajectory(out / "trajectory.rglb")
         assert len(traj.times) >= 1
+
+    def test_blowup_records_fewer_rows_than_scheduled(self, tmp_path):
+        # 400 steps recorded every 10th ask for 41 rows; the run blows up at
+        # t = 1.285 with 27 of them, and the check says so
+        out = tmp_path / "out"
+        code = run_cli([
+            "--experiment", "simulate", "--alpha", "0.2", "--amplitude", "10000",
+            "--support-radius", "2", "--domain-l", "4", "--grid-n", "512",
+            "--dt", "5e-3", "--t-final", "2", "--snapshot-every", "10",
+            "--out-dir", str(out),
+        ])
+        assert code == 4
+        report = json.loads((out / "simulate.json").read_text())
+        (check,) = [c for c in report["checks"] if c["name"] == "trajectory_recorded"]
+        assert (check["measured"], check["expected"], check["passed"]) == (27.0, 41.0, False)
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # snapshots far too sparse for the tau ladder

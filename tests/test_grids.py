@@ -78,7 +78,6 @@ class TestGridFunction:
         vals[3] = np.nan
         with pytest.raises(DomainError):
             GridFunction(g, vals)
-        GridFunction(g, vals, allow_nonfinite=True)
 
 
 class TestTransforms:

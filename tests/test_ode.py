@@ -641,7 +641,7 @@ class TestSnapshotThinning:
     def test_defect_at_kept_time_matches_full_track(self):
         full, thin = self.run_every(1), self.run_every(200)
         for t in (0.004, 0.01):
-            a, b = holder_defect(full, t, [0.5]), holder_defect(thin, t, [0.5])
+            a, b = holder_defect(full, t), holder_defect(thin, t)
             assert a.t == b.t
             assert np.array_equal(a.increments, b.increments)
 
@@ -734,13 +734,13 @@ class TestColumnRestriction:
             )
 
         full, part = run_on(None), run_on(ladder)
-        a, b = holder_defect(full, 0.01, [0.5]), holder_defect(part, 0.01, [0.5])
+        a, b = holder_defect(full, 0.01), holder_defect(part, 0.01)
         assert np.array_equal(a.increments, b.increments)
         assert a.increment_fit.slope == b.increment_fit.slope
         with pytest.raises(DegenerateInput, match="did not integrate"):
-            holder_defect(run_on(np.delete(ladder, 2)), 0.01, [0.5])
+            holder_defect(run_on(np.delete(ladder, 2)), 0.01)
         with pytest.raises(DegenerateInput, match="did not integrate"):
-            holder_defect(part, 0.01, [0.5], y_max=0.75)
+            holder_defect(part, 0.01, y_max=0.75)
 
     def test_blowup_check_sees_only_the_integrated_columns(self):
         # phi0 = y blows up first at |y| = 1, at t* = 2; at |y| <= 1/16, t* >= 8, so
@@ -768,7 +768,7 @@ class TestHolderDefect:
     def test_unperturbed_slope_matches_alpha(self):
         alpha = 0.5
         run = self.make_run(alpha, 1.0)
-        report = holder_defect(run, 0.05, [0.25, 0.75])
+        report = holder_defect(run, 0.05)
         assert abs(report.increment_fit.slope - alpha) <= 0.05
         # Oracle: increments of the closed-form first derivative.
         from reglab.ode import exact_first_derivative
@@ -780,8 +780,6 @@ class TestHolderDefect:
             for y in report.ys
         ])
         assert np.max(np.abs(qs - report.increments)) <= 1e-6 * np.max(qs)
-        # per-exponent fits shift the raw slope by -ell
-        assert abs(report.fits[0.75].slope - (report.increment_fit.slope - 0.75)) <= 1e-9
         assert report.liminf_proxy > 0.0
         assert report.theory_lower_bound > 0.0
 
@@ -789,21 +787,21 @@ class TestHolderDefect:
         alpha = 0.5
         run = self.make_run(alpha, 1.0, h=lambda t, y: t * y**3,
                             h_y=lambda t, y: 3.0 * t * y**2)
-        report = holder_defect(run, 0.05, [alpha])
+        report = holder_defect(run, 0.05)
         assert abs(report.increment_fit.slope - alpha) <= 0.05
 
     def test_linear_control_no_defect(self):
         run = self.make_run(0.5, 0.0, h=lambda t, y: t * y**3,
                             h_y=lambda t, y: 3.0 * t * y**2)
-        report = holder_defect(run, 0.05, [0.5])
+        report = holder_defect(run, 0.05)
         assert report.increment_fit.slope >= 0.99
 
     def test_degenerate_ladder(self):
         run = self.make_run(0.5, 1.0, n=64, dt=5e-5)
         with pytest.raises(DegenerateInput):
-            holder_defect(run, 0.05, [0.5], y_max=0.5)
+            holder_defect(run, 0.05, y_max=0.5)
 
     def test_bad_time(self):
         run = self.make_run(0.5, 1.0, n=256)
         with pytest.raises(DomainError):
-            holder_defect(run, 0.4, [0.5])
+            holder_defect(run, 0.4)

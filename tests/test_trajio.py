@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from reglab.trajio import (
 def make_trajectory(n=256, with_blowup=False):
     params = NonlinearityParams(alpha=0.5, lam=1.0, theta=0.0)
     g = Grid1D(n, 4.0)
-    bump = make_odd_bump(1, 1.0, 1.0)
+    bump = make_odd_bump(1.0, 1.0)
     traj = solve(params, bump, g, T=0.01, dt=1e-3, snapshot_every=2)
     if with_blowup:
         traj.blowup_time = 0.008
@@ -305,6 +306,29 @@ class TestCorruption:
             load_trajectory(path)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("n_times, value, part, patch", [
+        (3, 13, 0, math.nan),
+        (3, 21, 8, math.inf),
+        (3, 0, 8, -math.inf),
+        (130, 1030, 0, math.nan),  # row 128, the first of the third block of 64 rows
+    ], ids=["nan_real_part", "infinite_imaginary_part", "first_value", "later_block"])
+    def test_non_finite_snapshot_value_is_format_error(self, tmp_path, n_times, value, part,
+                                                        patch):
+        # the error points at the value, whichever of its parts is not finite
+        rng = np.random.default_rng(3)
+        traj = Trajectory(NonlinearityParams(alpha=0.5, lam=1.0), Grid1D(8, 1.0),
+                          0.1 * np.arange(n_times), rng.standard_normal((n_times, 8)) + 0j,
+                          dt=0.1)
+        path = tmp_path / "run.rglb"
+        save_trajectory(traj, path)
+        offset = HEADER_LENGTH + 8 * n_times + 16 * value
+        blob = bytearray(path.read_bytes())
+        blob[offset + part:offset + part + 8] = struct.pack("<d", patch)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"snapshot value {value} ") as err:
+            load_trajectory(path)
+        assert err.value.offset == offset
+
     @settings(deadline=None, database=None, max_examples=500,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -387,7 +411,7 @@ class TestReports:
 
     def test_write_emits_json_and_csv(self, tmp_path):
         path = write_report(self.good_report(), tmp_path, "verify-kernel")
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         assert data["experiment"] == "verify-kernel"
         csv_text = (tmp_path / "verify-kernel.scan.csv").read_text()
         assert csv_text.splitlines()[0] == "x,y"
@@ -399,8 +423,8 @@ class TestReports:
         rep2["timing"] = {"timestamp": "2030-12-31T23:59:59Z", "wall_clock_seconds": 9.9}
         p1 = write_report(rep1, tmp_path / "a", "r")
         p2 = write_report(rep2, tmp_path / "b", "r")
-        d1 = json.loads(open(p1).read())
-        d2 = json.loads(open(p2).read())
+        d1 = json.loads(Path(p1).read_text())
+        d2 = json.loads(Path(p2).read_text())
         d1.pop("timing")
         d2.pop("timing")
         s1 = json.dumps(d1, sort_keys=True)
