@@ -426,6 +426,7 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
     report["spectral_max_rel_diff"] = rate.spectral_max_rel_diff
     report["numerics"] = {"snapshot_strides": list(rate.strides), "slices": rate.slices,
                           "spectral_transforms": rate.spectral_transforms,
+                          "interpolant_rows": rate.interpolant_rows,
                           "trajectory": _solve_numerics(cfg, traj)}
     report["tables"]["rate"] = {
         "columns": ["tau_minus_t", "d5_magnitude", "d5_spectral"],

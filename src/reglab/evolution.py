@@ -138,6 +138,8 @@ class Trajectory:
             raise DomainError(f"dt must be finite and positive, got {self.dt}")
         if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0.0)):
             raise DomainError("time stamps must be finite and strictly increasing")
+        if self.blowup_time is not None and not np.isfinite(self.blowup_time):
+            raise DomainError(f"blowup_time must be finite or None, got {self.blowup_time}")
 
     @property
     def y_grid(self) -> Grid1D:

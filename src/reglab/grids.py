@@ -164,6 +164,7 @@ class TrigInterpolant:
     ``mirrored=True`` returns the stack [u(x), u(-x)] of shape (2, ...) from the same
     powers: z(-x) = conj(z(x)), so u(-x) = conj(z^(-n/2) sum_j conj(d_j) z^j) plus the
     same Nyquist term, and the matmul takes [table | conj(table)].
+    :meth:`take` gathers some rows into a new interpolant without a second FFT.
     """
 
     def __init__(self, u: GridFunction | Grid1D, rows=None):
@@ -181,6 +182,19 @@ class TrigInterpolant:
         shifted[:, 0] = 0.0
         table = shifted.reshape(len(rows), n // block, block).transpose(0, 2, 1)
         self._table = np.concatenate([table, np.conj(table)], axis=2)  # (R, B, 2n/B)
+
+    def take(self, rows) -> TrigInterpolant:
+        """The interpolant of the rows with the given indices (a 1D sequence) of this one,
+        gathered, not transformed again."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise SizeMismatch(f"row indices of shape {rows.shape} are not one axis")
+        out = object.__new__(type(self))
+        out.grid = self.grid
+        out.coefficients = self.coefficients[rows]
+        out._nyquist = self._nyquist[rows]
+        out._table = self._table[rows]
+        return out
 
     def __call__(self, points, mirrored: bool = False) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

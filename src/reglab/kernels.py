@@ -40,11 +40,15 @@ _GROWTH_SLACK = 100.0
 
 @functools.cache
 def _graded_rule():
-    """Composite Gauss-Legendre on [0, _TRUNCATION_RADIUS], 12 nodes on each of 16 panels:
-    5 graded by 0.15 toward the kink at y = 0 below y = 1, 11 of unit width above.  The
-    weights carry the odd kernel 8 pi^(-1/2) e^(-y^2) (15 - 20 y^2 + 4 y^4) y.  Built on
-    first use, so a run without Duhamel slices loads neither numpy.polynomial nor LAPACK."""
-    edges = np.r_[0.0, 0.15 ** np.arange(4, 0, -1), 1.0:_TRUNCATION_RADIUS + 1.0]
+    """Composite Gauss-Legendre on [0, 7], 12 nodes on each of 8 panels (96 nodes): 4
+    graded by 0.15 toward the kink at y = 0 below y = 1, where fewer nodes per panel lose
+    digits, and 4 above it with edges 1, 2, 3, 4.5 and 7, where the integrand is smooth
+    but, at large sigma, oscillates with a coarse field's top modes, which unit panels up
+    to y = 3 keep resolved.  The kernel's absolute weight beyond y = 7 is about 1e-17.
+    The weights carry the odd kernel 8 pi^(-1/2) e^(-y^2) (15 - 20 y^2 + 4 y^4) y.  Built
+    on first use, so a run without Duhamel slices loads neither numpy.polynomial nor
+    LAPACK."""
+    edges = np.r_[0.0, 0.15 ** np.arange(3, 0, -1), 1.0, 2.0, 3.0, 4.5, 7.0]
     x, w = np.polynomial.legendre.leggauss(12)
     lo, hi = edges[:-1, None], edges[1:, None]
     y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()

@@ -19,10 +19,13 @@ File layout (all little-endian):
     times      f64 * n_times             ("times" section)
     snapshots  c128 * n_times*n_points   ("snapshots" section)
 
-A file whose kind, channel count or scheme differs from these values, or
-whose flags lack bit 1, is a FormatError, as is one whose grid, dt,
-parameters or time stamps no Trajectory can hold, or one with a NaN or
-infinite snapshot value; its offset is that of the failing field or value.
+A file whose kind, channel count or scheme differs from these values is a
+FormatError, as is one whose flags are not 2 or 3, whose blowup_t is not
+finite with bit 0 set or not the NaN that save writes with it clear, whose
+z0 bytes are not all zero, whose grid, dt, parameters or time stamps no
+Trajectory can hold, or one with a NaN or infinite snapshot value; its
+offset is that of the failing field or value.  So a file that loads saves
+back byte for byte.
 Snapshot payloads are written with numpy's little-endian complex128 codec,
 so a save/load round trip is bit-exact.  A JSON sidecar (<path>.json)
 duplicates the metadata for humans.  Writes are atomic: a uniquely named
@@ -62,6 +65,7 @@ _FLAG_BLOWUP = 1
 _FLAG_ODD_PROJECTION = 2
 
 _HEADER = struct.Struct("<4s5Id5d2I3dQ")  # magic to n_times of the layout above: 112 bytes
+_NO_BLOWUP = struct.pack("<d", math.nan)  # the blowup_t bytes of a run without blow-up
 
 
 def _atomic_write(path: str, *parts) -> None:
@@ -181,8 +185,21 @@ def load_trajectory(path):
                           "is not a trajectory on one grid", offset=8)
     if scheme_code != _SCHEME_STRANG:
         raise FormatError(f"scheme code {scheme_code} is not Strang splitting", offset=72)
-    if not flags & _FLAG_ODD_PROJECTION:
-        raise FormatError(f"flags {flags:#x} lack the odd-projection bit", offset=76)
+    if flags not in (_FLAG_ODD_PROJECTION, _FLAG_ODD_PROJECTION | _FLAG_BLOWUP):
+        raise FormatError(f"flags {flags:#x} are not the odd-projection bit with or without "
+                          "the blow-up bit", offset=76)
+    if flags & _FLAG_BLOWUP:
+        if not math.isfinite(blowup):
+            raise FormatError(f"blowup_t {blowup} of a blown-up run is not finite", offset=80)
+        blowup_time = blowup
+    elif blob[80:88].tobytes() != _NO_BLOWUP:
+        raise FormatError(f"blowup_t {blowup} of a run without blow-up is not the NaN that "
+                          "save writes", offset=80)
+    else:
+        blowup_time = None
+    for offset in (88, 96):
+        if blob[offset:offset + 8].any():
+            raise FormatError("z0 is not zero", offset=offset)
 
     def checked(offset, build):
         """build(), with a DomainError reported as a FormatError at ``offset``."""
@@ -204,7 +221,6 @@ def load_trajectory(path):
         raise FormatError("trailing bytes after snapshots", offset=end)
     times = blob[_HEADER.size:mid].view("<f8")
     snaps = blob[mid:end].view("<c16")
-    blowup_time = None if math.isnan(blowup) else blowup
     traj = checked(112, lambda: Trajectory(params, grid, times, snaps.reshape(n_times, n_points),
                                            dt, blowup_time))
     for k in range(0, n_times, 64):  # 64 rows at a time: no mask the size of the block

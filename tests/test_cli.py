@@ -668,4 +668,6 @@ class TestDeterminism:
         assert numerics["slices"] == sum(-(-800 // k) + 1 for k in strides)
         # the spectral cross-check transforms each stored snapshot once, not once per tau
         assert 1 in strides and numerics["spectral_transforms"] == 801
+        # the graded slices transform each of those snapshots once too, 8 to a block
+        assert numerics["interpolant_rows"] == numerics["spectral_transforms"]
         assert numerics["trajectory"] == {"solver_steps": 800, "snapshots": 801}

@@ -31,7 +31,7 @@ from reglab.grids import (
     derivative_multiplier,
     laplacian_symbol,
 )
-from reglab.kernels import KernelProbe, fifth_derivative_at_zero
+from reglab.kernels import KernelProbe, fifth_derivative_at_zero, graded_fifth_derivatives
 from reglab.numerics import adaptive_quadrature, trapezoid_weights
 from reglab.ode import NonlinearityParams
 
@@ -203,28 +203,67 @@ class TestDivergenceLawFit:
         assert rate.law_fit_at_edge
 
 
-def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
-    """Per-tau D5 by one adaptive GK15 quadrature per slice: the slow oracle of
-    the fixed-rule rate, on the same snapshot subsampling and trapezoid weights."""
+def rate_slices(traj, t, taus):
+    """(tau, snapshot indices, trapezoid weights) of each tau, by decreasing tau: the
+    rate's snapshot subsampling, spacing at most (tau - t)/4, the slice s = t kept."""
     times = traj.times[: traj.index_of_time(t) + 1]
     max_gap = float(np.max(np.diff(times)))
-    alpha = traj.params.alpha
-    out = []
     for tau in np.sort(taus)[::-1]:
         stride = max(1, int((tau - t) / 4.0 / max_gap))
         sub = list(range(0, len(times) - 1, stride)) + [len(times) - 1]
+        yield tau, sub, trapezoid_weights(times[sub])
+
+
+def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
+    """Per-tau D5 by one adaptive GK15 quadrature per slice: the slow oracle of
+    the fixed-rule rate, on the same snapshot subsampling and trapezoid weights."""
+    alpha = traj.params.alpha
+    out = []
+    for tau, sub, weights in rate_slices(traj, t, taus):
         total = 0.0
-        for w, i in zip(trapezoid_weights(times[sub]), sub):
+        for w, i in zip(weights, sub):
             interp = TrigInterpolant(traj.snapshot(i))
 
             def psi(pts, interp=interp):
                 vals = interp(pts)
                 return np.abs(vals) ** alpha * vals
 
-            probe = KernelProbe(psi=psi, sigma=4.0 * (tau - times[i]))
+            probe = KernelProbe(psi=psi, sigma=4.0 * (tau - traj.times[i]))
             total += w * fifth_derivative_at_zero(probe, rel_tol=rel_tol)
         out.append(total)
     return np.array(out)
+
+
+def plain_loop_rate_values(traj, t, taus):
+    """Per-tau D5 with one single-row interpolant and one graded-rule call per slice:
+    the plain oracle of the rate's block evaluation, on the same rule and weights."""
+    alpha = traj.params.alpha
+    out = []
+    for tau, sub, weights in rate_slices(traj, t, taus):
+        slices = []
+        for i in sub:
+            interp = TrigInterpolant(traj.snapshot(i))
+
+            def odd(pts, interp=interp):
+                vals = interp(pts, mirrored=True)
+                nonlin = np.abs(vals) ** alpha * vals
+                return nonlin[0] - nonlin[1]
+
+            slices.append(graded_fifth_derivatives(odd, 4.0 * (tau - traj.times[i]))[0])
+        out.append(np.sum(weights * np.array(slices)))
+    return np.array(out)
+
+
+def reference_rule():
+    """A refined graded rule: 24 Gauss-Legendre nodes on each of 10 panels graded by 0.3
+    toward the kink below y = 1 and of 22 half-unit panels up to y = 12, with the
+    weights of the rule in kernels (768 nodes, 8 times its count)."""
+    edges = np.r_[0.0, 0.3 ** np.arange(9, 0, -1), np.arange(1.0, 12.25, 0.5)]
+    x, w = np.polynomial.legendre.leggauss(24)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+    kernel = 8.0 / math.sqrt(math.pi) * np.exp(-(y**2)) * (15.0 - 20.0 * y**2 + 4.0 * y**4) * y
+    return y, (0.5 * (hi - lo) * w).ravel() * kernel
 
 
 def one_shot_spectral(traj, t, taus, strides):
@@ -308,6 +347,76 @@ class TestFixedRuleRate:
             assert points.ndim == 2 and points.shape[0] <= 8
             assert np.all(points >= 0.0)
         assert rate.slices == sum(len(points) for points, _ in calls)
+
+    def test_each_read_snapshot_is_transformed_once(self, monkeypatch):
+        # blocks of at most 8 snapshots, each transformed once for every slice that reads it
+        import reglab.diagnostics as diagnostics
+
+        built = []
+
+        class Spy(TrigInterpolant):
+            def __init__(self, grid, rows):
+                built.append(np.array(rows))
+                super().__init__(grid, rows)
+
+        monkeypatch.setattr(diagnostics, "TrigInterpolant", Spy)
+        traj = standard_run(alpha=0.5, n=256, T=0.004, dt=1e-4, snapshot_every=1,
+                            amplitude=4.0)
+        taus = 0.004 + np.geomspace(5e-4, 1.5e-2, 4)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=0.004, tau_ladder=taus))
+        assert all(len(rows) <= 8 for rows in built)
+        transformed = np.concatenate(built)
+        # the stride-1 tau reads all 41 snapshots
+        assert transformed.tobytes() == traj.values.tobytes()
+        assert rate.interpolant_rows == rate.spectral_transforms == 41
+
+    def test_matches_a_plain_loop_over_slices(self):
+        traj = standard_run(alpha=0.5, n=256, T=0.004, dt=2.5e-5, snapshot_every=1,
+                            amplitude=4.0)
+        taus = 0.004 + np.geomspace(1e-4, 3e-3, 4)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=0.004, tau_ladder=taus))
+        oracle = plain_loop_rate_values(traj, 0.004, taus)
+        assert np.all(np.abs(rate.values - oracle) <= 1e-13 * np.abs(oracle))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5])
+    @pytest.mark.parametrize("dt, gaps, bound", [
+        (2.5e-5, (1e-4, 3e-3), 5e-11),  # the gaps of the README run
+        # long gaps on a coarse grid: the rule sees the field's top modes at sqrt(sigma) y,
+        # which panels 1.5-2.5 wide from y = 2 up (edges 2, 3.5, 5.5, 8) miss by 4e-8
+        (1e-4, (5e-4, 1.5e-2), 1e-9),
+    ], ids=["readme_gaps", "long_gaps"])
+    def test_matches_a_refined_rule(self, monkeypatch, alpha, dt, gaps, bound):
+        import reglab.kernels as kernels
+
+        traj = standard_run(alpha=alpha, n=256, T=0.004, dt=dt, snapshot_every=1,
+                            amplitude=4.0)
+        probe = DuhamelProbe(traj=traj, t=0.004, tau_ladder=0.004 + np.geomspace(*gaps, 4))
+        values = duhamel_fifth_derivative_rate(probe).values
+        monkeypatch.setattr(kernels, "_graded_rule", reference_rule)
+        reference = duhamel_fifth_derivative_rate(probe).values
+        assert np.all(np.abs(values - reference) <= bound * np.abs(reference))
+
+
+class TestRateCovariance:
+    """u_mu(t, y) = mu^(2/alpha) u(mu^2 t, mu y) solves the heat equation with lam = 1
+    when u does, so at mu = 2 the run on the half-length grid, with dt/4 and the bump
+    dilated, is the base run times 2^(2/alpha) bit for bit (2/alpha is an integer), and
+    d^5_y of its Duhamel term at gaps/4 is 2^(2/alpha + 5) times the base one."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_dilated_run_scales_the_rate_exactly(self, alpha):
+        params = NonlinearityParams(alpha=alpha, lam=1.0, theta=0.0)
+        dt, T, mu_power = 2.5e-5, 4e-3, 2.0 ** (2.0 / alpha)
+        base = solve(params, make_odd_bump(4.0, 2.0), Grid1D(256, 4.0), T=T, dt=dt)
+        scaled = solve(params, make_odd_bump(4.0 * 2.0 * mu_power, 1.0), Grid1D(256, 2.0),
+                       T=T / 4, dt=dt / 4)
+        assert np.array_equal(scaled.values, mu_power * base.values)
+        gaps = np.geomspace(1e-4, 3e-3, 8)
+        rate = duhamel_fifth_derivative_rate(DuhamelProbe(base, T, T + gaps))
+        dilated = duhamel_fifth_derivative_rate(DuhamelProbe(scaled, T / 4, T / 4 + gaps / 4))
+        assert np.array_equal(dilated.magnitudes, 32.0 * mu_power * rate.magnitudes)
+        assert dilated.strides == rate.strides
+        assert abs(dilated.law_exponent - rate.law_exponent) <= 1e-13
 
 
 class TestSyntheticSliceCheck:
@@ -457,6 +566,22 @@ class TestAppendixInequalities:
             "nonlinearity_gradient_formula",
             "gradient_interpolation_bound",
         }
+
+    def test_gradient_check_counts_the_points_it_compares(self, monkeypatch):
+        # points near a zero of u are masked out, so fewer than the 16 per field drawn
+        import reglab.diagnostics as diagnostics
+
+        compared = []
+        difference = diagnostics.central_difference
+
+        def spy(func, pts):
+            compared.append(np.size(pts))
+            return difference(func, pts)
+
+        monkeypatch.setattr(diagnostics, "central_difference", spy)
+        rep = appendix_inequality_checks(seed=7)
+        grad = next(c for c in rep.checks if c.name == "nonlinearity_gradient_formula")
+        assert grad.n_samples == sum(compared) < 16 * len(compared)
 
     def test_modulus_power_equality_case(self):
         # z2 = 0 gives ratio exactly 1

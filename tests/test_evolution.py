@@ -299,6 +299,14 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             Trajectory(heat_params(), Grid1D(8, 1.0), np.array(times), values, dt)
 
+    @pytest.mark.parametrize("blowup_time", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_blowup_time_is_a_domain_error(self, blowup_time):
+        # a run that blew up did so at a time; the file format stores NaN for "did not"
+        values = np.zeros((3, 8), dtype=np.complex128)
+        with pytest.raises(DomainError):
+            Trajectory(heat_params(), Grid1D(8, 1.0), np.array([0.0, 0.1, 0.2]), values, 0.1,
+                       blowup_time)
+
     @pytest.mark.parametrize("shape", [(3, 16), (3, 4), (3,), (3, 8, 1), (4, 8)])
     def test_rows_of_the_wrong_length_are_a_size_mismatch(self, shape):
         # a row holds one value per grid point, checked when the trajectory is built

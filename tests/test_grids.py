@@ -256,6 +256,24 @@ class TestSpectralOps:
         with pytest.raises(SizeMismatch):
             TrigInterpolant(g, np.ones((3, 8)))
 
+    def test_taken_rows_evaluate_as_their_own_interpolant(self):
+        # a gather of rows, repeated and out of order, transforms nothing again
+        rng = np.random.default_rng(4)
+        g = Grid1D(64, 2.0)
+        rows = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+        interp = TrigInterpolant(g, rows)
+        pick = [3, 0, 3]
+        taken = interp.take(pick)
+        pts = rng.uniform(0.0, 2.0, (3, 7))
+        for r, i in enumerate(pick):
+            own = TrigInterpolant(GridFunction(g, rows[i]))
+            size = np.sum(np.abs(own.coefficients))
+            assert np.max(np.abs(taken(pts, mirrored=True)[:, r] - own(pts[r], mirrored=True))) \
+                <= 1e-13 * size
+        assert taken.coefficients.tobytes() == interp.coefficients[pick].tobytes()
+        with pytest.raises(SizeMismatch):
+            interp.take([[0, 1]])
+
     def test_interpolant_keeps_point_shape(self):
         g = Grid1D(16, 1.0)
         u = GridFunction(g, np.sin(np.pi * g.points))

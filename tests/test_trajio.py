@@ -49,7 +49,8 @@ HALF_LENGTH_OFFSET = 24
 
 def header_offset(field):
     """Byte offset of a header field after the grid block."""
-    return 32 + {"dt": 0, "alpha": 8, "scheme": 40, "flags": 44}[field]
+    return 32 + {"dt": 0, "alpha": 8, "scheme": 40, "flags": 44, "blowup_t": 48,
+                 "z0_re": 56, "z0_im": 64}[field]
 
 
 def two_grid_file():
@@ -285,6 +286,13 @@ class TestCorruption:
         (header_offset("scheme"), struct.pack("<I", 7), 72),
         (header_offset("scheme"), struct.pack("<I", 1), 72),  # the RK4 code of the ODE runs
         (header_offset("flags"), struct.pack("<I", 0), 76),  # every run is odd-projected
+        (header_offset("flags"), struct.pack("<I", 6), 76),  # no bit but 0 and 1 is defined
+        (header_offset("flags"), struct.pack("<I", 3), 80),  # blow-up bit with blowup_t NaN
+        (header_offset("blowup_t"), struct.pack("<d", 0.15), 80),  # blowup_t without the bit
+        # a NaN, but not the one save writes, so the file would not save back as it is
+        (header_offset("blowup_t"), struct.pack("<Q", 0x7FF8000000000001), 80),
+        (header_offset("z0_re"), struct.pack("<d", 1.0), 88),
+        (header_offset("z0_im"), struct.pack("<d", -0.0), 96),  # zero, but not its bytes
         (header_offset("dt"), struct.pack("<d", math.nan), 32),
         (header_offset("dt"), struct.pack("<d", math.inf), 32),
         (header_offset("dt"), struct.pack("<d", 0.0), 32),
@@ -293,7 +301,9 @@ class TestCorruption:
         (HEADER_LENGTH + 8, struct.pack("<d", 0.0), 112),  # times 0, 0, 0.2
     ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_grid", "huge_power_of_two_grid",
             "infinite_half_length", "two_grids", "unknown_scheme", "trajectory_with_rk4_scheme",
-            "no_odd_projection_flag", "nan_dt", "infinite_dt", "zero_dt", "negative_dt",
+            "no_odd_projection_flag", "unknown_flag", "blowup_flag_without_time",
+            "blowup_time_without_flag", "other_nan_blowup_time", "nonzero_z0_re",
+            "negative_zero_z0_im", "nan_dt", "infinite_dt", "zero_dt", "negative_dt",
             "nan_time_stamp", "repeated_time_stamp"])
     def test_bad_header_field_is_format_error(self, tmp_path, at, patch, offset):
         # the error points at the field that failed
@@ -333,8 +343,8 @@ class TestCorruption:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_header_corruption_fuzz(self, tmp_path, data):
-        # a changed byte or a truncation anywhere in the header either loads
-        # or raises one of the documented errors
+        # a changed byte or a truncation anywhere in the header either raises one of
+        # the documented errors or loads a file that saves back byte for byte
         path = tmp_path / "fuzz.rglb"
         save_trajectory(tiny_trajectory(), path)
         blob = bytearray(path.read_bytes())
@@ -346,9 +356,11 @@ class TestCorruption:
             blob[at] = data.draw(st.integers(0, 255), label="value")
         path.write_bytes(bytes(blob))
         try:
-            load_trajectory(path)
+            traj = load_trajectory(path)
         except (FormatError, VersionError, IoError):
-            pass
+            return
+        save_trajectory(traj, tmp_path / "back.rglb")
+        assert (tmp_path / "back.rglb").read_bytes() == bytes(blob)
 
     def test_two_grid_file_is_format_error(self, tmp_path):
         # the format once stored a pair of grids (x', y); a field now lives on one
