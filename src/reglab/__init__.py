@@ -35,12 +35,14 @@ from .numerics import (
 )
 from .ode import (
     NonlinearityParams,
+    OdeProblem,
     OdeRun,
     exact_first_derivative,
     exact_flow,
     exact_second_derivative,
     exact_solution,
     holder_defect,
+    integrate_family,
     integrate_perturbed,
     integrating_factor,
     representation_check,

@@ -55,7 +55,7 @@ from .evolution import check_support, make_odd_bump, solve
 from .grids import Grid1D, GridFunction, ladder_columns
 from .kernels import c_alpha, fifth_derivative_at_zero, odd_power_probe
 from .numerics import _time_index, gaussian_moment, snapshot_steps, step_count
-from .ode import NonlinearityParams, holder_defect, integrate_perturbed
+from .ode import NonlinearityParams, OdeProblem, holder_defect, integrate_family
 from .trajio import _make_dir, save_trajectory, write_report
 
 
@@ -260,28 +260,26 @@ def run_ode_defect(cfg: ExperimentConfig) -> dict:
     # the ODE has no coupling across y: integrate only y = 0 and the ladder's columns
     y_max = 0.5
     columns = ladder_columns(grid, y_max)
-    numerics = {}
-
-    def defect_reports(name, params, h, h_y, times):
-        # keep only the rows holder_defect reads: the stride is the gcd of their step indices
-        every = math.gcd(*(_time_index(step_times, t, cfg.dt) for t in times))
-        run = integrate_perturbed(
-            params, lambda y: y.astype(complex), h, T=T, grid=grid, dt=cfg.dt,
-            phi0_prime=lambda y: np.ones_like(y, dtype=complex), h_y=h_y,
-            snapshot_every=every, columns=columns,
-        )
-        numerics[name] = {"rk4_steps": n_steps, "rows_kept": len(run.times),
-                          "columns_integrated": run.w.shape[1]}
-        return [holder_defect(run, t, y_max=y_max) for t in times]
-
     # the theory asserts the defect only for small t without quantifying the
-    # threshold, so sweep t and report instead of guessing
-    sweep = defect_reports("unforced", cfg.params(), None, None,
-                           [frac * T for frac in (0.2, 0.4, 0.6, 0.8, 1.0)])
+    # threshold, so sweep the unforced run in t and report instead of guessing
+    problems = {  # name: (params, h, h_y, the times its report reads)
+        "unforced": (cfg.params(), None, None, [frac * T for frac in (0.2, 0.4, 0.6, 0.8, 1.0)]),
+        "forced": (cfg.params(), *smooth, [T]),
+        "control": (NonlinearityParams(alpha, 0.0, cfg.theta), *smooth, [T]),
+    }
+    # keep only the rows holder_defect reads: the stride is the gcd of their step indices
+    runs = integrate_family(
+        [OdeProblem(params, h, h_y, math.gcd(*(_time_index(step_times, t, cfg.dt) for t in times)))
+         for params, h, h_y, times in problems.values()],
+        lambda y: y.astype(complex), T=T, grid=grid, dt=cfg.dt,
+        phi0_prime=lambda y: np.ones_like(y, dtype=complex), columns=columns,
+    )
+    numerics = {name: {"rk4_steps": n_steps, "rows_kept": len(run.times),
+                       "columns_integrated": run.w.shape[1]} for name, run in zip(problems, runs)}
+    sweep, (rep_forced,), (rep_control,) = [
+        [holder_defect(run, t, y_max=y_max) for t in times]
+        for run, (*_, times) in zip(runs, problems.values())]
     rep_unforced = sweep[-1]
-    (rep_forced,) = defect_reports("forced", cfg.params(), *smooth, [T])
-    (rep_control,) = defect_reports("control", NonlinearityParams(alpha, 0.0, cfg.theta),
-                                    *smooth, [T])
     report["checks"].append(_check(
         "defect_exponent_unforced", rep_unforced.increment_fit.slope, alpha, 0.05,
         "derived-oracle"))

@@ -140,6 +140,9 @@ class Trajectory:
             raise DomainError("time stamps must be finite and strictly increasing")
         if self.blowup_time is not None and not np.isfinite(self.blowup_time):
             raise DomainError(f"blowup_time must be finite or None, got {self.blowup_time}")
+        if self.blowup_time is not None and len(self.times) and self.blowup_time < self.times[-1]:
+            raise DomainError(f"blowup_time {self.blowup_time} precedes the last time stamp "
+                              f"{self.times[-1]}")
 
     @property
     def y_grid(self) -> Grid1D:

@@ -31,12 +31,14 @@ from .numerics import RegressionFit, _cumtrapz, _time_index, snapshot_steps, ste
 __all__ = [
     "NonlinearityParams",
     "OdeRun",
+    "OdeProblem",
     "HolderDefectReport",
     "exact_solution",
     "exact_flow",
     "exact_first_derivative",
     "exact_second_derivative",
     "integrate_perturbed",
+    "integrate_family",
     "integrating_factor",
     "representation_check",
     "holder_defect",
@@ -48,7 +50,8 @@ class NonlinearityParams:
     """Nonlinearity exponent alpha, complex coupling lam, diffusion angle theta.
 
     lam = 0 is accepted as the linear-control limit (nonlinearity switched
-    off), although the singularity mechanism itself needs lam != 0.
+    off), although the singularity mechanism itself needs lam != 0; a NaN or
+    infinite part of lam is a :class:`DomainError`.
     """
 
     alpha: float
@@ -60,6 +63,8 @@ class NonlinearityParams:
             raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
         if not (-np.pi / 2 <= self.theta <= np.pi / 2):
             raise DomainError(f"theta must lie in [-pi/2, pi/2], got {self.theta}")
+        if not np.isfinite(complex(self.lam)):
+            raise DomainError(f"lam must be finite, got {self.lam}")
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "theta", float(self.theta))
@@ -146,7 +151,7 @@ def _conj_factor(w: np.ndarray, mag: np.ndarray, mag_a: np.ndarray) -> np.ndarra
     numpy divides by |w| through 1/|w|, which overflows for a subnormal |w|;
     those entries take w/|w| from w scaled by an exact power of two."""
     normal = mag >= _TINY
-    unit = np.divide(w, mag, out=np.zeros_like(w), where=normal)
+    unit = np.divide(w, mag, out=np.zeros(w.shape, dtype=w.dtype), where=normal)
     if np.count_nonzero(normal) != np.count_nonzero(mag):  # some 0 < |w| < tiny
         sub = ~normal & (mag > 0.0)
         scaled = w[sub] * _SUBNORMAL_SCALE
@@ -172,21 +177,38 @@ class OdeRun:
     columns: np.ndarray
 
 
-def integrate_perturbed(
-    params: NonlinearityParams,
-    phi0,
-    h_forcing,
-    T: float,
-    grid: Grid1D,
-    dt: float,
-    *,
-    phi0_prime,
-    h_y=None,
-    snapshot_every: int = 1,
-    columns=None,
-) -> OdeRun:
-    """RK4 integration of the perturbed ODE and its variational equation.
+@dataclass(frozen=True)
+class OdeProblem:
+    """One problem of a family that :func:`integrate_family` steps together: its
+    nonlinearity, its forcing h(t, y) and h_y (both None when unforced) and
+    the stride of the steps its run keeps."""
 
+    params: NonlinearityParams
+    h_forcing: object = None
+    h_y: object = None
+    snapshot_every: int = 1
+
+
+def integrate_perturbed(params: NonlinearityParams, phi0, h_forcing, T: float, grid: Grid1D,
+                        dt: float, *, phi0_prime, h_y=None, snapshot_every: int = 1,
+                        columns=None) -> OdeRun:
+    """RK4 integration of the perturbed ODE and its variational equation: the
+    family of one problem of :func:`integrate_family`."""
+    (run,) = integrate_family([OdeProblem(params, h_forcing, h_y, snapshot_every)],
+                              phi0, T, grid, dt, phi0_prime=phi0_prime, columns=columns)
+    return run
+
+
+def integrate_family(problems, phi0, T: float, grid: Grid1D, dt: float, *,
+                     phi0_prime, columns=None) -> list[OdeRun]:
+    """RK4 integration of the perturbed ODE and its variational equation for
+    every :class:`OdeProblem` of ``problems``, all stepped by one loop; one
+    :class:`OdeRun` per problem, each byte-identical to the run of that
+    problem alone.
+
+    The problems share ``phi0``, ``phi0_prime``, the grid, the columns, T, dt
+    and alpha (:class:`DomainError` for mixed alphas: |w|^alpha is taken with
+    one scalar exponent); each keeps its own lam, forcing and snapshot stride.
     ``phi0``, ``phi0_prime``, ``h_forcing`` and ``h_y`` are vectorized callables
     (``phi0(y)``, ``h_forcing(t, y)``) with phi0(0) = 0 and h(t, 0) = 0;
     ``h_forcing`` and ``h_y`` are both None for the unforced problem and both
@@ -196,22 +218,31 @@ def integrate_perturbed(
     :class:`Grid1D`; phi0, phi0', h and h_y of another shape are a
     :class:`SizeMismatch`.  The y = 0 column of w is pinned to zero.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
-    The run keeps t = 0, every ``snapshot_every``-th step and the final step.
+    A run keeps t = 0, every ``snapshot_every``-th step and the final step.
 
     The ODE has no coupling across y, so ``columns`` (sorted, unique grid
     indices that include ``grid.zero_index``; :class:`DomainError` otherwise)
     integrates only those columns, each exactly as in the full-width run; the
     callables are then evaluated at those points only, and the blow-up check
     (|w| > ``_MAX_AMPLITUDE`` = 1e6) sees only those columns.  None integrates all.
+    The check runs per problem; the first problem past it, the lowest on a
+    tie, raises the :class:`BlowUpError` its run alone would raise.
     """
-    if (h_forcing is None) != (h_y is None):
+    problems = list(problems)
+    if not problems:
+        raise DomainError("a family needs at least one problem")
+    if any((p.h_forcing is None) != (p.h_y is None) for p in problems):
         raise DomainError("h_y, the y-derivative of h_forcing, is given exactly when h_forcing is")
+    alpha = problems[0].params.alpha
+    if any(p.params.alpha != alpha for p in problems):
+        raise DomainError(f"the problems of a family share one alpha, got "
+                          f"{[p.params.alpha for p in problems]}")
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
     if not (0 < dt <= 1e-3 * T):
         raise StepSizeError(f"require 0 < dt <= 1e-3*T = {1e-3 * T:.3g}, got {dt}")
     n_steps = step_count(T, dt)
-    kept = snapshot_steps(n_steps, snapshot_every)
+    kept = [snapshot_steps(n_steps, p.snapshot_every) for p in problems]
 
     grid = _as_grid(grid)
     y = grid.points
@@ -224,7 +255,6 @@ def integrate_perturbed(
                           f"that include the zero index {j0}, got {columns.tolist()}")
     y = y[columns]
     j0 = int(np.searchsorted(columns, j0))
-    lam, alpha = params.lam, params.alpha
 
     w = np.asarray(phi0(y), dtype=np.complex128).copy()
     if w.shape != y.shape:
@@ -233,10 +263,20 @@ def integrate_perturbed(
         raise DomainError(f"phi0(0) must vanish, got {w[j0]}")
     w[j0] = 0.0
 
-    v = np.asarray(phi0_prime(y), dtype=np.complex128).copy()
+    v = np.asarray(phi0_prime(y), dtype=np.complex128)
     if v.shape != y.shape:
         raise SizeMismatch(f"phi0' gave shape {v.shape} on a grid of shape {y.shape}")
     z0 = complex(v[j0])
+
+    # the state stacks w and v of every problem as [track, problem, column], the
+    # problems with lam != 0 first so that their nonlinear terms are one slice;
+    # problem i sits at row pos[i]
+    order = sorted(range(len(problems)), key=lambda i: problems[i].params.lam == 0)
+    pos = sorted(range(len(problems)), key=order.__getitem__)
+    nonlinear = [p.params.lam for p in problems if p.params.lam != 0]
+    n_nl = len(nonlinear)
+    state = np.empty((2, len(problems), y.size), dtype=np.complex128)
+    state[0], state[1] = w, v
 
     def on_grid(values, name):
         """values, if a scalar or of the grid's shape (:class:`SizeMismatch` otherwise)."""
@@ -244,64 +284,78 @@ def integrate_perturbed(
             raise SizeMismatch(f"{name} gave shape {np.shape(values)} on a grid of shape {y.shape}")
         return values
 
+    forced = [(pos[i], p) for i, p in enumerate(problems) if p.h_forcing is not None]
+
     def forcing(t):
-        """(h, h_y) on the grid at time t, checking h(t, 0) = 0."""
-        if h_forcing is None:
-            return 0.0, 0.0
-        h = np.asarray(h_forcing(t, y), dtype=np.complex128)
-        h = np.broadcast_to(on_grid(h, "h_forcing"), y.shape)
-        if not abs(h[j0]) <= 1e-13:
-            raise DomainError(f"h_forcing(t, 0) must vanish, got {h[j0]} at t = {t}")
-        return h, on_grid(np.asarray(h_y(t, y), dtype=np.complex128), "h_y")
+        """(h, h_y) of every problem on the grid at time t, stacked as the state
+        (zero for an unforced problem), checking h(t, 0) = 0."""
+        stack = np.zeros(state.shape, dtype=np.complex128)
+        for row, p in forced:
+            stack[0, row] = on_grid(np.asarray(p.h_forcing(t, y), dtype=np.complex128),
+                                    "h_forcing")
+            if not abs(stack[0, row, j0]) <= 1e-13:
+                raise DomainError(f"h_forcing(t, 0) must vanish, got {stack[0, row, j0]} "
+                                  f"at t = {t}")
+            stack[1, row] = on_grid(np.asarray(p.h_y(t, y), dtype=np.complex128), "h_y")
+        return stack
 
     half = 0.5 * alpha + 1.0  # (alpha + 2)/2
+    # per nonlinear problem: [[lam], [lam*(alpha+2)/2]] on (w, v), and lam*alpha/2
+    coef = np.array([[[lam] for lam in nonlinear], [[lam * half] for lam in nonlinear]])
+    conj_coef = np.array([[lam * (0.5 * alpha)] for lam in nonlinear])
 
-    def rhs(wc, vc, h_val, f_val):
-        if lam == 0:  # the linear control: nothing but the forcing
-            return h_val, f_val
+    def rhs(s, f):
+        if n_nl == 0:  # linear controls only: nothing but the forcing
+            return f
+        wc, vc = s[0, :n_nl], s[1, :n_nl]
         mag = np.abs(wc)
         mag_a = mag**alpha
-        dw = lam * mag_a * wc + h_val
-        dv = (lam * half * mag_a * vc
-              + lam * (0.5 * alpha) * _conj_factor(wc, mag, mag_a) * np.conj(vc) + f_val)
-        return dw, dv
+        d = coef * mag_a * s[:, :n_nl]
+        d[1] += conj_coef * _conj_factor(wc, mag, mag_a) * np.conj(vc)
+        if n_nl == len(problems):
+            return d + f
+        out = f.copy()  # the linear controls: the forcing alone
+        out[:, :n_nl] = d + out[:, :n_nl]
+        return out
 
     times = dt * np.arange(n_steps + 1)
-    ws = np.empty((kept.size, y.size), dtype=np.complex128)
-    vs = np.empty_like(ws)
-    ws[0], vs[0] = w, v
-    row = 1  # next row of ws/vs
+    tracks = [np.empty((2, steps.size, y.size), dtype=np.complex128) for steps in kept]
+    for i, track in enumerate(tracks):
+        track[:, 0] = state[:, pos[i]]
+    rows = [1] * len(problems)  # next row of each track
 
-    def make_run(times_kept, w_rows, v_rows):
-        return OdeRun(params=params, grid=grid, times=times_kept, w=w_rows, v=v_rows,
-                      z0=z0, h_y=h_y, dt=dt, columns=columns)
+    def make_run(i, times_kept, track):
+        p = problems[i]
+        return OdeRun(params=p.params, grid=grid, times=times_kept, w=track[0], v=track[1],
+                      z0=z0, h_y=p.h_y, dt=dt, columns=columns)
 
     # the forcing at the end of a step is the forcing at the start of the next
     lo = forcing(0.0)
     for k in range(n_steps):
         mid, hi = forcing(times[k] + 0.5 * dt), forcing(times[k + 1])
-        k1w, k1v = rhs(w, v, *lo)
-        k2w, k2v = rhs(w + 0.5 * dt * k1w, v + 0.5 * dt * k1v, *mid)
-        k3w, k3v = rhs(w + 0.5 * dt * k2w, v + 0.5 * dt * k2v, *mid)
-        k4w, k4v = rhs(w + dt * k3w, v + dt * k3v, *hi)
-        w = w + (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k1 = rhs(state, lo)
+        k2 = rhs(state + 0.5 * dt * k1, mid)
+        k3 = rhs(state + 0.5 * dt * k2, mid)
+        k4 = rhs(state + dt * k3, hi)
+        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         lo = hi
-        w[j0] = 0.0
-        peak = float(np.max(np.abs(w)))
-        if not np.isfinite(peak) or peak > _MAX_AMPLITUDE:
-            partial = make_run(np.append(times[kept[:row]], times[k + 1]),
-                               np.vstack([ws[:row], w[None, :]]),
-                               np.vstack([vs[:row], v[None, :]]))
+        state[0, :, j0] = 0.0
+        below = np.max(np.abs(state[0]), axis=1) <= _MAX_AMPLITUDE  # False for NaN too
+        if not below.all():
+            i = next(i for i, row in enumerate(pos) if not below[row])
+            row = rows[i]
+            partial = make_run(i, np.append(times[kept[i][:row]], times[k + 1]),
+                               np.concatenate([tracks[i][:, :row], state[:, pos[i], None]], 1))
             raise BlowUpError(
                 f"amplitude exceeded {_MAX_AMPLITUDE:.3g} at t = {times[k + 1]:.6g}",
                 time=float(times[k + 1]), partial=partial,
             )
-        if kept[row] == k + 1:
-            ws[row], vs[row] = w, v
-            row += 1
+        for i, steps in enumerate(kept):
+            if steps[rows[i]] == k + 1:
+                tracks[i][:, rows[i]] = state[:, pos[i]]
+                rows[i] += 1
 
-    return make_run(times[kept], ws, vs)
+    return [make_run(i, times[steps], track) for i, (steps, track) in enumerate(zip(kept, tracks))]
 
 
 def integrating_factor(run: OdeRun) -> np.ndarray:

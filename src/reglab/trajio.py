@@ -21,11 +21,11 @@ File layout (all little-endian):
 
 A file whose kind, channel count or scheme differs from these values is a
 FormatError, as is one whose flags are not 2 or 3, whose blowup_t is not
-finite with bit 0 set or not the NaN that save writes with it clear, whose
-z0 bytes are not all zero, whose grid, dt, parameters or time stamps no
-Trajectory can hold, or one with a NaN or infinite snapshot value; its
-offset is that of the failing field or value.  So a file that loads saves
-back byte for byte.
+finite and at or after the last time stamp with bit 0 set or not the NaN
+that save writes with it clear, whose z0 bytes are not all zero, whose
+grid, dt, parameters or time stamps no Trajectory can hold, or one with a
+NaN or infinite snapshot value; its offset is that of the failing field or
+value.  So a file that loads saves back byte for byte.
 Snapshot payloads are written with numpy's little-endian complex128 codec,
 so a save/load round trip is bit-exact.  A JSON sidecar (<path>.json)
 duplicates the metadata for humans.  Writes are atomic: a uniquely named
@@ -220,6 +220,9 @@ def load_trajectory(path):
     if end != len(blob):
         raise FormatError("trailing bytes after snapshots", offset=end)
     times = blob[_HEADER.size:mid].view("<f8")
+    if blowup_time is not None and n_times and blowup_time < times[-1]:
+        raise FormatError(f"blowup_t {blowup_time} precedes the last time stamp {times[-1]}",
+                          offset=80)
     snaps = blob[mid:end].view("<c16")
     traj = checked(112, lambda: Trajectory(params, grid, times, snaps.reshape(n_times, n_points),
                                            dt, blowup_time))

@@ -307,6 +307,16 @@ class TestTrajectory:
             Trajectory(heat_params(), Grid1D(8, 1.0), np.array([0.0, 0.1, 0.2]), values, 0.1,
                        blowup_time)
 
+    def test_blowup_time_before_the_last_stamp_is_a_domain_error(self):
+        # solve records no row after the blow-up time, and a file saved from a
+        # trajectory that did would not load
+        values = np.zeros((3, 8), dtype=np.complex128)
+        times = np.array([0.0, 0.1, 0.2])
+        with pytest.raises(DomainError, match="precedes the last time stamp"):
+            Trajectory(heat_params(), Grid1D(8, 1.0), times, values, 0.1, 0.15)
+        traj = Trajectory(heat_params(), Grid1D(8, 1.0), times, values, 0.1, 0.2)
+        assert traj.blowup_time == 0.2
+
     @pytest.mark.parametrize("shape", [(3, 16), (3, 4), (3,), (3, 8, 1), (4, 8)])
     def test_rows_of_the_wrong_length_are_a_size_mismatch(self, shape):
         # a row holds one value per grid point, checked when the trajectory is built

@@ -1,6 +1,7 @@
 """Structural rules of the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "reglab"
@@ -102,6 +103,30 @@ def test_only_grids_walks_the_ladder():
             if isinstance(node, ast.Call) and "dyadic_ladder" in _names(node.func):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, without those of the functions nested in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_one_rk4_loop():
+    # ode holds the one RK4 loop, which steps a whole family of problems at once;
+    # a second loop kept beside it would form the update k1 + 2 k2 + 2 k3 + k4 again
+    update = re.compile(r"\w+ \+ 2(\.0)? \* \w+ \+ 2(\.0)? \* \w+ \+ \w+")
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.BinOp) and update.fullmatch(ast.unparse(node))
+                    for node in _own_nodes(func)):
+                found.add(f"{path.name}:{func.name}")
+    assert found == {"ode.py:integrate_family"}
 
 
 def test_benchmark_tracer_resolves_its_names(monkeypatch):

@@ -7,6 +7,7 @@ from reglab.errors import BlowUpError, DegenerateInput, DomainError, SizeMismatc
 from reglab.grids import Grid1D
 from reglab.ode import (
     NonlinearityParams,
+    OdeProblem,
     _conj_factor,
     _flow_factor,
     exact_first_derivative,
@@ -14,6 +15,7 @@ from reglab.ode import (
     exact_second_derivative,
     exact_solution,
     holder_defect,
+    integrate_family,
     integrate_perturbed,
     integrating_factor,
     representation_check,
@@ -66,6 +68,12 @@ class TestParams:
             NonlinearityParams(alpha=0.5, lam=1.0, theta=2.0)
         p = NonlinearityParams(alpha=0.5, lam=0.0)  # linear-control limit
         assert p.lam == 0.0
+
+    @pytest.mark.parametrize("lam", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                     complex(-np.inf, 1.0), np.nan])
+    def test_non_finite_lam_is_a_domain_error(self, lam):
+        with pytest.raises(DomainError, match="lam must be finite"):
+            NonlinearityParams(alpha=0.5, lam=lam)
 
 
 class TestExactSolution:
@@ -163,6 +171,28 @@ class TestExactSolution:
         params = NonlinearityParams(alpha=alpha, lam=complex(0.0, lam_im))
         v = np.array(values, dtype=complex)
         np.testing.assert_allclose(np.abs(exact_flow(params, v, t)), np.abs(v), rtol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.25, 1.95),
+        lam=st.sampled_from([1.0, -1.0, 1j, 2.0 - 1.0j, -0.5 + 2.0j]),
+        c=st.sampled_from([0.5, 2.0, 3.0]),
+        values=st.lists(st.complex_numbers(min_magnitude=1e-6, max_magnitude=2.0),
+                        min_size=1, max_size=8),
+        t_frac=st.floats(0.0, 0.9),
+    )
+    def test_scaling_law(self, alpha, lam, c, values, t_frac):
+        # w(t) solves w' = lam |w|^alpha w, and so does c w(c^alpha t): the flow of
+        # c v to t is c times the flow of v to c^alpha t; for Re lam > 0, t stays
+        # below the blow-up time of c v, and c^alpha t below that of v
+        params = NonlinearityParams(alpha=alpha, lam=lam)
+        v = np.array(values, dtype=complex)
+        horizon = 1.0
+        if params.lam.real > 0:
+            horizon = min(1.0, 1.0 / (alpha * params.lam.real * np.max(np.abs(c * v)) ** alpha))
+        t = t_frac * horizon
+        scaled = c * exact_flow(params, v, c**alpha * t)
+        np.testing.assert_allclose(exact_flow(params, c * v, t), scaled, rtol=1e-13, atol=0.0)
 
 
 class TestFlowFactor:
@@ -754,6 +784,163 @@ class TestColumnRestriction:
         run = integrate_perturbed(params, lambda y: y.astype(complex), None,
                                   columns=near_zero, **kwargs)
         assert run.w.shape == (2501, 3)
+
+
+def rk4_loop_reference(params, w, v, h, h_y, y, T, dt, j0):
+    """RK4 of one problem on its own, w and v as separate arrays (test-local
+    reference): w and v of every step, [time, column]."""
+    lam, alpha = params.lam, params.alpha
+
+    def forcing(t):
+        if h is None:
+            return 0.0, 0.0
+        return (np.broadcast_to(np.asarray(h(t, y), dtype=complex), y.shape),
+                np.asarray(h_y(t, y), dtype=complex))
+
+    def rhs(wc, vc, h_val, f_val):
+        if lam == 0:
+            return h_val, f_val
+        mag = np.abs(wc)
+        mag_a = mag**alpha
+        return (lam * mag_a * wc + h_val,
+                lam * (0.5 * alpha + 1.0) * mag_a * vc
+                + lam * (0.5 * alpha) * _conj_factor(wc, mag, mag_a) * np.conj(vc) + f_val)
+
+    times = dt * np.arange(round(T / dt) + 1)
+    ws, vs = [w], [v]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        lo, mid, hi = forcing(t0), forcing(t0 + 0.5 * dt), forcing(t1)
+        k1w, k1v = rhs(w, v, *lo)
+        k2w, k2v = rhs(w + 0.5 * dt * k1w, v + 0.5 * dt * k1v, *mid)
+        k3w, k3v = rhs(w + 0.5 * dt * k2w, v + 0.5 * dt * k2v, *mid)
+        k4w, k4v = rhs(w + dt * k3w, v + dt * k3v, *hi)
+        w = w + (dt / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w[j0] = 0.0
+        ws.append(w)
+        vs.append(v)
+    return np.array(ws), np.array(vs)
+
+
+class TestIntegrateFamily:
+    """One loop steps a family of problems; each run is that problem's run alone."""
+
+    GRID = Grid1D(32, 1.0)
+    FORCINGS = {
+        "none": (None, None),
+        "cubic": (lambda t, y: t * (y * y * y), lambda t, y: 3.0 * t * y**2),
+        "sine": (lambda t, y: np.sin(y) * t, lambda t, y: np.cos(y) * t),
+        "scalar": (lambda t, y: 0.0, lambda t, y: 0.0),
+    }
+
+    @staticmethod
+    def shared(T=0.005, dt=5e-6, grid=GRID, columns=None):
+        return dict(phi0=lambda y: (y * np.exp(-y * y)).astype(complex), T=T, grid=grid,
+                    dt=dt, columns=columns,
+                    phi0_prime=lambda y: ((1.0 - 2.0 * y * y) * np.exp(-y * y)).astype(complex))
+
+    @staticmethod
+    def alone(problem, **kwargs):
+        return integrate_perturbed(problem.params, kwargs.pop("phi0"), problem.h_forcing,
+                                   h_y=problem.h_y, snapshot_every=problem.snapshot_every,
+                                   **kwargs)
+
+    @settings(max_examples=10, deadline=None)
+    @example(alpha=0.5, members=[(1.0, "none", 1), (0.0, "cubic", 3), (1j, "scalar", 7),
+                                 (0.0, "none", 500)], subset={3, 20})
+    @given(
+        alpha=st.floats(0.05, 1.95),
+        members=st.lists(st.tuples(st.sampled_from([1.0, 0.0, 1j, -0.5 + 2.0j, 0.3 + 0.7j]),
+                                   st.sampled_from(sorted(FORCINGS)),
+                                   st.sampled_from([1, 3, 7, 500])),
+                         min_size=1, max_size=3),
+        subset=st.none() | st.sets(st.integers(0, 31), max_size=12),
+    )
+    def test_family_is_bit_identical_to_its_problems_alone(self, alpha, members, subset):
+        columns = None if subset is None else sorted(subset | {self.GRID.zero_index})
+        problems = [OdeProblem(NonlinearityParams(alpha, lam), *self.FORCINGS[f], every)
+                    for lam, f, every in members]
+        runs = integrate_family(problems, **self.shared(columns=columns))
+        assert len(runs) == len(problems)
+        for problem, run in zip(problems, runs):
+            ref = self.alone(problem, **self.shared(columns=columns))
+            assert run.params == problem.params and run.h_y is problem.h_y
+            assert run.times.tobytes() == ref.times.tobytes()
+            assert run.w.tobytes() == ref.w.tobytes()
+            assert run.v.tobytes() == ref.v.tobytes()
+            assert run.z0 == ref.z0 and np.array_equal(run.columns, ref.columns)
+
+    @pytest.mark.parametrize("alpha, lam, forcing", [
+        (0.3, 1.0, "none"), (1.5, -0.5 + 2.0j, "cubic"), (0.5, 0.0, "sine"),
+        (0.5, 0.0, "none"), (1.0, 1j, "scalar"),
+    ])
+    def test_run_alone_is_bit_identical_to_the_loop_reference(self, alpha, lam, forcing):
+        params = NonlinearityParams(alpha, lam)
+        h, h_y = self.FORCINGS[forcing]
+        kwargs = self.shared()
+        run = self.alone(OdeProblem(params, h, h_y), **kwargs)
+        y = self.GRID.points
+        w0 = kwargs["phi0"](y)
+        w0[self.GRID.zero_index] = 0.0
+        w, v = rk4_loop_reference(params, w0, kwargs["phi0_prime"](y), h, h_y, y,
+                                  kwargs["T"], kwargs["dt"], self.GRID.zero_index)
+        assert run.w.tobytes() == w.tobytes() and run.v.tobytes() == v.tobytes()
+
+    def blow_up(self, problems):
+        # phi0 = y blows up at t* = 2 at y = -1 for lam = 1
+        kwargs = dict(phi0=lambda y: y.astype(complex), T=2.5, grid=self.GRID, dt=1e-3,
+                      phi0_prime=lambda y: np.ones_like(y, dtype=complex))
+        with pytest.raises(BlowUpError) as family:
+            integrate_family(problems, **kwargs)
+        return family.value, kwargs
+
+    def assert_same_blowup(self, err, problem, kwargs):
+        with pytest.raises(BlowUpError) as alone:
+            self.alone(problem, **kwargs)
+        assert err.time == alone.value.time and str(err) == str(alone.value)
+        a, b = err.partial, alone.value.partial
+        assert a.params == problem.params
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.w.tobytes() == b.w.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+    def test_second_problem_blowing_up_raises_its_own_error(self):
+        # lam = i only turns the phase; lam = 1 passes the cap near t* = 2
+        problems = [OdeProblem(NonlinearityParams(0.5, 1j), snapshot_every=5),
+                    OdeProblem(NonlinearityParams(0.5, 1.0), snapshot_every=7)]
+        err, kwargs = self.blow_up(problems)
+        assert abs(err.time - 2.0) < 0.01
+        self.assert_same_blowup(err, problems[1], kwargs)
+
+    def test_lowest_problem_raises_on_a_tie(self):
+        # the same blow-up in two problems that keep different rows
+        problems = [OdeProblem(NonlinearityParams(0.5, -1.0)),
+                    OdeProblem(NonlinearityParams(0.5, 1.0), snapshot_every=7),
+                    OdeProblem(NonlinearityParams(0.5, 1.0), snapshot_every=3)]
+        err, kwargs = self.blow_up(problems)
+        self.assert_same_blowup(err, problems[1], kwargs)
+
+    def test_mixed_alphas_are_a_domain_error(self):
+        # |w|^alpha is one power with a scalar exponent for the whole family
+        problems = [OdeProblem(NonlinearityParams(0.5, 1.0)),
+                    OdeProblem(NonlinearityParams(1.5, 1.0))]
+        with pytest.raises(DomainError, match="share one alpha"):
+            integrate_family(problems, **self.shared())
+        with pytest.raises(DomainError, match="at least one problem"):
+            integrate_family([], **self.shared())
+
+    def test_each_forcing_is_checked_at_every_time_level(self):
+        # the second problem's h(t, 0) = 1 at t = T/2 only; the first's is always 0
+        T = 0.005
+        bad = (lambda t, y: np.sin(np.pi * t / T) * (1.0 + y),
+               lambda t, y: np.sin(np.pi * t / T) * np.ones_like(y))
+        problems = [OdeProblem(NonlinearityParams(0.5, 1.0), *self.FORCINGS["cubic"]),
+                    OdeProblem(NonlinearityParams(0.5, 0.0), *bad)]
+        with pytest.raises(DomainError, match="h_forcing"):
+            integrate_family(problems, **self.shared(T=T))
+        wrong_shape = (lambda t, y: t * y**3, lambda t, y: np.zeros(3))
+        problems[1] = OdeProblem(NonlinearityParams(0.5, 0.0), *wrong_shape)
+        with pytest.raises(SizeMismatch, match="h_y"):
+            integrate_family(problems, **self.shared(T=T))
 
 
 class TestHolderDefect:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reglab.errors import FormatError, IoError, VersionError
+from reglab.errors import BlowUpError, FormatError, IoError, VersionError
 from reglab.evolution import Trajectory, make_odd_bump, solve
 from reglab.grids import Grid1D
 from reglab.ode import NonlinearityParams, integrate_perturbed
@@ -29,7 +29,7 @@ def make_trajectory(n=256, with_blowup=False):
     bump = make_odd_bump(1.0, 1.0)
     traj = solve(params, bump, g, T=0.01, dt=1e-3, snapshot_every=2)
     if with_blowup:
-        traj.blowup_time = 0.008
+        traj.blowup_time = 0.012  # after the last time stamp, 0.01, as solve puts it
     return traj
 
 
@@ -99,7 +99,7 @@ class TestRoundTrip:
         path = tmp_path / "run.rglb"
         save_trajectory(traj, path)
         back = load_trajectory(path)
-        assert back.blowup_time == 0.008
+        assert back.blowup_time == 0.012
 
     def test_sidecar_metadata(self, tmp_path):
         traj = make_trajectory()
@@ -297,6 +297,8 @@ class TestCorruption:
         (header_offset("dt"), struct.pack("<d", math.inf), 32),
         (header_offset("dt"), struct.pack("<d", 0.0), 32),
         (header_offset("dt"), struct.pack("<d", -1.0), 32),
+        (header_offset("alpha") + 8, struct.pack("<d", math.nan), 40),  # lambda_re
+        (header_offset("alpha") + 8, struct.pack("<d", math.inf), 40),
         (HEADER_LENGTH, struct.pack("<d", math.nan), 112),  # the first time stamp
         (HEADER_LENGTH + 8, struct.pack("<d", 0.0), 112),  # times 0, 0, 0.2
     ], ids=["alpha_out_of_domain", "kind_vs_channels", "huge_grid", "huge_power_of_two_grid",
@@ -304,6 +306,7 @@ class TestCorruption:
             "no_odd_projection_flag", "unknown_flag", "blowup_flag_without_time",
             "blowup_time_without_flag", "other_nan_blowup_time", "nonzero_z0_re",
             "negative_zero_z0_im", "nan_dt", "infinite_dt", "zero_dt", "negative_dt",
+            "nan_lambda_re", "infinite_lambda_re",
             "nan_time_stamp", "repeated_time_stamp"])
     def test_bad_header_field_is_format_error(self, tmp_path, at, patch, offset):
         # the error points at the field that failed
@@ -315,6 +318,40 @@ class TestCorruption:
         with pytest.raises(FormatError) as err:
             load_trajectory(path)
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("blowup, loads", [
+        (-1.0, False), (0.15, False), (0.2, True), (0.25, True),
+    ], ids=["negative", "before_the_last_stamp", "at_the_last_stamp", "after_the_last_stamp"])
+    def test_blowup_time_before_the_last_stamp_is_format_error(self, tmp_path, blowup, loads):
+        # solve records no row after the blow-up time; the last stamp here is 0.2
+        path = tmp_path / "run.rglb"
+        save_trajectory(tiny_trajectory(), path)
+        blob = bytearray(path.read_bytes())
+        blob[header_offset("flags"):header_offset("flags") + 4] = struct.pack("<I", 3)
+        blob[header_offset("blowup_t"):header_offset("blowup_t") + 8] = struct.pack("<d", blowup)
+        path.write_bytes(bytes(blob))
+        if not loads:
+            with pytest.raises(FormatError, match="precedes the last time stamp") as err:
+                load_trajectory(path)
+            assert err.value.offset == 80
+            return
+        traj = load_trajectory(path)
+        assert traj.blowup_time == blowup
+        save_trajectory(traj, tmp_path / "back.rglb")
+        assert (tmp_path / "back.rglb").read_bytes() == bytes(blob)
+
+    def test_blown_up_solve_saves_a_file_that_loads(self, tmp_path):
+        # the partial run of a blow-up between two steps ends before its blow-up time
+        params = NonlinearityParams(alpha=1.0, lam=1.0)
+        grid, bump = Grid1D(256, 4.0), make_odd_bump(1e4, 2.0)
+        with pytest.raises(BlowUpError) as err:
+            solve(params, bump, grid, T=0.01, dt=1e-3)
+        partial = err.value.partial
+        assert partial.blowup_time > partial.times[-1]
+        save_trajectory(partial, tmp_path / "run.rglb")
+        back = load_trajectory(tmp_path / "run.rglb")
+        assert back.blowup_time == partial.blowup_time
+        assert back.values.tobytes() == partial.values.tobytes()
 
     @pytest.mark.parametrize("n_times, value, part, patch", [
         (3, 13, 0, math.nan),
