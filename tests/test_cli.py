@@ -18,6 +18,7 @@ from reglab.cli import (
     make_parser,
     run_simulate,
 )
+from reglab.diagnostics import InequalityCheck, InequalityReport
 from reglab.errors import ConfigError
 from reglab.grids import Grid1D
 from reglab.ode import NonlinearityParams, holder_defect, integrate_perturbed
@@ -185,10 +186,11 @@ class TestConfigHandling:
 
 MODEL = {"alpha", "lambda_re", "lambda_im", "theta"}
 SOLVED = MODEL | {"grid_n", "domain_l", "dt", "t_final", "amplitude", "support_radius"}
-# the options each experiment reads; every other one must keep its default
+# the options each experiment reads; every other one must keep its default.  The ODE of
+# ode-defect has no diffusion term, so it reads no theta
 READS = {
     "verify-kernel": {"alpha", "seed"},
-    "ode-defect": MODEL | {"grid_n", "dt", "t_final"},
+    "ode-defect": {"alpha", "lambda_re", "lambda_im", "grid_n", "dt", "t_final"},
     "simulate": SOLVED | {"snapshot_every"},
     "third-derivative-scan": SOLVED,
     "duhamel-rate": SOLVED,
@@ -216,7 +218,7 @@ class TestOptionContract:
         assert set(OTHER_VALUE) == {f.name for f in fields(ExperimentConfig)} - {
             "experiment", "out_dir"}
         assert cli._READS == READS
-        assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (46, 52)
+        assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (45, 53)
 
     def test_readme_table_states_the_contract(self):
         # each row of README's option table lists its experiment's flags, "model"
@@ -257,7 +259,7 @@ class TestOptionContract:
         "ode-defect": {"grid_n": 256},
         "simulate": {"grid_n": 256, "t_final": 2e-3},
         "third-derivative-scan": {"grid_n": 512},
-        "duhamel-rate": {"grid_n": 512},
+        "duhamel-rate": {"grid_n": 512, "t_final": 2e-3},
         "scaling-report": {},
         "inequality-suite": {},
     }
@@ -288,6 +290,47 @@ class TestOptionContract:
                         **self.CENSUS[experiment])
         cli._RUNNERS[experiment](cfg)
         assert reads == READS[experiment]
+
+    # where OTHER_VALUE is the CENSUS value or one the experiment refuses: ode-defect needs
+    # dt <= t_final/1000, and the scans need 4 ladder points below support_radius/4
+    MOVED = {
+        ("ode-defect", "t_final"): "0.04",
+        ("third-derivative-scan", "grid_n"): "1024",
+        ("third-derivative-scan", "domain_l"): "3",
+        ("third-derivative-scan", "support_radius"): "3",
+        ("duhamel-rate", "grid_n"): "1024",
+        ("duhamel-rate", "domain_l"): "3",
+        ("duhamel-rate", "support_radius"): "3",
+    }
+
+    def census_report(self, out_dir, experiment, changes=()):
+        """The report of a CENSUS-sized run, without the values that restate its
+        config or name its directory or its clock."""
+        argv = ["--experiment", experiment, "--out-dir", str(out_dir)]
+        for key, value in [*self.CENSUS[experiment].items(), *changes]:
+            argv += [flag(key), str(value)]
+        report = cli.run(build_config(make_parser().parse_args(argv)))
+        for key in ("config", "timing", "trajectory_path"):
+            report.pop(key, None)
+        return json.dumps(report, sort_keys=True)
+
+    @pytest.fixture(scope="class")
+    def default_report(self, tmp_path_factory):
+        reports = {}
+
+        def get(experiment):
+            if experiment not in reports:
+                reports[experiment] = self.census_report(tmp_path_factory.mktemp("default"),
+                                                         experiment)
+            return reports[experiment]
+        return get
+
+    @pytest.mark.parametrize("experiment, key", READ_PAIRS)
+    def test_read_option_moves_the_report(self, tmp_path, default_report, experiment, key):
+        # an option that is read but moves no number would be reported but ignored
+        value = self.MOVED.get((experiment, key), OTHER_VALUE[key])
+        assert self.census_report(tmp_path, experiment, [(key, value)]) \
+            != default_report(experiment)
 
     @pytest.mark.parametrize("experiment", ["verify-kernel", "simulate"])
     def test_unwritable_out_dir_exits_3(self, tmp_path, capsys, experiment):
@@ -440,12 +483,10 @@ class TestExperiments:
                     float(r.theory_lower_bound)] for r in sweep]
         assert report["tables"]["ladder"]["rows"] == ladder
         assert report["tables"]["t_sweep"]["rows"] == t_sweep
-        # y = 0 and the five ladder points y = 4h ... 0.5 of 256 columns
-        expect = {"rk4_steps": 1000, "columns_integrated": 6}
+        # y = 0 and the five ladder points y = 4h ... 0.5 of 256 columns, shared by all runs
         assert report["numerics"] == {
-            "unforced": {**expect, "rows_kept": 6},
-            "forced": {**expect, "rows_kept": 2},
-            "control": {**expect, "rows_kept": 2},
+            "columns_integrated": 6,
+            "rows_kept": {"unforced": 6, "forced": 2, "control": 2},
         }
 
     def test_ode_defect_alpha_above_one(self, tmp_path):
@@ -505,6 +546,16 @@ class TestExperiments:
         report = json.loads((out / "inequality-suite.json").read_text())
         assert report["passed"]
         assert len(report["checks"]) == 3
+
+    def test_inequality_suite_fails_a_ratio_over_its_threshold(self, tmp_path, monkeypatch):
+        checks = [InequalityCheck("held", 10, 1.0, 1.0), InequalityCheck("broken", 10, 3.0, 2.0)]
+        monkeypatch.setattr(cli, "appendix_inequality_checks",
+                            lambda seed: InequalityReport(checks))
+        out = tmp_path / "out"
+        assert run_cli(["--experiment", "inequality-suite", "--out-dir", str(out)]) == 1
+        report = json.loads((out / "inequality-suite.json").read_text())
+        assert [c["passed"] for c in report["checks"]] == [True, False]
+        assert [row[-1] for row in report["tables"]["ratios"]["rows"]] == [True, False]
 
     def test_duhamel_rate_with_consistency_record(self, tmp_path):
         out = tmp_path / "out"
@@ -624,14 +675,13 @@ class TestDeterminism:
         for blob in blobs:
             blob.pop("timing")
         assert blobs[0] == blobs[1]
-        assert set(blobs[0]["numerics"]) == {"unforced", "forced", "control"}
+        assert set(blobs[0]["numerics"]["rows_kept"]) == {"unforced", "forced", "control"}
 
     @pytest.mark.parametrize("experiment, flags, expected", [
         ("simulate", ["--grid-n", "256", "--snapshot-every", "10"],
-         {"trajectory": {"solver_steps": 1000, "snapshots": 101}}),
+         {"trajectory": {"snapshots": 101}}),
         ("third-derivative-scan", ["--grid-n", "512"],
-         {"nonlinear": {"solver_steps": 1000, "snapshots": 5},
-          "control": {"solver_steps": 1000, "snapshots": 2}}),
+         {"nonlinear": {"snapshots": 5}, "control": {"snapshots": 2}}),
     ], ids=["simulate", "third-derivative-scan"])
     def test_solver_numerics_are_reproducible(self, tmp_path, experiment, flags, expected):
         out = tmp_path / "out"
@@ -668,6 +718,4 @@ class TestDeterminism:
         assert numerics["slices"] == sum(-(-800 // k) + 1 for k in strides)
         # the spectral cross-check transforms each stored snapshot once, not once per tau
         assert 1 in strides and numerics["spectral_transforms"] == 801
-        # the graded slices transform each of those snapshots once too, 8 to a block
-        assert numerics["interpolant_rows"] == numerics["spectral_transforms"]
-        assert numerics["trajectory"] == {"solver_steps": 800, "snapshots": 801}
+        assert numerics["trajectory"] == {"snapshots": 801}

@@ -6,6 +6,7 @@ import pytest
 
 from reglab.diagnostics import (
     DuhamelProbe,
+    InequalityCheck,
     ScalingParams,
     SobolevIndex,
     appendix_inequality_checks,
@@ -368,7 +369,7 @@ class TestFixedRuleRate:
         transformed = np.concatenate(built)
         # the stride-1 tau reads all 41 snapshots
         assert transformed.tobytes() == traj.values.tobytes()
-        assert rate.interpolant_rows == rate.spectral_transforms == 41
+        assert len(transformed) == rate.spectral_transforms == 41
 
     def test_matches_a_plain_loop_over_slices(self):
         traj = standard_run(alpha=0.5, n=256, T=0.004, dt=2.5e-5, snapshot_every=1,
@@ -566,6 +567,10 @@ class TestAppendixInequalities:
             "nonlinearity_gradient_formula",
             "gradient_interpolation_bound",
         }
+
+    def test_passed_is_the_ratio_against_its_threshold(self):
+        assert InequalityCheck("bound", 10, 2.0, 2.0).passed
+        assert not InequalityCheck("bound", 10, 2.5, 2.0).passed
 
     def test_gradient_check_counts_the_points_it_compares(self, monkeypatch):
         # points near a zero of u are masked out, so fewer than the 16 per field drawn

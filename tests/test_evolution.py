@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reglab.errors import BlowUpError, DomainError, ResolutionError, SizeMismatch, StepSizeError
 from reglab.evolution import (
@@ -361,6 +363,45 @@ class TestSolveStorage:
             tracemalloc.stop()
         field_bytes = g.n_points * 16
         assert peak <= 1.1 * traj.values.nbytes + 32 * field_bytes
+
+
+FAMILIES = [(0.0, 1.0), (np.pi / 4, 1.0), (np.pi / 2, 1j)]  # (theta, lam): heat, CGL, NLS
+
+
+def scaled_pair(alpha, mu, family):
+    """A run and its dilation by mu: u_mu(t, y) = mu^(2/alpha) u(mu^2 t, mu y) solves the
+    same equation on [-L/mu, L/mu) from the bump dilated alike, stepped at dt/mu^2."""
+    theta, lam = family
+    params = heat_params(alpha=alpha, lam=lam, theta=theta)
+    amplitude, radius, half_length, dt, T = 16.0, 2.0, 4.0, 2e-5, 2e-3
+    # 256 points put 64 across the radius in either run
+    base = solve(params, make_odd_bump(amplitude, radius), Grid1D(256, half_length),
+                 T=T, dt=dt, snapshot_every=25)
+    scaled = solve(params, make_odd_bump(amplitude * mu ** (2 / alpha + 1), radius / mu),
+                   Grid1D(256, half_length / mu), T=T / mu**2, dt=dt / mu**2,
+                   snapshot_every=25)
+    assert np.array_equal(scaled.times * mu**2, base.times)
+    return base, scaled
+
+
+class TestScaling:
+    @settings(deadline=None, database=None, max_examples=25)
+    @given(alpha=st.sampled_from([1.0, 0.5, 0.25, 0.125]), mu=st.sampled_from([2.0, 4.0, 0.5]),
+           family=st.sampled_from(FAMILIES))
+    def test_dilation_is_bit_exact(self, alpha, mu, family):
+        # with alpha = 2/k for k a power of two, every factor of the dilation is a power of
+        # two, so the scaled run is the base run times mu^(2/alpha) to the bit (for other k
+        # the Schroedinger phase |u|^alpha differs in the last bits)
+        base, scaled = scaled_pair(alpha, mu, family)
+        assert np.array_equal(scaled.values, mu ** (2 / alpha) * base.values)
+
+    @settings(deadline=None, database=None, max_examples=25)
+    @given(alpha=st.floats(0.05, 1.95), mu=st.sampled_from([2.0, 4.0, 0.5]),
+           family=st.sampled_from(FAMILIES))
+    def test_dilation_holds_for_any_alpha(self, alpha, mu, family):
+        base, scaled = scaled_pair(alpha, mu, family)
+        expect = mu ** (2 / alpha) * base.values
+        assert np.max(np.abs(scaled.values - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 class TestEtaTrack:

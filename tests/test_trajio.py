@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reglab.errors import BlowUpError, FormatError, IoError, VersionError
+from reglab.errors import BlowUpError, FormatError, IoError, RegLabError, VersionError
 from reglab.evolution import Trajectory, make_odd_bump, solve
 from reglab.grids import Grid1D
 from reglab.ode import NonlinearityParams, integrate_perturbed
@@ -398,6 +398,43 @@ class TestCorruption:
             return
         save_trajectory(traj, tmp_path / "back.rglb")
         assert (tmp_path / "back.rglb").read_bytes() == bytes(blob)
+
+    def test_time_stamp_and_snapshot_corruption_fuzz(self, tmp_path, monkeypatch):
+        # past the header: each time-stamp byte and every byte of a fixed sample of
+        # snapshot values, each set to 0, 1, 0x7f, 0x80, 0xff and flipped in bit 0 and
+        # bit 6, either raises or loads a file that saves back byte for byte
+        monkeypatch.setattr(os, "fsync", lambda fd: None)  # bytes, not durability, matter here
+        params = NonlinearityParams(alpha=0.5, lam=1.0, theta=0.0)
+        traj = solve(params, make_odd_bump(16.0, 2.0), Grid1D(256, 4.0), T=0.01, dt=1e-3)
+        path, back = tmp_path / "fuzz.rglb", tmp_path / "back.rglb"
+        save_trajectory(traj, path)
+        clean = path.read_bytes()
+        block = HEADER_LENGTH + 8 * len(traj.times)
+        assert (len(traj.times), block - HEADER_LENGTH) == (11, 88)
+        n_values = traj.values.size
+        # the first and last value and 6 drawn ones, all 16 bytes of each
+        values = [0, n_values - 1, *np.random.default_rng(29).choice(n_values - 2, 6) + 1]
+        regions = {"stamps": range(HEADER_LENGTH, block),
+                   "snapshots": [block + 16 * i + k for i in values for k in range(16)]}
+        raised = dict.fromkeys(regions, 0)
+        mismatched = 0
+        for region, where in regions.items():
+            for at in where:
+                byte = clean[at]
+                for value in (0, 1, 0x7F, 0x80, 0xFF, byte ^ 1, byte ^ 0x40):
+                    blob = bytearray(clean)
+                    blob[at] = value
+                    path.write_bytes(bytes(blob))
+                    try:
+                        loaded = load_trajectory(path)
+                    except RegLabError:
+                        raised[region] += 1
+                        continue
+                    save_trajectory(loaded, back)
+                    mismatched += back.read_bytes() != bytes(blob)
+        assert mismatched == 0
+        # both regions reach the loader's checks: 118 and 3 of 616 and 896 changes raise
+        assert raised == {"stamps": 118, "snapshots": 3}
 
     def test_two_grid_file_is_format_error(self, tmp_path):
         # the format once stored a pair of grids (x', y); a field now lives on one
