@@ -29,7 +29,6 @@ from .grids import (
 )
 from .numerics import (
     RegressionFit,
-    adaptive_quadrature,
     gaussian_moment,
     loglog_fit,
 )
@@ -51,7 +50,6 @@ from .kernels import (
     KernelProbe,
     c_alpha,
     fifth_derivative_at_zero,
-    gaussian_smooth,
     odd_power_probe,
 )
 from .evolution import (

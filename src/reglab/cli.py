@@ -2,8 +2,8 @@
 
 Experiments (``--experiment``):
 
-    verify-kernel          closed-form vs quadrature scaling of the smoothed
-                           odd power and its constant
+    verify-kernel          fifth derivative of the smoothed odd power on the
+                           graded rule against its closed form, and c_alpha
     ode-defect             increment exponent of the perturbed-ODE derivative
                            track on a dyadic ladder, with linear control
     simulate               run the splitting solver and persist the trajectory

@@ -214,7 +214,7 @@ class DuhamelRateReport:
     t: float
     taus: np.ndarray
     gaps: np.ndarray
-    values: np.ndarray            # complex D5 per tau (quadrature path)
+    values: np.ndarray            # complex D5 per tau (graded rule)
     magnitudes: np.ndarray
     raw_fit: RegressionFit        # log|D5| vs log(tau - t)
     law_exponent: float           # -beta from the two-term law fit

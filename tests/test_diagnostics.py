@@ -32,7 +32,7 @@ from reglab.grids import (
     derivative_multiplier,
     laplacian_symbol,
 )
-from reglab.kernels import KernelProbe, fifth_derivative_at_zero, graded_fifth_derivatives
+from reglab.kernels import graded_fifth_derivatives
 from reglab.numerics import adaptive_quadrature, trapezoid_weights
 from reglab.ode import NonlinearityParams
 
@@ -215,6 +215,19 @@ def rate_slices(traj, t, taus):
         yield tau, sub, trapezoid_weights(times[sub])
 
 
+def adaptive_fifth_derivative(psi, sigma, rel_tol):
+    """Fifth derivative at 0 of psi smoothed at time sigma/4, as the kernel integral
+    8 pi^(-1/2) sigma^-3 int e^(-y^2) (15 - 20 y^2 + 4 y^4) y r psi(y r) dy, r = sqrt(sigma),
+    by adaptive GK15 on [-12, 12] (exp(-144) < 1e-62): an oracle apart from the graded rule."""
+    root = math.sqrt(sigma)
+
+    def integrand(y):
+        return np.exp(-(y**2)) * (15.0 - 20.0 * y**2 + 4.0 * y**4) * (y * root) * psi(y * root)
+
+    val = adaptive_quadrature(integrand, -12.0, 12.0, rel_tol)
+    return 8.0 / math.sqrt(math.pi) * sigma**-3 * val
+
+
 def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
     """Per-tau D5 by one adaptive GK15 quadrature per slice: the slow oracle of
     the fixed-rule rate, on the same snapshot subsampling and trapezoid weights."""
@@ -229,8 +242,7 @@ def adaptive_rate_values(traj, t, taus, rel_tol=1e-10):
                 vals = interp(pts)
                 return np.abs(vals) ** alpha * vals
 
-            probe = KernelProbe(psi=psi, sigma=4.0 * (tau - traj.times[i]))
-            total += w * fifth_derivative_at_zero(probe, rel_tol=rel_tol)
+            total += w * adaptive_fifth_derivative(psi, 4.0 * (tau - traj.times[i]), rel_tol)
         out.append(total)
     return np.array(out)
 
@@ -379,7 +391,7 @@ class TestFixedRuleRate:
         oracle = plain_loop_rate_values(traj, 0.004, taus)
         assert np.all(np.abs(rate.values - oracle) <= 1e-13 * np.abs(oracle))
 
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
     @pytest.mark.parametrize("dt, gaps, bound", [
         (2.5e-5, (1e-4, 3e-3), 5e-11),  # the gaps of the README run
         # long gaps on a coarse grid: the rule sees the field's top modes at sqrt(sigma) y,
@@ -446,9 +458,9 @@ class TestSyntheticSliceCheck:
             synthetic_slice_check(0.5, 0.0, [0.01, 0.1])
 
     def test_runs_the_fixed_rule(self, monkeypatch):
-        # the closed-form oracle must check the rule the rate uses, in one call
+        # the closed-form oracle checks the rule the rate uses, in one call (that no
+        # other rule exists is a layout test)
         import reglab.diagnostics as diagnostics
-        import reglab.kernels as kernels
 
         calls = []
         rule = diagnostics.graded_fifth_derivatives
@@ -457,11 +469,7 @@ class TestSyntheticSliceCheck:
             calls.append(np.array(sigmas))
             return rule(psi, sigmas)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("adaptive quadrature called")
-
         monkeypatch.setattr(diagnostics, "graded_fifth_derivatives", spy)
-        monkeypatch.setattr(kernels, "adaptive_quadrature", refuse)
         sigmas = [0.01, 0.1, 1.0]
         assert synthetic_slice_check(0.75, 0.3 + 0.4j, sigmas) <= 1e-6
         assert len(calls) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reglab.diagnostics import third_derivative_holder_scan
 from reglab.errors import BlowUpError, DomainError, ResolutionError, SizeMismatch, StepSizeError
 from reglab.evolution import (
     Trajectory,
@@ -402,6 +403,23 @@ class TestScaling:
         base, scaled = scaled_pair(alpha, mu, family)
         expect = mu ** (2 / alpha) * base.values
         assert np.max(np.abs(scaled.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @settings(deadline=None, database=None, max_examples=45)
+    @given(alpha=st.sampled_from([1.0, 0.5, 0.25, 0.3, 1.5]), mu=st.sampled_from([2.0, 4.0, 0.5]),
+           family=st.sampled_from(FAMILIES))
+    def test_scan_is_dilation_covariant(self, alpha, mu, family):
+        # the dyadic ladder rounds y_k/spacing, which the dilation keeps, so the scan of the
+        # scaled run at y_max/mu reads the base ladder over mu, each d^3 increment times
+        # mu^(2/alpha + 3), and the same slope; bit for bit when 2/alpha is a power of two
+        base, scaled = scaled_pair(alpha, mu, family)
+        ref = third_derivative_holder_scan(base, base.times[-1], 1.0)
+        got = third_derivative_holder_scan(scaled, scaled.times[-1], 1.0 / mu)
+        assert ref.ys.size == 4 and np.array_equal(got.ys * mu, ref.ys)
+        expect = mu ** (2 / alpha + 3) * ref.increments
+        if alpha in (1.0, 0.5, 0.25):
+            assert np.array_equal(got.increments, expect)
+        assert np.all(np.abs(got.increments - expect) <= 1e-8 * np.abs(expect))
+        assert abs(got.increment_fit.slope - ref.increment_fit.slope) <= 1e-8
 
 
 class TestEtaTrack:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from reglab.errors import DegenerateInput, DomainError
+from reglab.grids import Grid1D
 from reglab.kernels import (
     KernelProbe,
     _graded_rule,
     c_alpha,
     fifth_derivative_at_zero,
-    gaussian_smooth,
     graded_fifth_derivatives,
     odd_power_probe,
 )
@@ -18,79 +18,28 @@ from reglab.numerics import adaptive_quadrature, gaussian_moment
 SQRT_PI = math.sqrt(math.pi)
 
 
-def fd5(func, h, npts=9):
-    """Central finite-difference fifth derivative at 0 (stencil via Vandermonde)."""
-    half = npts // 2
+def fd5(samples, h):
+    """Central finite-difference fifth derivative at the middle of equispaced samples."""
+    half = len(samples) // 2
     offsets = np.arange(-half, half + 1, dtype=float)
-    rows = np.array([offsets**m / math.factorial(m) for m in range(npts)])
-    rhs = np.zeros(npts)
+    rows = np.array([offsets**m / math.factorial(m) for m in range(len(samples))])
+    rhs = np.zeros(len(samples))
     rhs[5] = 1.0
-    weights = np.linalg.solve(rows, rhs)
-    vals = np.array([func(k * h) for k in offsets])
-    return np.sum(weights * vals) / h**5
+    return np.sum(np.linalg.solve(rows, rhs) * samples) / h**5
 
 
 class TestKernelProbe:
     def test_validation(self):
+        for sigma in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                KernelProbe(psi=lambda y: y, sigma=sigma)
         with pytest.raises(DomainError):
-            KernelProbe(psi=lambda y: y, sigma=0.0)
-        with pytest.raises(DomainError):
-            KernelProbe(psi=lambda y: y, sigma=1.0, m=-1.0)
-
-    def test_growth_sanity(self):
-        # quadratic declared as bounded -> rejected at the sampling check
-        with pytest.raises(DomainError):
-            KernelProbe(psi=lambda y: y**4, sigma=1.0, m=0.0)
-        KernelProbe(psi=lambda y: y**4, sigma=1.0, m=4.0)
-
-    def test_growth_breach_only_at_largest_radius(self):
-        psi = lambda y: np.where(np.abs(y) > 50.0, 1e9, 1.0)
-        with pytest.raises(DomainError, match=r"\|x\|=100\.0"):
-            KernelProbe(psi=psi, sigma=1.0, m=0.0)
-        steep = lambda y: y**4
-        with pytest.raises(DomainError, match=r"m=1\.0 at \|x\|=10\.0"):
-            KernelProbe(psi=steep, sigma=1.0, m=1.0)
-
-    def test_growth_check_calls_psi_once(self):
-        calls = []
-
-        def psi(y):
-            calls.append(np.array(y))
-            return y
-
-        KernelProbe(psi=psi, sigma=1.0, m=1.0)
-        assert len(calls) == 1
-        assert sorted(calls[0]) == [-100.0, -10.0, -1.0, 1.0, 10.0, 100.0]
-        KernelProbe(psi=lambda y: 2.0, sigma=1.0, m=0.0)  # constant psi still works
-
-
-class TestGaussianSmooth:
-    def test_unit_mass(self):
-        for sigma in (0.01, 1.0, 25.0):
-            probe = KernelProbe(psi=lambda y: np.ones_like(y), sigma=sigma, m=0.0)
-            for x in (0.0, 1.7, -3.0):
-                assert abs(gaussian_smooth(probe, x) - 1.0) <= 1e-9
-
-    def test_first_moment_preserved(self):
-        probe = KernelProbe(psi=lambda y: y.astype(complex), sigma=2.0, m=1.0)
-        for x in (0.0, 0.5, -2.5):
-            assert abs(gaussian_smooth(probe, x) - x) <= 1e-9 * (1 + abs(x))
-
-    def test_second_moment(self):
-        # smoothing time sigma/4 adds variance sigma/2 at the origin
-        probe = KernelProbe(psi=lambda y: y**2, sigma=1.0, m=2.0)
-        assert abs(gaussian_smooth(probe, 0.0) - 0.5) <= 1e-9
-
-    def test_affine_functions_fixed(self):
-        probe = KernelProbe(psi=lambda y: 3.0 * y - 2.0, sigma=0.7, m=1.0)
-        for x in (-1.0, 0.3):
-            expect = 3.0 * x - 2.0
-            assert abs(gaussian_smooth(probe, x) - expect) <= 1e-9 * (1 + abs(expect))
+            odd_power_probe(0.5, np.inf)
 
 
 class TestFifthDerivative:
     def test_cubic_vanishes(self):
-        probe = KernelProbe(psi=lambda y: y**3, sigma=1.0, m=3.0)
+        probe = KernelProbe(psi=lambda y: y**3, sigma=1.0)
         assert abs(fifth_derivative_at_zero(probe)) <= 1e-10
 
     def test_odd_power_closed_form(self):
@@ -102,18 +51,17 @@ class TestFifthDerivative:
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     def test_against_finite_differences(self, sigma):
-        # Oracle: 7-point stencil over gaussian_smooth at spacing 1e-2*sqrt(sigma)
-        probe = KernelProbe(psi=lambda y: y**3 * np.exp(-(y**2)), sigma=sigma, m=3.0)
-        direct = fifth_derivative_at_zero(probe)
-        h = 1e-2 * math.sqrt(sigma)
-        approx = fd5(lambda x: gaussian_smooth(probe, x), h)
-        assert abs(direct - approx) <= 1e-4 * abs(direct)
-
-    def test_odd_power_against_finite_differences(self):
-        probe = odd_power_probe(0.5, 1.0)
-        direct = fifth_derivative_at_zero(probe)
-        approx = fd5(lambda x: gaussian_smooth(probe, x), 1e-2)
-        assert abs(direct - approx) <= 1e-4 * abs(direct)
+        # Oracle: psi smoothed spectrally on L 16, N 4096, whose fifth derivative at 0 is
+        # ifft((i xi)^5 e^(-sigma xi^2/4) fft(psi)); a 9-point stencil over the smoothed
+        # samples checks that oracle's conventions
+        psi = lambda y: y**3 * np.exp(-(y**2))
+        direct = fifth_derivative_at_zero(KernelProbe(psi=psi, sigma=sigma))
+        g = Grid1D(4096, 16.0)
+        smoothed = np.fft.fft(psi(g.points)) * np.exp(-sigma * g.wavenumbers**2 / 4.0)
+        spectral = np.fft.ifft((1j * g.wavenumbers) ** 5 * smoothed)[g.zero_index]
+        assert abs(direct - spectral) <= 1e-13 * abs(spectral)
+        window = np.fft.ifft(smoothed)[g.zero_index - 4 : g.zero_index + 5]
+        assert abs(fd5(window, g.spacing) - spectral) <= 1e-4 * abs(spectral)
 
     def test_alpha_one_value(self):
         val = fifth_derivative_at_zero(odd_power_probe(1.0, 1.0))
@@ -122,8 +70,8 @@ class TestFifthDerivative:
 
     def test_even_probe_vanishes(self):
         # the kernel is odd, so an even psi has no fifth derivative at 0
-        probe = KernelProbe(psi=lambda y: np.abs(y) ** 1.5, sigma=1.0, m=1.5)
-        assert abs(fifth_derivative_at_zero(probe)) < 1e-9
+        for psi in (lambda y: np.abs(y) ** 1.5, lambda y: 2.0):
+            assert abs(fifth_derivative_at_zero(KernelProbe(psi=psi, sigma=1.0))) < 1e-9
 
 
 def odd_difference(psi):
@@ -140,17 +88,17 @@ class TestGradedRule:
             expect = -c_alpha(alpha) * sigmas ** (-2.0 + alpha / 2.0)
             assert np.max(np.abs(vals - expect) / np.abs(expect)) <= 1e-11
 
-    def test_matches_adaptive_quadrature_without_symmetry(self):
-        # psi with odd and even parts, complex, and a kink at 0: only the odd
-        # part survives the odd kernel, for the rule as for the quadrature
+    def test_matches_closed_form_without_symmetry(self):
+        # psi with odd and even parts, complex, and a kink at 0: only the odd part
+        # sin(3y) + i |y|^0.5 y survives the odd kernel, and its smoothed fifth
+        # derivative at 0 is 243 e^(-9 sigma/4) - i c_0.5 sigma^(-7/4)
         def psi(y):
             return np.sin(3.0 * y) + np.cos(y) + 1j * np.abs(y) ** 0.5 * y + y**2
 
-        sigmas = [1e-3, 0.1, 2.0]
+        sigmas = np.array([1e-3, 0.1, 2.0])
         vals = graded_fifth_derivatives(odd_difference(psi), sigmas)
-        for sigma, val in zip(sigmas, vals):
-            ref = fifth_derivative_at_zero(KernelProbe(psi=psi, sigma=sigma, m=2.0), rel_tol=1e-12)
-            assert abs(val - ref) <= 1e-10 * abs(ref)
+        expect = 243.0 * np.exp(-9.0 * sigmas / 4.0) - 1j * c_alpha(0.5) * sigmas**-1.75
+        assert np.all(np.abs(vals - expect) <= 1e-12 * np.abs(expect))
 
     def test_one_call_of_psi_with_one_row_per_sigma(self):
         calls = []

@@ -129,6 +129,23 @@ def test_one_rk4_loop():
     assert found == {"ode.py:integrate_family"}
 
 
+def test_one_fifth_derivative_rule():
+    # kernels._graded_rule is the one rule of the smoothed fifth derivative: no module
+    # but numerics names the adaptive quadrature, and no other function builds Gauss nodes
+    naming, building = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        if path.name != "numerics.py" and "adaptive_quadrature" in source:
+            naming.append(path.name)
+        for func in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call) and "leggauss" in _names(node.func)
+                    for node in _own_nodes(func)):
+                building.add(f"{path.name}:{func.name}")
+    assert naming == []
+    assert building == {"kernels.py:_graded_rule"}
+
+
 def test_benchmark_tracer_resolves_its_names(monkeypatch):
     # the benchmark's tracer names package functions and methods; building it
     # (without installing it) fails if one of them is removed or renamed
