@@ -7,7 +7,8 @@ Experiments (``--experiment``):
     ode-defect             increment exponent of the perturbed-ODE derivative
                            track on a dyadic ladder, with linear control
     simulate               run the splitting solver and persist the trajectory
-    third-derivative-scan  increment exponent of d^3_y u at y = 0
+    third-derivative-scan  increment exponent of d^3_y u at y = 0, with the linear
+                           flow in closed form as control
     duhamel-rate           divergence rate of d^5_y NH(t, tau) as tau -> t
     scaling-report         dilation-exponent arithmetic and the H^s bound sweep
     inequality-suite       randomized checks of the elementary inequalities
@@ -51,7 +52,7 @@ from .diagnostics import (
 )
 from .errors import (BlowUpError, ConfigError, DomainError, IoError, RegLabError,
                      ResolutionError, StepSizeError)
-from .evolution import check_support, make_odd_bump, solve
+from .evolution import check_support, linear_solution, make_odd_bump, solve
 from .grids import Grid1D, GridFunction, ladder_columns
 from .kernels import c_alpha, fifth_derivative_at_zero, odd_power_probe
 from .numerics import _time_index, gaussian_moment, snapshot_steps, step_count
@@ -311,13 +312,10 @@ def run_ode_defect(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def _standard_solve(cfg: ExperimentConfig, lam=None, snapshot_every=None):
-    params = cfg.params() if lam is None else NonlinearityParams(
-        cfg.alpha, lam, cfg.theta
-    )
+def _standard_solve(cfg: ExperimentConfig, snapshot_every=None):
     grid = Grid1D(cfg.grid_n, cfg.domain_l)
     bump = make_odd_bump(cfg.amplitude, cfg.support_radius)
-    return solve(params, bump, grid, T=cfg.t_final, dt=cfg.dt,
+    return solve(cfg.params(), bump, grid, T=cfg.t_final, dt=cfg.dt,
                  snapshot_every=snapshot_every or cfg.snapshot_every)
 
 
@@ -367,7 +365,10 @@ def run_third_derivative_scan(cfg: ExperimentConfig) -> dict:
     sweep = [third_derivative_holder_scan(traj, float(t_k), y_max=y_max)
              for t_k in traj.times[1:]]
     scan = sweep[-1]
-    control_traj = _standard_solve(cfg, lam=0.0, snapshot_every=n_steps)
+    # the lam = 0 control is the linear propagator applied to the initial data
+    control_traj = linear_solution(
+        NonlinearityParams(cfg.alpha, 0.0, cfg.theta),
+        make_odd_bump(cfg.amplitude, cfg.support_radius), traj.grid, cfg.t_final)
     control = third_derivative_holder_scan(control_traj, cfg.t_final, y_max=y_max)
     report["tables"]["t_sweep"] = {
         "columns": ["t", "increment_exponent"],

@@ -7,9 +7,12 @@ second half nonlinear substep.  theta = 0 is the heat equation, |theta| =
 pi/2 the Schroedinger equation, intermediate angles Ginzburg-Landau.
 
 Anti-symmetric (odd-in-y) initial data is the interesting class: the flow
-preserves oddness and pins u = 0 on the hyperplane y = 0.  An explicit odd
-projection each step removes roundoff drift so that y = 0 diagnostics stay
-clean.
+preserves oddness and pins u = 0 on the hyperplane y = 0.  The solver keeps
+only the samples at y > 0.  The nonlinear substeps act on them alone, and the
+linear substep transforms the odd field rebuilt from them by reflection, as
+is every recorded row, so every row is exactly odd and exactly 0 at y = 0 and
+y = -L.  Heat with real lam and real data stays real: that run transforms
+with the real FFT pair and stores rows whose imaginary parts are exactly 0.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "check_support",
     "sample_initial_data",
     "solve",
+    "linear_solution",
     "dy_at_zero",
     "remainder_decomposition",
 ]
@@ -102,19 +106,42 @@ def _linear_multiplier(params: NonlinearityParams, grid: Grid1D, dt: float) -> n
     return np.exp(-dt * np.exp(1j * params.theta) * laplacian_symbol(grid))
 
 
-def _strang(params: NonlinearityParams, vals: np.ndarray, mult: np.ndarray,
-            dt: float) -> np.ndarray:
-    """Exact nonlinear half step, linear step by ``mult``, nonlinear half step.
+def _initial_row(phi: InitialData, grid: Grid1D) -> np.ndarray:
+    """The odd part of the sampled initial data, after the geometry checks of
+    :func:`check_support`; :class:`DomainError` if it is identically zero."""
+    check_support(phi.support_radius, grid)
+    row = odd_part(sample_initial_data(phi, grid).values)
+    if not np.any(row):
+        raise DomainError("initial data is identically zero")
+    return row
+
+
+def _fill_odd(out: np.ndarray, half: np.ndarray) -> None:
+    """Write into ``out`` the odd field whose samples at y > 0 are ``half``:
+    u(-y) = -u(y), and u = 0 at y = 0 and at y = -L (the image of y = L)."""
+    j0 = out.size // 2
+    out[0] = out[j0] = 0.0
+    out[j0 + 1:] = half
+    np.negative(half[::-1], out=out[1:j0])
+
+
+def _strang(params: NonlinearityParams, half: np.ndarray, field: np.ndarray,
+            mult: np.ndarray, transforms, dt: float) -> np.ndarray:
+    """One step of the odd field whose samples at y > 0 are ``half``: exact nonlinear
+    half step on them, linear step by ``mult`` of the odd field rebuilt in the buffer
+    ``field`` with the (forward, inverse) ``transforms``, nonlinear half step on y > 0.
 
     A blow-up in the second half step is reported from the start of the step."""
-    half = 0.5 * dt
-    vals = np.fft.fft(exact_flow(params, vals, half))
-    vals *= mult
-    vals = np.fft.ifft(vals)
+    forward, inverse = transforms
+    h = 0.5 * dt
+    _fill_odd(field, exact_flow(params, half, h))
+    spectrum = forward(field)
+    spectrum *= mult
+    half = inverse(spectrum, field.size)[field.size // 2 + 1:]
     try:
-        return exact_flow(params, vals, half)
+        return exact_flow(params, half, h)
     except BlowUpError as err:
-        t_blow = half + err.time
+        t_blow = h + err.time
         raise BlowUpError(f"blow-up {t_blow:.6g} after the start of the step",
                           time=t_blow) from None
 
@@ -166,7 +193,10 @@ def solve(
 ) -> Trajectory:
     """March the splitting scheme to time T, recording snapshots.
 
-    The initial data and the result of every step are projected onto their odd part.
+    The initial data is projected onto its odd part, and only its samples at
+    y > 0 are stepped; each recorded row is the odd field they define.  For
+    theta = 0, real lam and real data the steps run in real arithmetic with
+    the rfft/irfft pair, otherwise with fft/ifft.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
     Records t = 0, every ``snapshot_every``-th step, and the final step, each
     written into one preallocated block that the trajectory returns.
@@ -180,19 +210,20 @@ def solve(
     n_steps = step_count(T, dt)
     steps = snapshot_steps(n_steps, snapshot_every)
     grid = _as_grid(grid)
-    check_support(phi.support_radius, grid)
-
-    u = sample_initial_data(phi, grid)
-    vals = odd_part(u.values)
-    peak0 = float(np.max(np.abs(vals)))
-    if peak0 == 0.0:
-        raise DomainError("initial data is identically zero")
+    row0 = _initial_row(phi, grid)
+    half = row0[grid.zero_index + 1:]
+    mult = _linear_multiplier(params, grid, dt)
+    if params.theta == 0.0 and params.lam.imag == 0.0 and not np.any(half.imag):
+        half, mult = half.real.copy(), mult[: grid.n_points // 2 + 1].real.copy()
+        field, transforms = np.empty(grid.n_points), (np.fft.rfft, np.fft.irfft)
+    else:
+        field, transforms = np.empty_like(row0), (np.fft.fft, np.fft.ifft)
+    cap = _BLOWUP_FACTOR * float(np.max(np.abs(half)))
 
     times = dt * steps
-    values = np.empty((steps.size, *vals.shape), dtype=np.complex128)
-    values[0] = vals
+    values = np.empty((steps.size, grid.n_points), dtype=np.complex128)
+    values[0] = row0
     row = 1  # next row of values
-    mult = _linear_multiplier(params, grid, dt)
 
     def blown_up(message, t_blow):
         partial = Trajectory(params, grid, times[:row].copy(), values[:row].copy(), dt,
@@ -201,25 +232,42 @@ def solve(
 
     for k in range(1, n_steps + 1):
         try:
-            vals = _strang(params, vals, mult, dt)
+            half = _strang(params, half, field, mult, transforms, dt)
         except BlowUpError as err:
             t_blow = min((k - 1) * dt + err.time, k * dt)
             raise blown_up(f"nonlinear substep blows up at t = {t_blow:.6g} (step {k})",
                            t_blow) from None
-        vals = odd_part(vals)
-        peak = float(np.max(np.abs(vals)))
-        if not np.isfinite(peak) or peak > _BLOWUP_FACTOR * peak0:
+        if not np.abs(half).max() <= cap:  # past the cap, or not finite
             # the schedule ends at the last step, so the slot at row is still free
-            if np.all(np.isfinite(vals)):
-                times[row], values[row] = k * dt, vals
+            if np.all(np.isfinite(half)):
+                times[row] = k * dt
+                _fill_odd(values[row], half)
                 row += 1
             raise blown_up(f"amplitude exceeded {_BLOWUP_FACTOR:.1g} x initial at t = {k * dt:.6g}",
                            k * dt)
         if steps[row] == k:
-            values[row] = vals
+            _fill_odd(values[row], half)
             row += 1
 
     return Trajectory(params, grid, times, values, dt)
+
+
+def linear_solution(params: NonlinearityParams, phi: InitialData, grid: Grid1D,
+                    T: float) -> Trajectory:
+    """The lam = 0 evolution in closed form: rows at t = 0 and t = T, the odd part of the
+    sampled data and e^{-T e^{i theta} xi^2} applied to it by one FFT pair.
+
+    A lam = 0 :func:`solve` reaches the same row up to roundoff, since each of its
+    linear steps is exact; the trajectory's one step is T.  :class:`DomainError`
+    unless lam = 0 and T is finite and positive."""
+    if params.lam != 0:
+        raise DomainError(f"the linear solution needs lam = 0, got {params.lam}")
+    if not (0.0 < T < np.inf):
+        raise DomainError(f"T must be finite and positive, got {T}")
+    grid = _as_grid(grid)
+    row0 = _initial_row(phi, grid)
+    row_t = np.fft.ifft(np.fft.fft(row0) * _linear_multiplier(params, grid, T))
+    return Trajectory(params, grid, np.array([0.0, T]), np.stack([row0, row_t]), T)
 
 
 def dy_at_zero(traj: Trajectory, i: int):

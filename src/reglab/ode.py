@@ -87,23 +87,26 @@ def _flow_factor(params: NonlinearityParams, mag_a, t: float):
         return 1.0, factor
     growth = alpha * t * lam.real * mag_a
     base = 1.0 - growth
-    if lam.real > 0 and np.min(base) <= 0.0:
+    if lam.real > 0 and np.minimum.reduce(base, axis=None) <= 0.0:
         critical = 1.0 / (alpha * float(np.max(mag_a)) * lam.real)
         raise BlowUpError(
             f"blow-up at t = {critical:.6g} reached before t = {t}", time=critical
         )
     if lam.imag == 0.0:
-        return base, np.exp(-np.log1p(-growth) / alpha)
+        return base, np.exp(np.log1p(-growth) / -alpha)
     return base, np.exp(-lam / (alpha * lam.real) * np.log1p(-growth))
 
 
 def exact_flow(params: NonlinearityParams, values, t: float):
     """Exact time-t flow of w' = lam*|w|^alpha*w from arbitrary complex data.
 
-    Vectorized over ``values``.  For Re lam > 0 raises :class:`BlowUpError`
-    as soon as t reaches the blow-up time of the largest sample.
+    Vectorized over ``values``.  Real data stays real (float64) when lam is
+    real; anything else flows as complex128.  For Re lam > 0 raises
+    :class:`BlowUpError` as soon as t reaches the blow-up time of the largest
+    sample.
     """
-    v = np.asarray(values, dtype=np.complex128)
+    real = np.isrealobj(values) and params.lam.imag == 0.0
+    v = np.asarray(values, dtype=np.float64 if real else np.complex128)
     if t == 0.0 or params.lam == 0:
         return v.copy()
     return v * _flow_factor(params, np.abs(v) ** params.alpha, t)[1]

@@ -12,7 +12,8 @@ File layout (all little-endian):
     dt         f64
     alpha, lambda_re, lambda_im, theta   f64 each
     scheme     u32      always 0 = strang_exact_nl
-    flags      u32      bit0 blow-up present, bit1 odd projection (always set)
+    flags      u32      bit0 blow-up present, bit1 odd rows (always set: the solver
+                        stores each row as the odd reflection of its y > 0 samples)
     blowup_t   f64      NaN when absent
     z0_re,z0_im f64     always zero
     n_times    u64
@@ -62,7 +63,7 @@ _KIND_TRAJECTORY = 0
 _SCHEME_STRANG = 0
 
 _FLAG_BLOWUP = 1
-_FLAG_ODD_PROJECTION = 2
+_FLAG_ODD_ROWS = 2
 
 _HEADER = struct.Struct("<4s5Id5d2I3dQ")  # magic to n_times of the layout above: 112 bytes
 _NO_BLOWUP = struct.pack("<d", math.nan)  # the blowup_t bytes of a run without blow-up
@@ -100,7 +101,7 @@ def _make_dir(path) -> None:
 def _header_and_payload(traj) -> tuple[tuple, dict]:
     if not isinstance(traj, Trajectory):
         raise IoError(f"cannot serialize object of type {type(traj).__name__}")
-    flags = _FLAG_ODD_PROJECTION | (_FLAG_BLOWUP if traj.blowup_time is not None else 0)
+    flags = _FLAG_ODD_ROWS | (_FLAG_BLOWUP if traj.blowup_time is not None else 0)
     blowup = traj.blowup_time if traj.blowup_time is not None else math.nan
     grid, params = traj.grid, traj.params
 
@@ -185,8 +186,8 @@ def load_trajectory(path):
                           "is not a trajectory on one grid", offset=8)
     if scheme_code != _SCHEME_STRANG:
         raise FormatError(f"scheme code {scheme_code} is not Strang splitting", offset=72)
-    if flags not in (_FLAG_ODD_PROJECTION, _FLAG_ODD_PROJECTION | _FLAG_BLOWUP):
-        raise FormatError(f"flags {flags:#x} are not the odd-projection bit with or without "
+    if flags not in (_FLAG_ODD_ROWS, _FLAG_ODD_ROWS | _FLAG_BLOWUP):
+        raise FormatError(f"flags {flags:#x} are not the odd-rows bit with or without "
                           "the blow-up bit", offset=76)
     if flags & _FLAG_BLOWUP:
         if not math.isfinite(blowup):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from reglab.diagnostics import third_derivative_holder_scan
 from reglab.errors import BlowUpError, DomainError, ResolutionError, SizeMismatch, StepSizeError
 from reglab.evolution import (
+    InitialData,
     Trajectory,
+    _fill_odd,
     _linear_multiplier,
     _strang,
     dy_at_zero,
+    linear_solution,
     make_odd_bump,
     remainder_decomposition,
     sample_initial_data,
@@ -19,23 +22,82 @@ from reglab.evolution import (
 )
 from reglab.grids import Grid1D, GridFunction, odd_part, reflect_y
 from reglab.numerics import adaptive_quadrature, loglog_fit
-from reglab.ode import NonlinearityParams, exact_solution
+from reglab.ode import NonlinearityParams, exact_flow, exact_solution
 
 
 def heat_params(alpha=0.5, lam=1.0, theta=0.0):
     return NonlinearityParams(alpha=alpha, lam=lam, theta=theta)
 
 
-def reference_solve(params, phi, grid, n_steps, dt, every):
-    """Oracle of :func:`solve`: a list of copies of the odd-projected Strang steps."""
+def oracle_strang(params, vals, mult, dt):
+    """The full-grid Strang step: exact nonlinear half step on every sample, linear
+    step by ``mult`` through fft/ifft, nonlinear half step.  A blow-up in the second
+    half step is reported from the start of the step."""
+    half = 0.5 * dt
+    vals = np.fft.fft(exact_flow(params, vals, half))
+    vals *= mult
+    vals = np.fft.ifft(vals)
+    try:
+        return exact_flow(params, vals, half)
+    except BlowUpError as err:
+        t_blow = half + err.time
+        raise BlowUpError(f"blow-up {t_blow:.6g} after the start of the step",
+                          time=t_blow) from None
+
+
+def oracle_solve(params, phi, grid, n_steps, dt, every=1):
+    """Oracle of :func:`solve`: the full-grid step on complex samples, each step followed
+    by the odd projection, under the solver's schedule and blow-up rules.  Returns
+    (times, rows), or raises BlowUpError whose ``partial`` is the number of rows kept."""
     vals = odd_part(sample_initial_data(phi, grid).values)
+    peak0 = np.max(np.abs(vals))
     mult = _linear_multiplier(params, grid, dt)
-    times, snaps = [0.0], [vals.copy()]
+    times, rows = [0.0], [vals.copy()]
     for k in range(1, n_steps + 1):
-        vals = odd_part(_strang(params, vals, mult, dt))
+        try:
+            vals = odd_part(oracle_strang(params, vals, mult, dt))
+        except BlowUpError as err:
+            t_blow = min((k - 1) * dt + err.time, k * dt)
+            raise BlowUpError(f"nonlinear substep blows up at t = {t_blow:.6g} (step {k})",
+                              time=t_blow, partial=len(rows)) from None
+        if not np.max(np.abs(vals)) <= 1e6 * peak0:
+            kept = len(rows) + bool(np.all(np.isfinite(vals)))
+            raise BlowUpError(f"amplitude exceeded 1e+06 x initial at t = {k * dt:.6g}",
+                              time=k * dt, partial=kept)
         if k % every == 0 or k == n_steps:
             times.append(k * dt)
-            snaps.append(vals.copy())
+            rows.append(vals.copy())
+    return np.array(times), np.array(rows)
+
+
+ORACLE_BOUND = 5e-13  # of each row's sup norm
+
+
+def assert_matches_oracle(traj, times, rows):
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.values.shape == rows.shape
+    scale = np.max(np.abs(rows), axis=1)
+    err = np.max(np.abs(traj.values - rows), axis=1)
+    assert np.all(err <= ORACLE_BOUND * scale), np.max(err / scale)
+
+
+def step_loop(params, phi, grid, n_steps, dt, every):
+    """A list of copies of the solver's own steps, on its transform pair (the storage
+    reference of :func:`solve`)."""
+    row = odd_part(sample_initial_data(phi, grid).values)
+    half = row[grid.zero_index + 1:]
+    mult = _linear_multiplier(params, grid, dt)
+    field, transforms = np.empty_like(row), (np.fft.fft, np.fft.ifft)
+    if params.theta == 0.0 and params.lam.imag == 0.0 and not np.any(half.imag):
+        half, mult = half.real.copy(), mult[: grid.n_points // 2 + 1].real.copy()
+        field, transforms = np.empty(grid.n_points), (np.fft.rfft, np.fft.irfft)
+    times, snaps = [0.0], [row]
+    for k in range(1, n_steps + 1):
+        half = _strang(params, half, field, mult, transforms, dt)
+        if k % every == 0 or k == n_steps:
+            times.append(k * dt)
+            snaps.append(np.zeros(grid.n_points, dtype=np.complex128))
+            _fill_odd(snaps[-1], half)
     return np.array(times), np.array(snaps)
 
 
@@ -72,11 +134,13 @@ class TestOddBump:
 
 
 def strang_step(params, grid, vals, dt):
-    """One Strang step of the solver's kernel on the samples ``vals``."""
-    return _strang(params, vals, _linear_multiplier(params, grid, dt), dt)
+    """One full-grid step of the oracle on the samples ``vals``."""
+    return oracle_strang(params, vals, _linear_multiplier(params, grid, dt), dt)
 
 
 class TestStep:
+    """The oracle's full-grid step, and the plumbing of the solver's half-line step."""
+
     def test_linear_limit_on_fourier_mode(self):
         params = heat_params(lam=0.0)
         g = Grid1D(64, 2.0)
@@ -117,13 +181,25 @@ class TestStep:
         assert 2.5 <= e1 / e2 <= 6.5
 
     def test_linear_step_matches_fft_pair(self):
-        # lam = 0 leaves only the linear step, which must equal the fft pair bit for bit
-        params = heat_params(lam=0.0, theta=np.pi / 4)
+        # lam = 0 leaves only the linear step: the samples at y > 0 of the transform pair
+        # applied to the odd field they define, bit for bit, complex and real alike
         rng = np.random.default_rng(11)
-        v = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        mult = _linear_multiplier(params, Grid1D(1024, 4.0), 1e-3)
-        expect = np.fft.ifft(np.fft.fft(v) * mult)
-        assert _strang(params, v, mult, 1e-3).tobytes() == expect.tobytes()
+        g, j0 = Grid1D(1024, 4.0), 512
+        v = rng.standard_normal(j0 - 1) + 1j * rng.standard_normal(j0 - 1)
+        field = np.zeros(1024, dtype=np.complex128)
+        field[j0 + 1:], field[1:j0] = v, -v[::-1]
+        params = heat_params(lam=0.0, theta=np.pi / 4)
+        mult = _linear_multiplier(params, g, 1e-3)
+        expect = np.fft.ifft(np.fft.fft(field) * mult)[j0 + 1:]
+        got = _strang(params, v, np.empty(1024, dtype=np.complex128), mult,
+                      (np.fft.fft, np.fft.ifft), 1e-3)
+        assert got.tobytes() == expect.tobytes()
+        params = heat_params(lam=0.0)
+        mult = _linear_multiplier(params, g, 1e-3)[:j0 + 1].real.copy()
+        expect = np.fft.irfft(np.fft.rfft(field.real) * mult, 1024)[j0 + 1:]
+        got = _strang(params, v.real.copy(), np.empty(1024), mult,
+                      (np.fft.rfft, np.fft.irfft), 1e-3)
+        assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
 
 
 class TestSolve:
@@ -136,10 +212,7 @@ class TestSolve:
         bump = make_odd_bump(16.0, 2.0)
         dt, n = 2e-5, 20
         traj = solve(params, bump, g, T=n * dt, dt=dt)
-        u = odd_part(sample_initial_data(bump, g).values)
-        for _ in range(n):
-            u = odd_part(strang_step(params, g, u, dt))
-        assert traj.values[-1].tobytes() == u.tobytes()
+        assert_matches_oracle(traj, *oracle_solve(params, bump, g, n, dt))
 
     def test_non_integral_horizon_rejected(self):
         params = heat_params()
@@ -345,7 +418,7 @@ class TestSolveStorage:
         bump = make_odd_bump(4.0, 2.0)
         dt, n_steps = 5e-4, 20
         traj = solve(params, bump, grid, T=n_steps * dt, dt=dt, snapshot_every=every)
-        times, values = reference_solve(params, bump, grid, n_steps, dt, every)
+        times, values = step_loop(params, bump, grid, n_steps, dt, every)
         assert traj.values.shape == values.shape
         assert traj.times.tobytes() == times.tobytes()
         assert traj.values.tobytes() == values.tobytes()
@@ -366,21 +439,122 @@ class TestSolveStorage:
         assert peak <= 1.1 * traj.values.nbytes + 32 * field_bytes
 
 
+    def test_real_path_matches_reference_loop_bit_for_bit(self):
+        params = heat_params(alpha=1.5, lam=1.0)
+        grid = Grid1D(256, 4.0)
+        bump = make_odd_bump(4.0, 2.0)
+        traj = solve(params, bump, grid, T=20 * 5e-4, dt=5e-4, snapshot_every=7)
+        times, values = step_loop(params, bump, grid, 20, 5e-4, 7)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.values.tobytes() == values.tobytes()
+
+
 FAMILIES = [(0.0, 1.0), (np.pi / 4, 1.0), (np.pi / 2, 1j)]  # (theta, lam): heat, CGL, NLS
 
 
-def scaled_pair(alpha, mu, family):
+def imaginary_bump(amplitude, radius):
+    """i times the odd bump: complex data, so even heat runs on the complex path."""
+    bump = make_odd_bump(amplitude, radius)
+    return InitialData(radius, lambda y: 1j * bump(y))
+
+
+class TestOracle:
+    """solve against the full-grid oracle, within ORACLE_BOUND of each row's sup norm."""
+
+    @pytest.mark.parametrize("data", ["real", "imaginary"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("family", FAMILIES, ids=["heat", "cgl", "nls"])
+    def test_every_row_matches(self, family, alpha, data):
+        theta, lam = family
+        params = heat_params(alpha=alpha, lam=lam, theta=theta)
+        grid = Grid1D(512, 4.0)
+        bump = (make_odd_bump if data == "real" else imaginary_bump)(16.0, 2.0)
+        dt, n_steps = 2e-5, 200
+        traj = solve(params, bump, grid, T=n_steps * dt, dt=dt)
+        assert_matches_oracle(traj, *oracle_solve(params, bump, grid, n_steps, dt))
+        assert np.array_equal(traj.values, -reflect_y(traj.values))  # exactly odd
+        if theta == 0.0 and data == "real":
+            assert not np.any(traj.values.imag)  # the real path
+
+    def assert_same_blowup(self, params, bump, grid, n_steps, dt, every=1):
+        with pytest.raises(BlowUpError) as oracle:
+            oracle_solve(params, bump, grid, n_steps, dt, every)
+        with pytest.raises(BlowUpError) as err:
+            solve(params, bump, grid, T=n_steps * dt, dt=dt, snapshot_every=every)
+        assert str(err.value) == str(oracle.value)
+        assert err.value.time == oracle.value.time
+        assert len(err.value.partial.times) == oracle.value.partial
+        return err.value
+
+    def test_amplitude_blowup_matches(self):
+        # TestSolve.blow_up's run: the cap trips at step 257, between two scheduled rows
+        err = self.assert_same_blowup(heat_params(alpha=0.2, lam=1.0), make_odd_bump(1e4, 2.0),
+                                      Grid1D(512, 4.0), 400, 5e-3, every=10)
+        assert "amplitude exceeded" in str(err)
+
+    @pytest.mark.parametrize("ratio", [2.4, 2.6])
+    def test_substep_blowup_matches(self, ratio):
+        # the exact blow-up time falls in the first (2.4) or second (2.6) half of step 3
+        params = heat_params(alpha=1.0, lam=1.0)
+        grid = Grid1D(256, 4.0)
+        bump = make_odd_bump(1e4, 2.0)
+        dt = 1.0 / np.max(np.abs(odd_part(sample_initial_data(bump, grid).values))) / ratio
+        err = self.assert_same_blowup(params, bump, grid, 10, dt)
+        assert "nonlinear substep blows up" in str(err)
+
+
+class TestLinearSolution:
+    """The closed-form lam = 0 run that third-derivative-scan takes as its control."""
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2], ids=["heat", "cgl", "nls"])
+    def test_matches_a_linear_solve(self, theta):
+        # the README set-up, 1,000 steps of dt 2e-5: the full-grid oracle's lam = 0 run
+        # (the control's stepped form until the control became closed form) reads within
+        # 1e-13 of the sup norm, and solve, whose half-line steps round a little
+        # differently, within the oracle bound
+        params = heat_params(lam=0.0, theta=theta)
+        grid = Grid1D(1024, 4.0)
+        bump = make_odd_bump(16.0, 2.0)
+        closed = linear_solution(params, bump, grid, 0.02)
+        stepped = solve(params, bump, grid, T=0.02, dt=2e-5, snapshot_every=1000)
+        times, rows = oracle_solve(params, bump, grid, 1000, 2e-5, every=1000)
+        assert closed.times.tolist() == stepped.times.tolist() == times.tolist() == [0.0, 0.02]
+        assert closed.dt == 0.02 and closed.index_of_time(0.02) == 1
+        assert closed.values[0].tobytes() == stepped.values[0].tobytes()
+        scale = np.max(np.abs(rows[1]))
+        assert np.max(np.abs(closed.values[1] - rows[1])) <= 1e-13 * scale
+        assert np.max(np.abs(closed.values[1] - stepped.values[1])) <= ORACLE_BOUND * scale
+
+    def test_refuses_a_nonlinear_run_or_a_bad_horizon(self):
+        grid, bump = Grid1D(256, 4.0), make_odd_bump(1.0, 1.0)
+        with pytest.raises(DomainError, match="lam = 0"):
+            linear_solution(heat_params(lam=1.0), bump, grid, 0.01)
+        for T in (0.0, -0.01, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                linear_solution(heat_params(lam=0.0), bump, grid, T)
+        with pytest.raises(ResolutionError):
+            linear_solution(heat_params(lam=0.0), bump, Grid1D(64, 4.0), 0.01)
+
+
+
+
+def scaled_pair(alpha, mu, family, linear=False):
     """A run and its dilation by mu: u_mu(t, y) = mu^(2/alpha) u(mu^2 t, mu y) solves the
-    same equation on [-L/mu, L/mu) from the bump dilated alike, stepped at dt/mu^2."""
+    same equation on [-L/mu, L/mu) from the bump dilated alike, stepped at dt/mu^2.
+    ``linear`` takes the lam = 0 runs in closed form, with :func:`linear_solution`."""
     theta, lam = family
-    params = heat_params(alpha=alpha, lam=lam, theta=theta)
+    params = heat_params(alpha=alpha, lam=0.0 if linear else lam, theta=theta)
     amplitude, radius, half_length, dt, T = 16.0, 2.0, 4.0, 2e-5, 2e-3
+
+    def run(bump, grid, T, dt):
+        if linear:
+            return linear_solution(params, bump, grid, T)
+        return solve(params, bump, grid, T=T, dt=dt, snapshot_every=25)
+
     # 256 points put 64 across the radius in either run
-    base = solve(params, make_odd_bump(amplitude, radius), Grid1D(256, half_length),
-                 T=T, dt=dt, snapshot_every=25)
-    scaled = solve(params, make_odd_bump(amplitude * mu ** (2 / alpha + 1), radius / mu),
-                   Grid1D(256, half_length / mu), T=T / mu**2, dt=dt / mu**2,
-                   snapshot_every=25)
+    base = run(make_odd_bump(amplitude, radius), Grid1D(256, half_length), T, dt)
+    scaled = run(make_odd_bump(amplitude * mu ** (2 / alpha + 1), radius / mu),
+                 Grid1D(256, half_length / mu), T / mu**2, dt / mu**2)
     assert np.array_equal(scaled.times * mu**2, base.times)
     return base, scaled
 
@@ -408,10 +582,24 @@ class TestScaling:
     @given(alpha=st.sampled_from([1.0, 0.5, 0.25, 0.3, 1.5]), mu=st.sampled_from([2.0, 4.0, 0.5]),
            family=st.sampled_from(FAMILIES))
     def test_scan_is_dilation_covariant(self, alpha, mu, family):
+        self.check_scan_covariance(*scaled_pair(alpha, mu, family), alpha, mu)
+
+    @settings(deadline=None, database=None, max_examples=30)
+    @given(alpha=st.sampled_from([1.0, 0.5, 0.25, 0.3, 1.5]), mu=st.sampled_from([2.0, 4.0, 0.5]),
+           family=st.sampled_from(FAMILIES))
+    def test_linear_control_is_dilation_covariant(self, alpha, mu, family):
+        base, scaled = scaled_pair(alpha, mu, family, linear=True)
+        expect = mu ** (2 / alpha) * base.values
+        if alpha in (1.0, 0.5, 0.25):
+            assert np.array_equal(scaled.values, expect)
+        assert np.max(np.abs(scaled.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+        self.check_scan_covariance(base, scaled, alpha, mu)
+
+    @staticmethod
+    def check_scan_covariance(base, scaled, alpha, mu):
         # the dyadic ladder rounds y_k/spacing, which the dilation keeps, so the scan of the
         # scaled run at y_max/mu reads the base ladder over mu, each d^3 increment times
         # mu^(2/alpha + 3), and the same slope; bit for bit when 2/alpha is a power of two
-        base, scaled = scaled_pair(alpha, mu, family)
         ref = third_derivative_holder_scan(base, base.times[-1], 1.0)
         got = third_derivative_holder_scan(scaled, scaled.times[-1], 1.0 / mu)
         assert ref.ys.size == 4 and np.array_equal(got.ys * mu, ref.ys)

@@ -91,7 +91,7 @@ class TestRoundTrip:
         assert back.dt == traj.dt
         assert back.blowup_time is None
         assert back.y_grid == traj.y_grid
-        # flags: bit 1 (odd projection) always set, bit 0 (blow-up) clear
+        # flags: bit 1 (odd rows) always set, bit 0 (blow-up) clear
         assert struct.unpack_from("<I", path.read_bytes(), header_offset("flags")) == (2,)
 
     def test_blowup_flag_round_trip(self, tmp_path):
