@@ -6,6 +6,12 @@ order), a full linear substep (diagonal Fourier multiplier, exact), and a
 second half nonlinear substep.  theta = 0 is the heat equation, |theta| =
 pi/2 the Schroedinger equation, intermediate angles Ginzburg-Landau.
 
+A step's second half flow and the next step's first are one exact flow of dt
+(the semigroup law): after each linear substep the solver runs that flow, and
+the half flow that ends the step only where a row is recorded, both from one
+|u|^alpha.  A step near blow-up or the amplitude cap is replayed as two half
+flows, which decide the blow-up and its reported time.
+
 Anti-symmetric (odd-in-y) initial data is the interesting class: the flow
 preserves oddness and pins u = 0 on the hyperplane y = 0.  The solver keeps
 only the samples at y > 0.  The nonlinear substeps act on them alone, and the
@@ -32,7 +38,7 @@ from .grids import (
     spectral_derivative,
 )
 from .numerics import RegressionFit, _time_index, snapshot_steps, step_count
-from .ode import NonlinearityParams, exact_flow
+from .ode import NonlinearityParams, _flow_peak, _strang_factors, exact_flow
 
 __all__ = [
     "InitialData",
@@ -48,6 +54,9 @@ __all__ = [
 ]
 
 _BLOWUP_FACTOR = 1e6  # sup-norm growth over the initial data that counts as blow-up
+# within this relative distance below the cap a step is replayed, so that the array
+# check decides wherever the scalar peak bound could round to the other side of it
+_CAP_ROUNDOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,25 +134,16 @@ def _fill_odd(out: np.ndarray, half: np.ndarray) -> None:
     np.negative(half[::-1], out=out[1:j0])
 
 
-def _strang(params: NonlinearityParams, half: np.ndarray, field: np.ndarray,
-            mult: np.ndarray, transforms, dt: float) -> np.ndarray:
-    """One step of the odd field whose samples at y > 0 are ``half``: exact nonlinear
-    half step on them, linear step by ``mult`` of the odd field rebuilt in the buffer
-    ``field`` with the (forward, inverse) ``transforms``, nonlinear half step on y > 0.
-
-    A blow-up in the second half step is reported from the start of the step."""
+def _linear_step(half: np.ndarray, field: np.ndarray, mult: np.ndarray,
+                 transforms) -> np.ndarray:
+    """The linear step by ``mult`` of the odd field whose samples at y > 0 are ``half``:
+    the field is rebuilt in the buffer ``field``, transformed with the (forward, inverse)
+    ``transforms``, and its new samples at y > 0 are returned."""
     forward, inverse = transforms
-    h = 0.5 * dt
-    _fill_odd(field, exact_flow(params, half, h))
+    _fill_odd(field, half)
     spectrum = forward(field)
     spectrum *= mult
-    half = inverse(spectrum, field.size)[field.size // 2 + 1:]
-    try:
-        return exact_flow(params, half, h)
-    except BlowUpError as err:
-        t_blow = h + err.time
-        raise BlowUpError(f"blow-up {t_blow:.6g} after the start of the step",
-                          time=t_blow) from None
+    return inverse(spectrum, field.size)[field.size // 2 + 1:]
 
 
 @dataclass
@@ -196,14 +196,15 @@ def solve(
     The initial data is projected onto its odd part, and only its samples at
     y > 0 are stepped; each recorded row is the odd field they define.  For
     theta = 0, real lam and real data the steps run in real arithmetic with
-    the rfft/irfft pair, otherwise with fft/ifft.
+    the rfft/irfft pair, otherwise with fft/ifft.  The stepped state does not
+    depend on the schedule: a recorded row is an extra half flow beside it.
     T must be an integer multiple of dt (:class:`StepSizeError` otherwise).
     Records t = 0, every ``snapshot_every``-th step, and the final step, each
     written into one preallocated block that the trajectory returns.
     Raises :class:`BlowUpError` (with the truncated trajectory attached, which
     owns a copy of the rows recorded so far) when the sup norm exceeds
     ``_BLOWUP_FACTOR`` = 1e6 times its initial value or a nonlinear substep
-    reaches its exact blow-up time.
+    reaches its exact blow-up time, each decided as if the step ran two half flows.
     """
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be positive")
@@ -219,6 +220,8 @@ def solve(
     else:
         field, transforms = np.empty_like(row0), (np.fft.fft, np.fft.ifft)
     cap = _BLOWUP_FACTOR * float(np.max(np.abs(half)))
+    near_cap = (1.0 - _CAP_ROUNDOFF) * cap
+    h = 0.5 * dt
 
     times = dt * steps
     values = np.empty((steps.size, grid.n_points), dtype=np.complex128)
@@ -230,24 +233,57 @@ def solve(
                              blowup_time=t_blow)
         return BlowUpError(message, time=t_blow, partial=partial)
 
-    for k in range(1, n_steps + 1):
+    def half_flow(v, k, start):
+        """The exact flow of dt/2 that starts ``start`` after the start of step k."""
         try:
-            half = _strang(params, half, field, mult, transforms, dt)
+            return exact_flow(params, v, h)
         except BlowUpError as err:
-            t_blow = min((k - 1) * dt + err.time, k * dt)
+            t_blow = min((k - 1) * dt + (start + err.time), k * dt)
             raise blown_up(f"nonlinear substep blows up at t = {t_blow:.6g} (step {k})",
                            t_blow) from None
-        if not np.abs(half).max() <= cap:  # past the cap, or not finite
+
+    def merged_factors(v, record):
+        """The flow factors of dt and dt/2 at v, or None if the flow of dt blows up or
+        the half flow's peak is not finite or within _CAP_ROUNDOFF of the cap."""
+        mag_a = np.abs(v) ** params.alpha
+        if not _flow_peak(params, float(mag_a.max()), h) <= near_cap:
+            return None
+        try:
+            return _strang_factors(params, mag_a, dt, record)
+        except BlowUpError:
+            return None
+
+    def replay(v, k):
+        """Step k's second half flow from its linear substep's output v, its amplitude
+        check and row, then step k + 1's first half flow: the unmerged step."""
+        nonlocal row
+        u = half_flow(v, k, h)
+        if not np.abs(u).max() <= cap:  # past the cap, or not finite
             # the schedule ends at the last step, so the slot at row is still free
-            if np.all(np.isfinite(half)):
+            if np.all(np.isfinite(u)):
                 times[row] = k * dt
-                _fill_odd(values[row], half)
+                _fill_odd(values[row], u)
                 row += 1
             raise blown_up(f"amplitude exceeded {_BLOWUP_FACTOR:.1g} x initial at t = {k * dt:.6g}",
                            k * dt)
         if steps[row] == k:
-            _fill_odd(values[row], half)
+            _fill_odd(values[row], u)
             row += 1
+        return half_flow(u, k + 1, 0.0) if k < n_steps else u
+
+    u = half_flow(half, 1, 0.0)
+    for k in range(1, n_steps + 1):
+        v = _linear_step(u, field, mult, transforms)
+        record = steps[row] == k
+        factors = merged_factors(v, record) if k < n_steps else None
+        if factors is None:
+            u = replay(v, k)
+            continue
+        full, factor = factors
+        if record:
+            _fill_odd(values[row], v * factor)
+            row += 1
+        u = v * full
 
     return Trajectory(params, grid, times, values, dt)
 

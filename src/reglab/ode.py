@@ -85,16 +85,42 @@ def _flow_factor(params: NonlinearityParams, mag_a, t: float):
         factor.real = np.cos(phase)
         factor.imag = np.sin(phase)
         return 1.0, factor
-    growth = alpha * t * lam.real * mag_a
-    base = 1.0 - growth
+    shrink = -alpha * t * lam.real * mag_a  # -(alpha t Re(lam) |w|^alpha), to the bit
+    base = 1.0 + shrink
     if lam.real > 0 and np.minimum.reduce(base, axis=None) <= 0.0:
         critical = 1.0 / (alpha * float(np.max(mag_a)) * lam.real)
         raise BlowUpError(
             f"blow-up at t = {critical:.6g} reached before t = {t}", time=critical
         )
     if lam.imag == 0.0:
-        return base, np.exp(np.log1p(-growth) / -alpha)
-    return base, np.exp(-lam / (alpha * lam.real) * np.log1p(-growth))
+        return base, np.exp(np.log1p(shrink) / -alpha)
+    return base, np.exp(-lam / (alpha * lam.real) * np.log1p(shrink))
+
+
+def _strang_factors(params: NonlinearityParams, mag_a, dt: float, half: bool):
+    """(w(dt)/w(0), w(dt/2)/w(0)) of :func:`exact_flow` at |w|^alpha = ``mag_a``, both
+    times in one :func:`_flow_factor` call.  Unless ``half`` the half factor is None,
+    except for Re lam = 0, where the dt factor is always the square of the half one, so
+    it never depends on ``half``; lam = 0 gives (1.0, 1.0).  :class:`BlowUpError`
+    once dt reaches the blow-up time, which dt/2 cannot reach first: its growth
+    alpha t Re(lam) |w|^alpha is half that of dt to the bit."""
+    if params.lam == 0:
+        return 1.0, 1.0
+    if params.lam.real == 0.0:
+        factor = _flow_factor(params, mag_a, 0.5 * dt)[1]
+        return factor * factor, factor
+    if not half:
+        return _flow_factor(params, mag_a, dt)[1], None
+    full, factor = _flow_factor(params, mag_a, np.array([[dt], [0.5 * dt]]))[1]
+    return full, factor
+
+
+def _flow_peak(params: NonlinearityParams, peak_a: float, t: float) -> float:
+    """max |w(t)| over data whose largest |w|^alpha is ``peak_a``, from the scalar alone:
+    |w(t)|^alpha = |w|^alpha / (1 - alpha t Re(lam) |w|^alpha) is increasing in |w| for
+    every sign of Re lam.  inf once t reaches the blow-up time or for NaN data."""
+    base = 1.0 - params.alpha * t * params.lam.real * peak_a
+    return (peak_a / base) ** (1.0 / params.alpha) if base > 0.0 else np.inf
 
 
 def exact_flow(params: NonlinearityParams, values, t: float):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reglab import evolution
 from reglab.diagnostics import third_derivative_holder_scan
 from reglab.errors import BlowUpError, DomainError, ResolutionError, SizeMismatch, StepSizeError
 from reglab.evolution import (
@@ -12,7 +13,7 @@ from reglab.evolution import (
     Trajectory,
     _fill_odd,
     _linear_multiplier,
-    _strang,
+    _linear_step,
     dy_at_zero,
     linear_solution,
     make_odd_bump,
@@ -22,7 +23,7 @@ from reglab.evolution import (
 )
 from reglab.grids import Grid1D, GridFunction, odd_part, reflect_y
 from reglab.numerics import adaptive_quadrature, loglog_fit
-from reglab.ode import NonlinearityParams, exact_flow, exact_solution
+from reglab.ode import NonlinearityParams, _strang_factors, exact_flow, exact_solution
 
 
 def heat_params(alpha=0.5, lam=1.0, theta=0.0):
@@ -82,8 +83,10 @@ def assert_matches_oracle(traj, times, rows):
 
 
 def step_loop(params, phi, grid, n_steps, dt, every):
-    """A list of copies of the solver's own steps, on its transform pair (the storage
-    reference of :func:`solve`)."""
+    """A list of copies of the solver's merged steps, on its transform pair (the storage
+    reference of :func:`solve`): the first half flow, then per step the linear substep,
+    the flow of dt into the next step and, where a row is recorded, the half flow from
+    the same |u|^alpha that ends the step."""
     row = odd_part(sample_initial_data(phi, grid).values)
     half = row[grid.zero_index + 1:]
     mult = _linear_multiplier(params, grid, dt)
@@ -92,12 +95,15 @@ def step_loop(params, phi, grid, n_steps, dt, every):
         half, mult = half.real.copy(), mult[: grid.n_points // 2 + 1].real.copy()
         field, transforms = np.empty(grid.n_points), (np.fft.rfft, np.fft.irfft)
     times, snaps = [0.0], [row]
+    u = exact_flow(params, half, 0.5 * dt)
     for k in range(1, n_steps + 1):
-        half = _strang(params, half, field, mult, transforms, dt)
+        v = _linear_step(u, field, mult, transforms)
+        full, factor = _strang_factors(params, np.abs(v) ** params.alpha, dt, True)
+        u = v * full
         if k % every == 0 or k == n_steps:
             times.append(k * dt)
             snaps.append(np.zeros(grid.n_points, dtype=np.complex128))
-            _fill_odd(snaps[-1], half)
+            _fill_odd(snaps[-1], v * factor)
     return np.array(times), np.array(snaps)
 
 
@@ -181,24 +187,21 @@ class TestStep:
         assert 2.5 <= e1 / e2 <= 6.5
 
     def test_linear_step_matches_fft_pair(self):
-        # lam = 0 leaves only the linear step: the samples at y > 0 of the transform pair
-        # applied to the odd field they define, bit for bit, complex and real alike
+        # the solver's linear substep: the samples at y > 0 of the transform pair applied
+        # to the odd field they define, bit for bit, complex and real alike
         rng = np.random.default_rng(11)
         g, j0 = Grid1D(1024, 4.0), 512
         v = rng.standard_normal(j0 - 1) + 1j * rng.standard_normal(j0 - 1)
         field = np.zeros(1024, dtype=np.complex128)
         field[j0 + 1:], field[1:j0] = v, -v[::-1]
-        params = heat_params(lam=0.0, theta=np.pi / 4)
-        mult = _linear_multiplier(params, g, 1e-3)
+        mult = _linear_multiplier(heat_params(theta=np.pi / 4), g, 1e-3)
         expect = np.fft.ifft(np.fft.fft(field) * mult)[j0 + 1:]
-        got = _strang(params, v, np.empty(1024, dtype=np.complex128), mult,
-                      (np.fft.fft, np.fft.ifft), 1e-3)
+        got = _linear_step(v, np.empty(1024, dtype=np.complex128), mult,
+                           (np.fft.fft, np.fft.ifft))
         assert got.tobytes() == expect.tobytes()
-        params = heat_params(lam=0.0)
-        mult = _linear_multiplier(params, g, 1e-3)[:j0 + 1].real.copy()
+        mult = _linear_multiplier(heat_params(), g, 1e-3)[:j0 + 1].real.copy()
         expect = np.fft.irfft(np.fft.rfft(field.real) * mult, 1024)[j0 + 1:]
-        got = _strang(params, v.real.copy(), np.empty(1024), mult,
-                      (np.fft.rfft, np.fft.irfft), 1e-3)
+        got = _linear_step(v.real.copy(), np.empty(1024), mult, (np.fft.rfft, np.fft.irfft))
         assert got.dtype == np.float64 and got.tobytes() == expect.tobytes()
 
 
@@ -410,6 +413,15 @@ class TestTrajectory:
             traj.snapshot(1)
 
 
+FAMILIES = [(0.0, 1.0), (np.pi / 4, 1.0), (np.pi / 2, 1j)]  # (theta, lam): heat, CGL, NLS
+
+
+def imaginary_bump(amplitude, radius):
+    """i times the odd bump: complex data, so even heat runs on the complex path."""
+    bump = make_odd_bump(amplitude, radius)
+    return InitialData(radius, lambda y: 1j * bump(y))
+
+
 class TestSolveStorage:
     @pytest.mark.parametrize("every", [1, 3, 7, 20, 10**9])
     def test_matches_reference_loop_bit_for_bit(self, every):
@@ -448,14 +460,23 @@ class TestSolveStorage:
         assert traj.times.tobytes() == times.tobytes()
         assert traj.values.tobytes() == values.tobytes()
 
-
-FAMILIES = [(0.0, 1.0), (np.pi / 4, 1.0), (np.pi / 2, 1j)]  # (theta, lam): heat, CGL, NLS
-
-
-def imaginary_bump(amplitude, radius):
-    """i times the odd bump: complex data, so even heat runs on the complex path."""
-    bump = make_odd_bump(amplitude, radius)
-    return InitialData(radius, lambda y: 1j * bump(y))
+    @pytest.mark.parametrize("data", ["real", "imaginary"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("family", FAMILIES, ids=["heat", "cgl", "nls"])
+    def test_rows_do_not_depend_on_the_schedule(self, family, alpha, data):
+        # the flow of dt that carries a step into the next is the same whether or not
+        # the step is recorded, so rows at common times agree to the bit
+        theta, lam = family
+        params = heat_params(alpha=alpha, lam=lam, theta=theta)
+        grid = Grid1D(256, 4.0)
+        bump = (make_odd_bump if data == "real" else imaginary_bump)(16.0, 2.0)
+        dt, n_steps = 2e-5, 21
+        every_step, *sparse = (solve(params, bump, grid, T=n_steps * dt, dt=dt, snapshot_every=every)
+                               for every in (1, 7, 10**9))
+        for traj in sparse:
+            rows = np.rint(traj.times / dt).astype(int)
+            assert every_step.times[rows].tobytes() == traj.times.tobytes()
+            assert every_step.values[rows].tobytes() == traj.values.tobytes()
 
 
 class TestOracle:
@@ -486,20 +507,41 @@ class TestOracle:
         assert len(err.value.partial.times) == oracle.value.partial
         return err.value
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=["heat", "cgl", "nls"])
+    def test_a_refused_merge_continues_from_the_replay(self, family, monkeypatch):
+        # a merged flow that flags a blow-up the two half flows do not reproduce (at the
+        # ulp boundary) costs a replay, not the run: with every merge refused, each step
+        # runs as two half flows and the run still matches the oracle
+        def refuse(*args):
+            raise BlowUpError("refused", time=0.0)
+
+        monkeypatch.setattr(evolution, "_strang_factors", refuse)
+        theta, lam = family
+        params = heat_params(alpha=0.5, lam=lam, theta=theta)
+        grid, bump, dt = Grid1D(256, 4.0), make_odd_bump(16.0, 2.0), 2e-5
+        traj = solve(params, bump, grid, T=20 * dt, dt=dt, snapshot_every=3)
+        assert traj.blowup_time is None
+        assert_matches_oracle(traj, *oracle_solve(params, bump, grid, 20, dt, every=3))
+
     def test_amplitude_blowup_matches(self):
         # TestSolve.blow_up's run: the cap trips at step 257, between two scheduled rows
         err = self.assert_same_blowup(heat_params(alpha=0.2, lam=1.0), make_odd_bump(1e4, 2.0),
                                       Grid1D(512, 4.0), 400, 5e-3, every=10)
         assert "amplitude exceeded" in str(err)
 
-    @pytest.mark.parametrize("ratio", [2.4, 2.6])
-    def test_substep_blowup_matches(self, ratio):
-        # the exact blow-up time falls in the first (2.4) or second (2.6) half of step 3
+    @pytest.mark.parametrize("ratio, every", [
+        pytest.param(2.4, 1, id="2.4"), pytest.param(2.6, 1, id="2.6"),
+        pytest.param(2.4, 2, id="2.4-every2"), pytest.param(2.6, 2, id="2.6-every2"),
+        pytest.param(2.4, 3, id="2.4-every3"), pytest.param(2.6, 3, id="2.6-every3"),
+    ])
+    def test_substep_blowup_matches(self, ratio, every):
+        # the exact blow-up time falls in the first (2.4) or second (2.6) half of step 3;
+        # at every 2 step 2 is recorded before step 3's first half flow raises
         params = heat_params(alpha=1.0, lam=1.0)
         grid = Grid1D(256, 4.0)
         bump = make_odd_bump(1e4, 2.0)
         dt = 1.0 / np.max(np.abs(odd_part(sample_initial_data(bump, grid).values))) / ratio
-        err = self.assert_same_blowup(params, bump, grid, 10, dt)
+        err = self.assert_same_blowup(params, bump, grid, 10, dt, every)
         assert "nonlinear substep blows up" in str(err)
 
 

@@ -154,3 +154,17 @@ def test_benchmark_tracer_resolves_its_names(monkeypatch):
 
     tracer = tracing.Tracer()
     assert set(tracer._hooks) <= set(tracer.funcs)
+
+
+def test_one_closed_form_flow():
+    # ode._flow_factor is the one closed form of the pointwise flow w' = lam |w|^alpha w:
+    # no other module calls the log1p, cos or sin it is built from, so the solver takes
+    # its flows from ode and cannot grow a second copy of them
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ode.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and {"log1p", "cos", "sin"} & set(_names(node.func)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

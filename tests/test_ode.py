@@ -10,6 +10,8 @@ from reglab.ode import (
     OdeProblem,
     _conj_factor,
     _flow_factor,
+    _flow_peak,
+    _strang_factors,
     exact_first_derivative,
     exact_flow,
     exact_second_derivative,
@@ -244,6 +246,59 @@ class TestFlowFactor:
         # a scalar |w|^alpha, as the closed-form derivatives pass it
         _, scalar = _flow_factor(params, 2.0, 0.1)
         assert abs(complex(scalar) - np.exp(0.2j)) <= 1e-15
+
+
+LAMS = [1.0, -2.0, 1.0 + 1.0j, -0.3 + 2.0j, 1j, 0.0]
+
+
+class TestStrangFactors:
+    """The merged step's factors and scalar peak bound against exact_flow."""
+
+    @pytest.mark.parametrize("half", [True, False])
+    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_factors_are_the_flows_of_dt_and_dt_over_2(self, alpha, lam, half):
+        # the half factor is exact_flow's at dt/2 to the bit; the dt factor is its own
+        # flow of dt to the bit (for Re lam = 0 the square of the half factor), and
+        # both half flows in a row to roundoff
+        params = NonlinearityParams(alpha=alpha, lam=lam)
+        w = np.random.default_rng(5).standard_normal(512) * (1.0 + 0.5j)
+        mag_a = np.abs(w) ** alpha
+        dt = 0.2 / (alpha * max(abs(lam), 1.0) * np.max(mag_a))
+        full, factor = _strang_factors(params, mag_a, dt, half)
+        if lam.real != 0.0:
+            assert (factor is None) == (not half)
+            assert (w * full).tobytes() == exact_flow(params, w, dt).tobytes()
+        if factor is not None:
+            assert (w * factor).tobytes() == exact_flow(params, w, 0.5 * dt).tobytes()
+        twice = exact_flow(params, exact_flow(params, w, 0.5 * dt), 0.5 * dt)
+        assert np.max(np.abs(w * full - twice)) <= 1e-14 * np.max(np.abs(twice))
+        assert np.array_equal(full, _strang_factors(params, mag_a, dt, not half)[0])
+
+    def test_blowup_of_dt_raises(self):
+        params = NonlinearityParams(alpha=1.0, lam=1.0)
+        mag_a = np.array([0.25, 2.0, 1.0])
+        for half in (True, False):
+            with pytest.raises(BlowUpError):
+                _strang_factors(params, mag_a, 0.8, half)  # blow-up at 0.5, past dt/2
+
+    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.5])
+    def test_peak_is_the_largest_flowed_modulus(self, alpha, lam):
+        # |F_t| is increasing in |w| for every sign of Re lam, so the largest flowed
+        # modulus is the flow of the largest |w|^alpha
+        params = NonlinearityParams(alpha=alpha, lam=lam)
+        w = np.random.default_rng(6).standard_normal(512) * (0.3 - 1.0j)
+        mag_a = np.abs(w) ** alpha
+        t = 0.4 / (alpha * max(abs(lam), 1.0) * np.max(mag_a))
+        peak = _flow_peak(params, float(np.max(mag_a)), t)
+        assert peak == pytest.approx(np.max(np.abs(exact_flow(params, w, t))), rel=1e-13)
+
+    def test_peak_past_blowup_or_of_nan_is_infinite(self):
+        params = NonlinearityParams(alpha=1.0, lam=1.0)
+        assert _flow_peak(params, 2.0, 0.5) == np.inf  # 1 - alpha t lam |w|^alpha = 0
+        assert _flow_peak(params, float("nan"), 0.1) == np.inf
+        assert _flow_peak(NonlinearityParams(alpha=1.0, lam=1j), float("nan"), 0.1) == np.inf
 
 
 class TestExactDerivatives:
