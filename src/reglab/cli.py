@@ -418,16 +418,12 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
     report["empirical_a"] = rate.empirical_a
     report["empirical_A"] = rate.empirical_A
     report["predicted_amplitude"] = rate.predicted_amplitude
-    report["spectral_max_rel_diff"] = rate.spectral_max_rel_diff
     report["numerics"] = {"snapshot_strides": list(rate.strides), "slices": rate.slices,
-                          "spectral_transforms": rate.spectral_transforms,
+                          "snapshot_transforms": rate.transforms,
                           "trajectory": {"snapshots": len(traj.times)}}
     report["tables"]["rate"] = {
-        "columns": ["tau_minus_t", "d5_magnitude", "d5_spectral"],
-        "rows": [
-            [float(g), float(m), float(s)]
-            for g, m, s in zip(rate.gaps, rate.magnitudes, rate.spectral_magnitudes)
-        ],
+        "columns": ["tau_minus_t", "d5_magnitude"],
+        "rows": [[float(g), float(m)] for g, m in zip(rate.gaps, rate.magnitudes)],
     }
     return report
 

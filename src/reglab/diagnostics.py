@@ -30,7 +30,6 @@ from .grids import (
     Grid1D,
     GridFunction,
     TrigInterpolant,
-    derivative_multiplier,
     forward_transform,
     ladder_increments,
     laplacian_symbol,
@@ -223,11 +222,9 @@ class DuhamelRateReport:
     empirical_A: float
     predicted_amplitude: float    # 2/(2-alpha) * C_alpha * 4^(alpha/2-2) * |eta0|^(alpha+1)
     eta0: complex
-    spectral_magnitudes: np.ndarray
-    spectral_max_rel_diff: float
     strides: tuple[int, ...]      # snapshot stride per tau
     slices: int                   # time slices evaluated over all taus
-    spectral_transforms: int      # FFTs of the cross-check: one per snapshot some tau reads
+    transforms: int               # snapshots transformed: each one some tau reads, once
 
 
 def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
@@ -239,10 +236,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     profile).  The snapshots some tau reads are transformed once each, 8 at a time, and
     every slice that reads such a block is evaluated from it, at most 8 slices per call.
     The time integral is a trapezoid over the stored snapshots, subsampled per tau so the
-    spacing stays below (tau - t)/4, summed per tau in snapshot order.  A spectral
-    (i xi)^5 evaluation, streamed snapshot by snapshot (one FFT each, added into every
-    tau that reads it), is kept as a cross-check (it amplifies the nonlinearity's
-    aliasing error, so it carries a much looser tolerance).
+    spacing stays below (tau - t)/4, summed per tau in snapshot order.
     The expected slope of log|D5| vs log(tau - t) is -(2 - alpha)/2; the
     empirical constants of a*(tau-t)^(-(2-alpha)/2) - A are fitted as well.
     """
@@ -253,9 +247,6 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
     times, snaps, max_gap = _snapshots_upto(traj, probe.t, float(np.min(gaps)))
     alpha = traj.params.alpha
     grid = traj.grid
-    xi_sq = laplacian_symbol(grid)
-    # (i xi)^5 with the (-1)^k phase placing the evaluation point at x = 0
-    mult5 = derivative_multiplier(grid, 5) * grid.phase() / grid.n_points
 
     n_stored = len(times)
     strides, subs = [], []
@@ -289,12 +280,6 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
             slice_values[j, s] = graded_fifth_derivatives(odd, sigmas)
     values = np.array([complex(np.sum(trap[j, sub] * slice_values[j, sub]))
                        for j, sub in enumerate(subs)])
-    spectral = np.zeros(len(gaps), dtype=complex)
-    for s in read:
-        js = np.flatnonzero(trap[:, s])
-        hat = np.fft.fft(np.abs(snaps[s]) ** alpha * snaps[s]) * mult5
-        smoothing = np.exp(-(probe.tau_ladder[js] - times[s])[:, None] * xi_sq[None, :])
-        spectral[js] += trap[js, s] * (smoothing @ hat)
     mags = np.abs(values)
     raw_fit = loglog_fit(gaps, mags)
     beta_hat, at_edge = _fit_divergence_law(gaps, mags, probe.t)
@@ -305,14 +290,12 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
         2.0 / (2.0 - alpha) * c_alpha(alpha) * 4.0 ** (alpha / 2.0 - 2.0)
         * abs(eta0) ** (alpha + 1.0)
     )
-    rel_diff = float(np.max(np.abs(np.abs(spectral) - mags) / mags))
     return DuhamelRateReport(
         t=probe.t, taus=probe.tau_ladder.copy(), gaps=gaps, values=values,
         magnitudes=mags, raw_fit=raw_fit, law_exponent=-beta_hat,
         law_fit_at_edge=at_edge, empirical_a=emp_a, empirical_A=emp_A,
         predicted_amplitude=predicted, eta0=eta0,
-        spectral_magnitudes=np.abs(spectral), spectral_max_rel_diff=rel_diff,
-        strides=tuple(strides), slices=sum(map(len, subs)), spectral_transforms=len(read),
+        strides=tuple(strides), slices=sum(map(len, subs)), transforms=len(read),
     )
 
 

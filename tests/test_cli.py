@@ -716,6 +716,6 @@ class TestDeterminism:
         by_gap = [k for _, k in sorted(zip(gaps, strides))]
         assert by_gap == sorted(by_gap) and by_gap[0] >= 1
         assert numerics["slices"] == sum(-(-800 // k) + 1 for k in strides)
-        # the spectral cross-check transforms each stored snapshot once, not once per tau
-        assert 1 in strides and numerics["spectral_transforms"] == 801
+        # the graded slices transform each stored snapshot once, not once per tau
+        assert 1 in strides and numerics["snapshot_transforms"] == 801
         assert numerics["trajectory"] == {"snapshots": 801}

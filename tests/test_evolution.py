@@ -296,6 +296,16 @@ class TestSolve:
         assert err.value.partial.values.base is None
         assert f"t = {err.value.time:.6g}" in str(err.value)  # absolute, not per half step
 
+    @pytest.mark.parametrize("T, dt", [
+        (-1e-3, -1e-4), (0.0, 1e-4), (-1e-3, 1e-4), (1e-3, 0.0), (1e-3, -1e-4),
+    ])
+    def test_nonpositive_horizon_or_step_is_a_domain_error(self, T, dt):
+        # step_count refuses one nonpositive value as a StepSizeError, and accepts
+        # both negative (T/dt = 10): without solve's own check that run would step
+        # backward in time until the Trajectory it builds refused the negative dt
+        with pytest.raises(DomainError, match="T and dt must be positive"):
+            solve(heat_params(), make_odd_bump(1.0, 1.0), Grid1D(256, 4.0), T=T, dt=dt)
+
     def test_under_resolved_bump(self):
         params = heat_params()
         g = Grid1D(64, 4.0)

@@ -92,17 +92,28 @@ def test_only_grids_tests_for_grid1d():
     assert offenders == []
 
 
-def test_only_grids_walks_the_ladder():
-    # grids holds the dyadic ladder and the one increment fit on it; every other
-    # module calls ladder_increments or ladder_columns instead of the ladder itself
+def _calls_outside_grids(name):
+    """The calls of ``name`` in every module but grids, as file:line."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "grids.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call) and "dyadic_ladder" in _names(node.func):
+            if isinstance(node, ast.Call) and name in _names(node.func):
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_only_grids_walks_the_ladder():
+    # grids holds the dyadic ladder and the one increment fit on it; every other
+    # module calls ladder_increments or ladder_columns instead of the ladder itself
+    assert _calls_outside_grids("dyadic_ladder") == []
+
+
+def test_only_grids_forms_a_derivative_multiplier():
+    # grids holds the one (i xi)^k derivative: every other module differentiates a
+    # field through spectral_derivative or the graded rule, never by a multiplier of its own
+    assert _calls_outside_grids("derivative_multiplier") == []
 
 
 def _own_nodes(func):
