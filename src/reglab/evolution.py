@@ -73,12 +73,8 @@ class InitialData:
 
 def _bump_window(r_squared: np.ndarray) -> np.ndarray:
     """exp(-1/(1-r^2)) inside the unit ball of r^2, exactly 0 outside."""
-    inside = r_squared < 1.0
-    out = np.zeros_like(r_squared, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = np.exp(-1.0 / (1.0 - np.where(inside, r_squared, 0.5)))
-    out[inside] = vals[inside]
-    return out
+        return np.where(r_squared < 1.0, np.exp(-1.0 / (1.0 - r_squared)), 0.0)
 
 
 def make_odd_bump(amplitude: float, support_radius: float) -> InitialData:

@@ -231,9 +231,10 @@ def integrate_perturbed(params: NonlinearityParams, phi0, h_forcing, T: float, g
 def integrate_family(problems, phi0, T: float, grid: Grid1D, dt: float, *,
                      phi0_prime, columns=None) -> list[OdeRun]:
     """RK4 integration of the perturbed ODE and its variational equation for
-    every :class:`OdeProblem` of ``problems``, all stepped by one loop; one
-    :class:`OdeRun` per problem, each byte-identical to the run of that
-    problem alone.
+    every :class:`OdeProblem` of ``problems``, all stepped by one loop as one
+    stacked state, problem i at row i, through one right-hand side in which a
+    lam = 0 row's coefficients are 0; one :class:`OdeRun` per problem, each
+    byte-identical to the run of that problem alone.
 
     The problems share ``phi0``, ``phi0_prime``, the grid, the columns, T, dt
     and alpha (:class:`DomainError` for mixed alphas: |w|^alpha is taken with
@@ -297,13 +298,8 @@ def integrate_family(problems, phi0, T: float, grid: Grid1D, dt: float, *,
         raise SizeMismatch(f"phi0' gave shape {v.shape} on a grid of shape {y.shape}")
     z0 = complex(v[j0])
 
-    # the state stacks w and v of every problem as [track, problem, column], the
-    # problems with lam != 0 first so that their nonlinear terms are one slice;
-    # problem i sits at row pos[i]
-    order = sorted(range(len(problems)), key=lambda i: problems[i].params.lam == 0)
-    pos = sorted(range(len(problems)), key=order.__getitem__)
-    nonlinear = [p.params.lam for p in problems if p.params.lam != 0]
-    n_nl = len(nonlinear)
+    # the state stacks w and v of every problem as [track, problem, column], problem i
+    # at row i; a lam = 0 row's coefficients are 0, so it steps by the forcing alone
     state = np.empty((2, len(problems), y.size), dtype=np.complex128)
     state[0], state[1] = w, v
 
@@ -313,7 +309,7 @@ def integrate_family(problems, phi0, T: float, grid: Grid1D, dt: float, *,
             raise SizeMismatch(f"{name} gave shape {np.shape(values)} on a grid of shape {y.shape}")
         return values
 
-    forced = [(pos[i], p) for i, p in enumerate(problems) if p.h_forcing is not None]
+    forced = [(i, p) for i, p in enumerate(problems) if p.h_forcing is not None]
 
     def forcing(t):
         """(h, h_y) of every problem on the grid at time t, stacked as the state
@@ -328,29 +324,22 @@ def integrate_family(problems, phi0, T: float, grid: Grid1D, dt: float, *,
             stack[1, row] = on_grid(np.asarray(p.h_y(t, y), dtype=np.complex128), "h_y")
         return stack
 
-    half = 0.5 * alpha + 1.0  # (alpha + 2)/2
-    # per nonlinear problem: [[lam], [lam*(alpha+2)/2]] on (w, v), and lam*alpha/2
-    coef = np.array([[[lam] for lam in nonlinear], [[lam * half] for lam in nonlinear]])
-    conj_coef = np.array([[lam * (0.5 * alpha)] for lam in nonlinear])
+    # per problem: [[lam], [lam*(alpha+2)/2]] on (w, v), and lam*alpha/2
+    lams = np.array([[p.params.lam] for p in problems])
+    coef = np.stack([lams, lams * (0.5 * alpha + 1.0)])
+    conj_coef = lams * (0.5 * alpha)
 
     def rhs(s, f):
-        if n_nl == 0:  # linear controls only: nothing but the forcing
-            return f
-        wc, vc = s[0, :n_nl], s[1, :n_nl]
-        mag = np.abs(wc)
+        mag = np.abs(s[0])
         mag_a = mag**alpha
-        d = coef * mag_a * s[:, :n_nl]
-        d[1] += conj_coef * _conj_factor(wc, mag, mag_a) * np.conj(vc)
-        if n_nl == len(problems):
-            return d + f
-        out = f.copy()  # the linear controls: the forcing alone
-        out[:, :n_nl] = d + out[:, :n_nl]
-        return out
+        d = coef * mag_a * s
+        d[1] += conj_coef * _conj_factor(s[0], mag, mag_a) * np.conj(s[1])
+        return d + f
 
     times = dt * np.arange(n_steps + 1)
     tracks = [np.empty((2, steps.size, y.size), dtype=np.complex128) for steps in kept]
     for i, track in enumerate(tracks):
-        track[:, 0] = state[:, pos[i]]
+        track[:, 0] = state[:, i]
     rows = [1] * len(problems)  # next row of each track
 
     def make_run(i, times_kept, track):
@@ -371,17 +360,17 @@ def integrate_family(problems, phi0, T: float, grid: Grid1D, dt: float, *,
         state[0, :, j0] = 0.0
         below = np.max(np.abs(state[0]), axis=1) <= _MAX_AMPLITUDE  # False for NaN too
         if not below.all():
-            i = next(i for i, row in enumerate(pos) if not below[row])
+            i = int(np.argmin(below))  # the first problem past the cap
             row = rows[i]
             partial = make_run(i, np.append(times[kept[i][:row]], times[k + 1]),
-                               np.concatenate([tracks[i][:, :row], state[:, pos[i], None]], 1))
+                               np.concatenate([tracks[i][:, :row], state[:, i, None]], 1))
             raise BlowUpError(
                 f"amplitude exceeded {_MAX_AMPLITUDE:.3g} at t = {times[k + 1]:.6g}",
                 time=float(times[k + 1]), partial=partial,
             )
         for i, steps in enumerate(kept):
             if steps[rows[i]] == k + 1:
-                tracks[i][:, rows[i]] = state[:, pos[i]]
+                tracks[i][:, rows[i]] = state[:, i]
                 rows[i] += 1
 
     return [make_run(i, times[steps], track) for i, (steps, track) in enumerate(zip(kept, tracks))]

@@ -533,6 +533,36 @@ class TestOracle:
         assert traj.blowup_time is None
         assert_matches_oracle(traj, *oracle_solve(params, bump, grid, 20, dt, every=3))
 
+    def test_a_peak_just_under_the_cap_is_replayed(self, monkeypatch):
+        # a half flow whose peak bound lies within _CAP_ROUNDOFF below the cap is not
+        # merged: every step runs as two exact half flows, 1 + 10 + 9 calls in all
+        params = heat_params(alpha=0.5)
+        grid, bump, dt = Grid1D(256, 4.0), make_odd_bump(16.0, 2.0), 2e-5
+        cap = evolution._BLOWUP_FACTOR * np.max(np.abs(sample_initial_data(bump, grid).values))
+        peak = (1.0 - evolution._CAP_ROUNDOFF / 2) * cap
+        monkeypatch.setattr(evolution, "_flow_peak", lambda *args: peak)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return exact_flow(*args)
+
+        monkeypatch.setattr(evolution, "exact_flow", spy)
+        traj = solve(params, bump, grid, T=10 * dt, dt=dt)
+        assert len(calls) == 20
+        assert_matches_oracle(traj, *oracle_solve(params, bump, grid, 10, dt))
+
+    def test_the_last_step_runs_no_extra_half_flow(self):
+        # the exact blow-up time falls in step 3's first half flow: a run to step 2
+        # ends at t = 2 dt without stepping into it, and a run to step 3 raises
+        params = heat_params(alpha=1.0, lam=1.0)
+        grid, bump = Grid1D(256, 4.0), make_odd_bump(1e4, 2.0)
+        dt = 1.0 / np.max(np.abs(odd_part(sample_initial_data(bump, grid).values))) / 2.4
+        traj = solve(params, bump, grid, T=2 * dt, dt=dt)
+        assert traj.blowup_time is None and len(traj.times) == 3
+        with pytest.raises(BlowUpError):
+            solve(params, bump, grid, T=3 * dt, dt=dt)
+
     def test_amplitude_blowup_matches(self):
         # TestSolve.blow_up's run: the cap trips at step 257, between two scheduled rows
         err = self.assert_same_blowup(heat_params(alpha=0.2, lam=1.0), make_odd_bump(1e4, 2.0),
