@@ -420,6 +420,7 @@ def run_duhamel_rate(cfg: ExperimentConfig) -> dict:
     report["predicted_amplitude"] = rate.predicted_amplitude
     report["numerics"] = {"snapshot_strides": list(rate.strides), "slices": rate.slices,
                           "snapshot_transforms": rate.transforms,
+                          "odd_snapshot_transforms": rate.odd_transforms,
                           "trajectory": {"snapshots": len(traj.times)}}
     report["tables"]["rate"] = {
         "columns": ["tau_minus_t", "d5_magnitude"],

@@ -225,6 +225,7 @@ class DuhamelRateReport:
     strides: tuple[int, ...]      # snapshot stride per tau
     slices: int                   # time slices evaluated over all taus
     transforms: int               # snapshots transformed: each one some tau reads, once
+    odd_transforms: int           # of those, the snapshots evaluated as a pure sine series
 
 
 def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
@@ -263,9 +264,11 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
 
     chunk = 8  # snapshots per transform, rows per call: a product of about 0.8 MB at n = 1024
     slice_values = np.zeros(trap.shape, dtype=complex)
+    odd_transforms = 0
     for k in range(0, len(read), chunk):
         block = read[k:k + chunk]
         interp = TrigInterpolant(grid, snaps[block])
+        odd_transforms += len(block) if interp.odd else 0
         js, cols = np.nonzero(trap[:, block])  # every slice that reads the block
         for m in range(0, len(js), chunk):
             j, s = js[m:m + chunk], block[cols[m:m + chunk]]
@@ -296,6 +299,7 @@ def duhamel_fifth_derivative_rate(probe: DuhamelProbe) -> DuhamelRateReport:
         law_fit_at_edge=at_edge, empirical_a=emp_a, empirical_A=emp_A,
         predicted_amplitude=predicted, eta0=eta0,
         strides=tuple(strides), slices=sum(map(len, subs)), transforms=len(read),
+        odd_transforms=odd_transforms,
     )
 
 

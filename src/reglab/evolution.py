@@ -142,6 +142,19 @@ def _linear_step(half: np.ndarray, field: np.ndarray, mult: np.ndarray,
     return inverse(spectrum, field.size)[field.size // 2 + 1:]
 
 
+def _linear_setup(params: NonlinearityParams, row0: np.ndarray, grid: Grid1D, dt: float):
+    """The arguments (half, field, mult, transforms) of :func:`_linear_step` by dt from
+    the odd row ``row0``: its samples at y > 0, a field buffer and the multiplier of dt,
+    real with the rfft/irfft pair for theta = 0, real lam and real data, complex with
+    fft/ifft otherwise."""
+    half = row0[grid.zero_index + 1:]
+    mult = _linear_multiplier(params, grid, dt)
+    if params.theta == 0.0 and params.lam.imag == 0.0 and not np.any(half.imag):
+        half, mult = half.real.copy(), mult[: grid.n_points // 2 + 1].real.copy()
+        return half, np.empty(grid.n_points), mult, (np.fft.rfft, np.fft.irfft)
+    return half, np.empty_like(row0), mult, (np.fft.fft, np.fft.ifft)
+
+
 @dataclass
 class Trajectory:
     """Snapshots of the evolution, aligned with their time stamps."""
@@ -208,13 +221,7 @@ def solve(
     steps = snapshot_steps(n_steps, snapshot_every)
     grid = _as_grid(grid)
     row0 = _initial_row(phi, grid)
-    half = row0[grid.zero_index + 1:]
-    mult = _linear_multiplier(params, grid, dt)
-    if params.theta == 0.0 and params.lam.imag == 0.0 and not np.any(half.imag):
-        half, mult = half.real.copy(), mult[: grid.n_points // 2 + 1].real.copy()
-        field, transforms = np.empty(grid.n_points), (np.fft.rfft, np.fft.irfft)
-    else:
-        field, transforms = np.empty_like(row0), (np.fft.fft, np.fft.ifft)
+    half, field, mult, transforms = _linear_setup(params, row0, grid, dt)
     cap = _BLOWUP_FACTOR * float(np.max(np.abs(half)))
     near_cap = (1.0 - _CAP_ROUNDOFF) * cap
     h = 0.5 * dt
@@ -287,7 +294,8 @@ def solve(
 def linear_solution(params: NonlinearityParams, phi: InitialData, grid: Grid1D,
                     T: float) -> Trajectory:
     """The lam = 0 evolution in closed form: rows at t = 0 and t = T, the odd part of the
-    sampled data and e^{-T e^{i theta} xi^2} applied to it by one FFT pair.
+    sampled data and e^{-T e^{i theta} xi^2} applied to it by one linear step of
+    :func:`solve`, so that both rows are exactly odd and heat rows exactly real.
 
     A lam = 0 :func:`solve` reaches the same row up to roundoff, since each of its
     linear steps is exact; the trajectory's one step is T.  :class:`DomainError`
@@ -298,7 +306,8 @@ def linear_solution(params: NonlinearityParams, phi: InitialData, grid: Grid1D,
         raise DomainError(f"T must be finite and positive, got {T}")
     grid = _as_grid(grid)
     row0 = _initial_row(phi, grid)
-    row_t = np.fft.ifft(np.fft.fft(row0) * _linear_multiplier(params, grid, T))
+    row_t = np.empty_like(row0)
+    _fill_odd(row_t, _linear_step(*_linear_setup(params, row0, grid, T)))
     return Trajectory(params, grid, np.array([0.0, T]), np.stack([row0, row_t]), T)
 
 

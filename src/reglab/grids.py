@@ -152,19 +152,22 @@ class TrigInterpolant:
     """Trigonometric interpolant of a 1D grid function u, or of each row of an (R, n)
     array on a grid, ``TrigInterpolant(grid, rows)``, called on points (R, ...).
 
-    Periodic in 2L, exact at grid nodes up to FFT roundoff.  The Nyquist mode
-    is evaluated as cos(xi_{n/2} x), which agrees with exp(i xi_{-n/2} x) at
-    the nodes and keeps real data real off the nodes.
+    Periodic in 2L, exact at grid nodes up to FFT roundoff.  With theta = pi x/L, a row is
+    the cosine series e = c_0 + sum_k a_k cos(k theta) + c_{-n/2} cos(n theta/2) plus the
+    sine series o = sum_k b_k sin(k theta), 0 < k < n/2, a_k = c_k + c_-k, b_k = i (c_k - c_-k).
+    The Nyquist cosine keeps real data real off the nodes.  fmod first reduces x exactly.
 
-    The other modes are z^(-n/2) sum_j d_j z^j, z = exp(i pi x/L), d_j = c_{j-n/2} kept
-    per row as a (B, n/B) table, B = 2^ceil(log2(n)/2): a call builds z^b (b < B) and
-    (z^B)^a (a < n/B) one power at a time, one batched matmul for all rows.
-    fmod first reduces x exactly into (-2L, 2L).
+    With k = aB + b, B = 2^ceil(log2(n/2)/2), a call builds z^b (b < B) and z^(aB) (a < n/2B),
+    z = exp(i theta), one power at a time.  One real matmul of [Re z^b | Im z^b] against
+    the real and imaginary parts of the coefficients, a (B, n/2B) table per series, sums
+    the cos(b theta) and sin(b theta) terms of each block a; a product with z^(aB) adds the
+    angles, and its sum over a has the cosine series as real part, the sine series as
+    imaginary part.  No cos or sin is called.
 
-    ``mirrored=True`` returns the stack [u(x), u(-x)] of shape (2, ...) from the same
-    powers: z(-x) = conj(z(x)), so u(-x) = conj(z^(-n/2) sum_j conj(d_j) z^j) plus the
-    same Nyquist term, and the matmul takes [table | conj(table)].
-    :meth:`take` gathers some rows into a new interpolant without a second FFT.
+    If every row is exactly odd (u_j = -u_{-j} and u_0 = 0), e = 0 is neither stored nor
+    evaluated, and ``odd`` is True.  ``mirrored=True`` returns [u(x), u(-x)] = [e + o, e - o],
+    of shape (2, ...), from the one evaluation.  :meth:`take` gathers some rows into a new
+    interpolant without a second FFT.
     """
 
     def __init__(self, u: GridFunction | Grid1D, rows=None):
@@ -175,13 +178,23 @@ class TrigInterpolant:
         if rows.ndim != 2 or rows.shape[1] != g.n_points:
             raise SizeMismatch(f"rows shape {rows.shape} != (R, {g.n_points})")
         n = int(g.n_points)
-        self.coefficients = np.fft.fft(rows) / n * g.phase()  # forward_transform of each row
-        block = 1 << -(-(n.bit_length() - 1) // 2)
-        shifted = np.roll(self.coefficients, n // 2, axis=1)  # shifted[:, j] = c_{j - n/2}
-        self._nyquist = shifted[:, :1].copy()  # the Nyquist mode goes as a cosine
-        shifted[:, 0] = 0.0
-        table = shifted.reshape(len(rows), n // block, block).transpose(0, 2, 1)
-        self._table = np.concatenate([table, np.conj(table)], axis=2)  # (R, B, 2n/B)
+        c = self.coefficients = np.fft.fft(rows) / n * g.phase()  # forward_transform of each row
+        half = n // 2
+        pos, neg = c[:, 1:half], c[:, :half:-1]  # c_k and c_-k
+        odd = np.array_equal(rows[:, 1:], -rows[:, :0:-1]) and not np.any(rows[:, 0])
+        series = np.zeros((len(rows), 1 if odd else 2, half), dtype=np.complex128)  # [a_k,] b_k
+        series[:, -1, 1:] = 1j * (pos - neg)
+        self._nyquist = None if odd else c[:, half:half + 1]
+        if not odd:
+            series[:, 0, 0] = c[:, 0]
+            series[:, 0, 1:] = pos + neg
+        block = 1 << -(-(half.bit_length() - 1) // 2)
+        # rows [series, real or imaginary part, a] of B coefficients each
+        self._table = np.stack([series.real, series.imag], axis=2).reshape(len(rows), -1, block)
+
+    @property
+    def odd(self) -> bool:
+        return self._nyquist is None  # no cosine series is kept
 
     def take(self, rows) -> TrigInterpolant:
         """The interpolant of the rows with the given indices (a 1D sequence) of this one,
@@ -192,31 +205,34 @@ class TrigInterpolant:
         out = object.__new__(type(self))
         out.grid = self.grid
         out.coefficients = self.coefficients[rows]
-        out._nyquist = self._nyquist[rows]
+        out._nyquist = None if self.odd else self._nyquist[rows]
         out._table = self._table[rows]
         return out
 
     def __call__(self, points, mirrored: bool = False) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        n_rows, block = self._table.shape[:2]
+        n_rows, _, block = self._table.shape
         if n_rows > 1 and pts.shape[:1] != (n_rows,):
             raise SizeMismatch(f"points shape {pts.shape} does not lead with {n_rows} rows")
-        count = self.grid.n_points // block
+        count = self.grid.n_points // 2 // block
         length = self.grid.half_length
         x = np.fmod(pts.reshape(n_rows, -1), 2.0 * length)
         z = np.exp(1j * (np.pi / length) * x)
         low = _powers(z, block)  # z^b, (B, R, P)
-        high = _powers(low[-1] * z, count)  # z^(a*B), (n/B, R, P)
-        half = high[count // 2]  # z^(n/2)
-        signs = 2 if mirrored else 1
-        sums = low.transpose(1, 2, 0) @ self._table[..., : signs * count]
-        # row-wise dot of each n/B block of sums with the high powers: (signs, R, P)
-        sums = np.einsum("rpsa,arp->srp", sums.reshape(*z.shape, signs, count), high)
-        vals = sums * np.conj(half)
-        vals[1:] = np.conj(vals[1:])
-        vals += self._nyquist * half.real
-        vals = vals.reshape((signs,) + pts.shape)
-        return vals if mirrored else vals[0]
+        step = low[-1] * z  # z^B
+        high = _powers(step, count)  # z^(aB), (n/2B, R, P)
+        # the float view of low pairs Re z^b, Im z^b per point, the product's complex view
+        # pairs the cos and sin sums back: sum_b d_(aB+b) z^b for each real table row d
+        sums = (self._table @ low.view(np.float64).transpose(1, 0, 2)).view(np.complex128)
+        sums = sums.reshape(n_rows, -1, count, z.shape[1]) * high.transpose(1, 0, 2)[:, None]
+        sums = sums.sum(axis=2)  # sum_k d_k z^k: cosine series real, sine series imaginary
+        odd = sums[:, -2].imag + 1j * sums[:, -1].imag
+        if self.odd:
+            vals = np.stack([odd, -odd]) if mirrored else odd
+        else:
+            even = sums[:, 0].real + 1j * sums[:, 1].real + self._nyquist * (high[-1] * step).real
+            vals = np.stack([even + odd, even - odd]) if mirrored else even + odd
+        return vals.reshape(vals.shape[:-2] + pts.shape)
 
 
 def reflect_y(values: np.ndarray) -> np.ndarray:

@@ -694,6 +694,13 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
         assert blobs[0]["numerics"] == expected
 
+    def test_duhamel_rate_reads_every_snapshot_as_a_sine_series(self, tmp_path):
+        # at the README config every snapshot the rate transforms is exactly odd
+        assert run_cli(["--experiment", "duhamel-rate", "--alpha", "0.5", "--dt", "2.5e-5",
+                        "--out-dir", str(tmp_path)]) == 0
+        numerics = json.loads((tmp_path / "duhamel-rate.json").read_text())["numerics"]
+        assert numerics["odd_snapshot_transforms"] == numerics["snapshot_transforms"] == 801
+
     def test_duhamel_rate_numerics_are_reproducible(self, tmp_path):
         # the numerics block is deterministic, so it sits outside "timing"
         out = tmp_path / "out"

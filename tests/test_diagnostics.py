@@ -29,6 +29,7 @@ from reglab.grids import Grid1D, GridFunction, TrigInterpolant
 from reglab.kernels import graded_fifth_derivatives
 from reglab.numerics import adaptive_quadrature, trapezoid_weights
 from reglab.ode import NonlinearityParams
+from reglab.trajio import load_trajectory, save_trajectory
 
 
 class TestHsNorm:
@@ -289,6 +290,33 @@ class TestRateStorage:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * traj.values.nbytes
+
+
+class TestOddSnapshots:
+    """The solver's rows are exactly odd, so the rate evaluates each one as a pure sine
+    series; the count of those is in its report."""
+
+    TAUS = 0.004 + np.geomspace(5e-4, 1.5e-2, 4)
+
+    def rate(self, traj):
+        return duhamel_fifth_derivative_rate(DuhamelProbe(traj=traj, t=0.004, tau_ladder=self.TAUS))
+
+    def test_every_read_snapshot_is_a_sine_series(self):
+        traj = standard_run(alpha=0.5, n=256, T=0.004, dt=1e-4, snapshot_every=1, amplitude=4.0)
+        rate = self.rate(traj)
+        assert rate.odd_transforms == rate.transforms == 41
+        # one sample off the symmetry sends its block of 8 down the general path
+        values = traj.values.copy()
+        values[3, 0] = 1e-12
+        bent = self.rate(Trajectory(traj.params, traj.grid, traj.times, values, traj.dt))
+        assert bent.transforms == 41 and bent.odd_transforms == 33
+
+    def test_a_saved_and_loaded_trajectory_gives_the_same_rate(self, tmp_path):
+        traj = standard_run(alpha=0.5, n=256, T=0.004, dt=1e-4, snapshot_every=1, amplitude=4.0)
+        save_trajectory(traj, tmp_path / "run.rglb")
+        rate, loaded = self.rate(traj), self.rate(load_trajectory(tmp_path / "run.rglb"))
+        assert loaded.odd_transforms == loaded.transforms == 41
+        assert loaded.values.tobytes() == rate.values.tobytes()
 
 
 class TestFixedRuleRate:

@@ -620,6 +620,42 @@ class TestLinearSolution:
 
 
 
+def assert_exactly_odd(traj, real):
+    """Every row is exactly odd, so 0 at y = 0 and y = -L; ``real`` rows have imaginary
+    parts exactly 0."""
+    for row in traj.values:
+        assert np.array_equal(row, -reflect_y(row))
+    if real:
+        assert not np.any(traj.values.imag)
+
+
+class TestExactlyOddRows:
+    """Every trajectory the lab builds has exactly odd rows, and heat runs from real data
+    exactly real ones: an interpolant of such rows keeps only their sine series."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("family", FAMILIES, ids=["heat", "cgl", "nls"])
+    def test_solve(self, family, alpha):
+        theta, lam = family
+        params = heat_params(alpha=alpha, lam=lam, theta=theta)
+        traj = solve(params, make_odd_bump(16.0, 2.0), Grid1D(256, 4.0), T=2e-3, dt=2e-5,
+                     snapshot_every=7)
+        assert_exactly_odd(traj, real=theta == 0.0)
+
+    def test_blown_up_partial(self):
+        # the amplitude monitor trips between scheduled rows, and the step is kept
+        with pytest.raises(BlowUpError, match="amplitude exceeded") as err:
+            solve(heat_params(alpha=0.2, lam=1.0), make_odd_bump(1e4, 2.0), Grid1D(512, 4.0),
+                  T=2.0, dt=5e-3, snapshot_every=10)
+        assert_exactly_odd(err.value.partial, real=True)
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2], ids=["heat", "cgl", "nls"])
+    def test_linear_solution(self, theta):
+        traj = linear_solution(heat_params(lam=0.0, theta=theta), make_odd_bump(16.0, 2.0),
+                               Grid1D(1024, 4.0), 0.02)
+        assert_exactly_odd(traj, real=theta == 0.0)
+
+
 def scaled_pair(alpha, mu, family, linear=False):
     """A run and its dilation by mu: u_mu(t, y) = mu^(2/alpha) u(mu^2 t, mu y) solves the
     same equation on [-L/mu, L/mu) from the bump dilated alike, stepped at dt/mu^2.

@@ -274,6 +274,60 @@ class TestSpectralOps:
         with pytest.raises(SizeMismatch):
             interp.take([[0, 1]])
 
+    @settings(deadline=None, database=None, max_examples=60)
+    @given(
+        log_n=st.integers(3, 11),
+        half_length=st.floats(0.5, 8.0),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_odd_rows_keep_only_the_sine_series(self, log_n, half_length, real, seed):
+        rng = np.random.default_rng(seed)
+        g = Grid1D(2**log_n, half_length)
+        vals = rng.standard_normal(g.n_points)
+        if not real:
+            vals = vals + 1j * rng.standard_normal(g.n_points)
+        u = GridFunction(g, odd_part(vals))
+        interp = TrigInterpolant(u)
+        assert interp.odd
+        nodes = rng.integers(-100 * g.n_points // 2, 100 * g.n_points // 2, 15)
+        pts = (nodes + rng.uniform(0.01, 0.99, 15)) * g.spacing
+        size = np.sum(np.abs(interp.coefficients))
+        assert np.max(np.abs(interp(pts) - dense_interpolant(u, pts))) <= 1e-12 * size
+
+    def test_odd_rows_mirror_exactly(self):
+        rng = np.random.default_rng(5)
+        g = Grid1D(64, 2.0)
+        rows = odd_part(rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64)))
+        interp = TrigInterpolant(g, rows)
+        pts = rng.uniform(0.0, 2.0, (3, 9))
+        plus, minus = interp(pts, mirrored=True)
+        assert plus.tobytes() == interp(pts).tobytes()
+        assert minus.tobytes() == (-plus).tobytes()
+        assert interp.odd and interp.take([2, 0, 2]).odd
+        with pytest.raises(AttributeError):
+            interp.odd = False
+
+    @pytest.mark.parametrize("index, value", [(0, 0.5), (5, 1e-3), (32, 1e-12j)],
+                             ids=["edge", "interior", "origin"])
+    def test_one_row_that_is_not_odd_takes_the_general_path(self, index, value):
+        rng = np.random.default_rng(6)
+        g = Grid1D(64, 2.0)
+        rows = odd_part(rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64)))
+        rows[2, index] += value
+        interp = TrigInterpolant(g, rows)
+        assert not interp.odd and not interp.take([0, 1]).odd
+        pts = rng.uniform(-2.0, 2.0, (4, 9))
+        plus, minus = interp(pts, mirrored=True)
+        for r in range(4):
+            u = GridFunction(g, rows[r])
+            own = TrigInterpolant(u)
+            assert own.odd == (r != 2)
+            size = np.sum(np.abs(own.coefficients))
+            assert np.max(np.abs(plus[r] - own(pts[r]))) <= 1e-13 * size
+            assert np.max(np.abs(minus[r] - own(-pts[r]))) <= 1e-13 * size
+            assert np.max(np.abs(plus[r] - dense_interpolant(u, pts[r]))) <= 1e-12 * size
+
     def test_interpolant_keeps_point_shape(self):
         g = Grid1D(16, 1.0)
         u = GridFunction(g, np.sin(np.pi * g.points))
